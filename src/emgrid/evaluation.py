@@ -145,7 +145,8 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     def feed(sl: slice) -> int:
         X = samples[sl].astype(np.float64)
         for j in range(16):
-            H = build_hypothesis_matrix(publics[sl], LeakageModel(kind, j))
+            H = build_hypothesis_matrix(publics[sl], LeakageModel(kind, j),
+                                        reduce="hamming_weight")
             accs[j].update_batch(H, X)
         return X.shape[0]
 

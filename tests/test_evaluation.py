@@ -201,6 +201,24 @@ def test_cpa_grid_first_round_target():
     assert rank.values[0] == 0.0
 
 
+def test_cpa_grid_first_round_correlates_hamming_weights():
+    # Noiseless HW(S-box output) leakage correlates exactly (|r| = 1) with
+    # the correct guess's Hamming-weight hypothesis, so every byte ranks
+    # first at the very first checkpoint. Raw-value hypotheses correlate
+    # only partially (r ~ 0.6) and need a second checkpoint here.
+    n = 400
+    arr = build_arrays(n, 40, np.zeros(n))
+    leak = hamming_weight(SBOX[arr.plaintexts ^ arr.keys]).astype(np.float32)
+    arr = TraceArrays(leak, arr.keys, arr.plaintexts, arr.ciphertexts,
+                      arr.positions, arr.splits)
+    geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
+    disc, rank = evaluate_cpa_grid(arr, geom, SPLIT_TEST,
+                                   LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0),
+                                   checkpoint_interval=50)
+    assert disc.values[0] == 50
+    assert rank.values[0] == 0.0
+
+
 def test_cpa_grid_zero_leak_all_infinite():
     # one cell's 16-byte average has std ~18 under pure noise, so the
     # chance-level check needs a grid of cells to average over
