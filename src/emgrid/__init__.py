@@ -3,37 +3,16 @@
 Simulated probe-grid datasets, streaming SNR/CPA distinguishers, shallow
 profiled attacks, a regressor-to-CPA hybrid, and grid heatmap evaluation,
 wired together by the `emgrid` command-line tool.
+
+The package exports the names of the README library example and the error
+classes; everything else lives in the submodules (emgrid.profiler,
+emgrid.distinguishers, ...).
 """
-from .aes import (aes128_decrypt, aes128_encrypt, decrypt_blocks,
-                  encrypt_blocks, expand_keys, expand_keys_batch, round10_key)
-from .distinguishers import (CpaAccumulator, CpaResult, DisclosureResult,
-                             SnrAccumulator, cpa_scores, loglik_aggregate,
-                             mean_rank, rank_of, traces_to_disclosure)
 from .errors import AnalysisError, ConfigError, DataFormatError
-from .evaluation import (evaluate_classifier_grid, evaluate_cpa_grid,
-                         evaluate_hybrid_grid, evaluate_snr_grid)
-from .grid import GridGeometry
-from .heatmap import (COLOR_RAMP, Heatmap, compare_heatmaps, heatmap_from_csv,
-                      heatmap_to_csv, heatmap_to_svg)
-from .leakage import (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT,
-                      LAST_ROUND_HD, SHIFT_MAP, LeakageModel,
-                      build_hypothesis_matrix, hamming_weight,
-                      true_first_round_values, true_last_round_hds)
-from .profiler import (CLASSIFIER_256, HD_REGRESSOR_16, HybridResult,
-                       ProfilingModel, StandardizationParams, TrainConfig,
-                       TrainResult, classify_attack, fit_standardization,
-                       hybrid_attack, load_model, multiplace_train,
-                       predict_hd, predict_proba, save_model,
-                       second_half_mean, select_leaky_positions,
-                       select_top_n_positions, train_classifier,
-                       train_hd_regressor, true_hds)
-from .simulator import (LAST_ROUND_HD_TRUE, DeviceProfile, LeakSource,
-                        SimConfig, coupling_weight, derive_device_b,
-                        load_sim_config, sim_config_from_dict,
-                        sim_config_to_dict, simulate_grid_dataset,
-                        simulate_trace)
-from .traceset import (SPLIT_CODES, SPLIT_HOLDOUT, SPLIT_NAMES, SPLIT_TEST,
-                       SPLIT_TRAIN, DatasetHeader, TraceArrays, TraceRecord,
-                       read_arrays, read_dataset, read_header, write_dataset)
+from .evaluation import evaluate_cpa_grid
+from .heatmap import heatmap_to_csv
+from .leakage import FIRST_ROUND_SBOX_OUTPUT, LeakageModel
+from .simulator import sim_config_from_dict, simulate_grid_dataset
+from .traceset import SPLIT_HOLDOUT, read_arrays
 
 __version__ = "0.1.0"

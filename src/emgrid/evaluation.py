@@ -20,14 +20,12 @@ from .errors import AnalysisError, ConfigError
 from .grid import GridGeometry
 from .heatmap import Heatmap
 from .leakage import (
-    FIRST_ROUND_SBOX_INPUT,
-    FIRST_ROUND_SBOX_OUTPUT,
     LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
     true_first_round_values,
 )
-from .profiler import ProfilingModel, classify_attack, hybrid_attack, true_hds
+from .profiler import ProfilingModel, classify_attack, predict_hd, true_hds
 from .traceset import TraceArrays
 
 MIXED_KEY_HINT = ("positions mix keys; disclosure metrics need a fixed-key "
@@ -145,8 +143,7 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     def feed(sl: slice) -> int:
         X = samples[sl].astype(np.float64)
         for j in range(16):
-            H = build_hypothesis_matrix(publics[sl], LeakageModel(kind, j),
-                                        reduce="hamming_weight")
+            H = build_hypothesis_matrix(publics[sl], LeakageModel(kind, j))
             accs[j].update_batch(H, X)
         return X.shape[0]
 
@@ -167,28 +164,28 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     return disclosure, ranks
 
 
-def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
-                      target: LeakageModel, budget=None,
-                      checkpoint_interval: int = 1000, threads: int = 1,
-                      progress=None):
-    """Unprofiled CPA swept over the grid.
+def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
+                     kind: str, traces_of, budget, checkpoint_interval: int,
+                     threads: int, progress):
+    """Per-position disclosure attack over a fixed-key split.
 
-    Returns (traces-to-disclosure Heatmap, average-final-rank Heatmap).
-    Every position's split traces must share one key.
+    traces_of(idx) returns the (n, m) traces CPA correlates for one
+    position's row indices. Returns (traces-to-disclosure Heatmap,
+    average-final-rank Heatmap); positions without traces stay inf.
     """
-    if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT,
-                           LAST_ROUND_HD):
-        raise ConfigError(f"unknown CPA target kind {target.kind!r}")
+    if checkpoint_interval < 1:
+        raise ConfigError("checkpoint interval must be >= 1")
+    if budget is not None and budget < 0:
+        raise ConfigError("budget must be >= 0")
     groups = _split_and_group(arrays, geometry, split)
-    publics_all = arrays.ciphertexts if target.kind == LAST_ROUND_HD \
+    publics_all = arrays.ciphertexts if kind == LAST_ROUND_HD \
         else arrays.plaintexts
 
     def one(p, idx):
-        key = _check_fixed_key(arrays.keys[idx])
-        correct = _correct_bytes(target.kind, key)
+        correct = _correct_bytes(kind, _check_fixed_key(arrays.keys[idx]))
         disclosure, ranks = _run_cpa_position(
-            arrays.samples[idx], publics_all[idx], target.kind, correct,
-            budget, checkpoint_interval)
+            traces_of(idx), publics_all[idx], kind, correct, budget,
+            checkpoint_interval)
         avg = float(ranks.mean())
         if progress is not None:
             progress({"position": p, "traces": len(idx),
@@ -205,28 +202,25 @@ def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
             Heatmap(geometry, rank_vals, "average_rank"))
 
 
+def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
+                      target: LeakageModel, budget=None,
+                      checkpoint_interval: int = 1000, threads: int = 1,
+                      progress=None):
+    """Unprofiled CPA on the raw samples, swept over the grid. Every
+    position's split traces must share one key; target.byte_index is
+    ignored, all 16 key bytes are attacked."""
+    return _disclosure_grid(arrays, geometry, split, target.kind,
+                            lambda idx: arrays.samples[idx], budget,
+                            checkpoint_interval, threads, progress)
+
+
 def evaluate_hybrid_grid(regressor: ProfilingModel, arrays: TraceArrays,
                          geometry: GridGeometry, split: int, budget=None,
                          checkpoint_interval: int = 1000, threads: int = 1,
                          progress=None):
-    """Regressor-then-CPA swept over the grid; same outputs as
-    evaluate_cpa_grid."""
-    groups = _split_and_group(arrays, geometry, split)
-
-    def one(p, idx):
-        res = hybrid_attack(regressor, arrays.subset(idx), budget,
-                            checkpoint_interval)
-        if progress is not None:
-            progress({"position": p, "traces": len(idx),
-                      "disclosure": res.disclosure.full_key,
-                      "average_rank": res.average_rank})
-        return res.disclosure.full_key, res.average_rank
-
-    results = _map_positions(groups, one, threads)
-    disclosure_vals = np.full(geometry.position_count, math.inf)
-    rank_vals = np.full(geometry.position_count, math.inf)
-    for p, (d, r) in results.items():
-        disclosure_vals[p] = d
-        rank_vals[p] = r
-    return (Heatmap(geometry, disclosure_vals, "traces_to_disclosure"),
-            Heatmap(geometry, rank_vals, "average_rank"))
+    """Regressor-then-CPA swept over the grid: each trace becomes the
+    regressor's 16 predicted last-round HDs, and last-round CPA runs on
+    those pseudo-traces. Same outputs as evaluate_cpa_grid."""
+    return _disclosure_grid(arrays, geometry, split, LAST_ROUND_HD,
+                            lambda idx: predict_hd(regressor, arrays.samples[idx]),
+                            budget, checkpoint_interval, threads, progress)

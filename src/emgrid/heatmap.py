@@ -117,8 +117,21 @@ def heatmap_from_csv(text: str) -> np.ndarray:
         parts = ln.split(",")
         if len(parts) != nx + 1:
             raise DataFormatError(f"heatmap CSV row has {len(parts) - 1} cells, expected {nx}")
-        rows.append([math.inf if p == "inf" else float(p) for p in parts[1:]])
+        rows.append([_parse_value(p) for p in parts[1:]])
+    if not rows:
+        raise DataFormatError("heatmap CSV has no data rows")
     return np.array(rows, dtype=np.float64)
+
+
+def _parse_value(cell: str) -> float:
+    """A finite number or inf; nan and -inf have no place in any metric."""
+    try:
+        v = float(cell)
+    except ValueError:
+        raise DataFormatError(f"heatmap CSV cell {cell!r} is not a number") from None
+    if math.isnan(v) or v == -math.inf:
+        raise DataFormatError(f"heatmap CSV cell {cell!r}: only finite values and inf")
+    return v
 
 
 def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:

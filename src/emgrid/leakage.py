@@ -1,9 +1,11 @@
 """Leakage models: the intermediate values attacks target.
 
-Two families are supported. First-round models predict a byte of the round-1
-S-box input or output from the plaintext and a key-byte guess. The last-round
-model predicts the Hamming distance between a ciphertext byte and the state
-byte it overwrote, from the ciphertext and a round-10 key-byte guess.
+Two families are supported. First-round models target a byte of the round-1
+S-box input or output, computed from the plaintext and a key-byte guess; CPA
+hypotheses are its Hamming weight, profiled classifiers label traces by the
+byte itself. The last-round model predicts the Hamming distance between a
+ciphertext byte and the state byte it overwrote, from the ciphertext and a
+round-10 key-byte guess.
 
 For the last-round model the guess for ciphertext byte j is the round-10 key
 byte at position SHIFT_MAP[j] (see aes.SHIFT_MAP): ShiftRows moved the state
@@ -44,10 +46,6 @@ class LeakageModel:
         if not 0 <= self.byte_index < 16:
             raise ConfigError("byte_index must be in 0..15")
 
-    @property
-    def uses_ciphertext(self) -> bool:
-        return self.kind == LAST_ROUND_HD
-
 
 def first_round_sbox_input(plaintext, key_byte_guess: int, byte_index: int) -> int:
     return plaintext[byte_index] ^ key_byte_guess
@@ -63,18 +61,14 @@ def last_round_hd_hypothesis(ciphertext, key_byte_guess: int, byte_index: int) -
     return int(HW_TABLE[ciphertext[byte_index] ^ prev])
 
 
-def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel,
-                            reduce: str = "value") -> np.ndarray:
+def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndarray:
     """Predicted leakage for all 256 guesses over n public inputs.
 
     publics is (n, 16) uint8: plaintexts for first-round models, ciphertexts
-    for the last-round model. Returns a (256, n) integer matrix; row j is the
-    prediction under guess j. reduce selects raw byte values (256 classes) or
-    their Hamming weights; the last-round model is already a distance and
-    ignores reduce.
+    for the last-round model. Returns a (256, n) uint8 matrix; row j is the
+    Hamming weight (first round) or Hamming distance (last round) predicted
+    under guess j.
     """
-    if reduce not in ("value", "hamming_weight"):
-        raise ConfigError(f"unknown reduce {reduce!r}")
     pub = np.atleast_2d(np.asarray(publics, dtype=np.uint8))
     if pub.ndim != 2 or pub.shape[1] != 16 or pub.shape[0] == 0:
         raise ConfigError("publics must be a non-empty (n, 16) byte array")
@@ -82,13 +76,11 @@ def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel,
     j = model.byte_index
     if model.kind == LAST_ROUND_HD:
         prev = INV_SBOX[pub[None, :, SHIFT_MAP[j]] ^ guesses]
-        return HW_TABLE[pub[None, :, j] ^ prev].astype(np.uint8)
+        return HW_TABLE[pub[None, :, j] ^ prev]
     vals = pub[None, :, j] ^ guesses
     if model.kind == FIRST_ROUND_SBOX_OUTPUT:
         vals = SBOX[vals]
-    if reduce == "hamming_weight":
-        return HW_TABLE[vals].astype(np.uint8)
-    return vals.astype(np.uint8)
+    return HW_TABLE[vals]
 
 
 def true_first_round_values(kind: str, plaintexts: np.ndarray, key,

@@ -7,9 +7,10 @@ per-index (parameters stored in the model, so attack-time preprocessing is
 self-contained) and train with plain seeded mini-batch gradient descent;
 training is a pure function of (data, config, seed).
 
-The hybrid attack runs the regressor over every attack trace and feeds the
-16-float outputs into last-round CPA as pseudo-traces, turning a model that
-merely compresses leakage into a signal amplifier for an unprofiled attack.
+The hybrid attack (evaluation.evaluate_hybrid_grid) runs the regressor over
+every attack trace and feeds the 16-float outputs into last-round CPA as
+pseudo-traces, turning a model that merely compresses leakage into a signal
+amplifier for an unprofiled attack.
 """
 
 import json
@@ -19,16 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aes import SHIFT_MAP, encrypt_blocks, expand_keys_batch, round10_key
-from .distinguishers import CpaAccumulator, DisclosureResult, cpa_scores, rank_of, \
-    traces_to_disclosure
+from .aes import encrypt_blocks, expand_keys_batch
 from .errors import AnalysisError, ConfigError, DataFormatError
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
-    LAST_ROUND_HD,
     LeakageModel,
-    build_hypothesis_matrix,
     true_first_round_values,
     true_last_round_hds,
 )
@@ -318,64 +315,6 @@ def classify_attack(model: ProfilingModel, arrays: TraceArrays,
     probs = predict_proba(model, arrays.samples)
     ranks = _ranks_of_scores(probs, np.asarray(labels, dtype=np.int64))
     return float(ranks.mean()), ranks
-
-
-@dataclass
-class HybridResult:
-    disclosure: DisclosureResult
-    final_ranks: np.ndarray  # (16,) byte ranks at the last checkpoint
-    average_rank: float      # mean over the 16 bytes
-    traces_used: int
-
-
-def hybrid_attack(regressor: ProfilingModel, attack: TraceArrays,
-                  budget: int = None, checkpoint_interval: int = 1000) -> HybridResult:
-    """Regressor-then-CPA: map each trace to 16 predicted HDs and run
-    last-round CPA over those pseudo-traces.
-
-    The attack traces must share a single key (the fixed-key holdout split);
-    disclosure is judged against its round-10 schedule.
-    """
-    if regressor.kind != HD_REGRESSOR_16:
-        raise ConfigError("hybrid_attack needs the HD regressor")
-    n = len(attack)
-    if n == 0:
-        raise AnalysisError("empty attack set")
-    if len({k.tobytes() for k in attack.keys}) != 1:
-        raise AnalysisError(
-            "attack traces mix keys; hybrid disclosure needs a fixed-key split")
-    key = attack.keys[0].tobytes()
-    rk10 = round10_key(key)
-    correct = [rk10[int(SHIFT_MAP[j])] for j in range(16)]
-
-    pseudo = predict_hd(regressor, attack.samples)
-    cts = attack.ciphertexts
-    accs = [CpaAccumulator(m=16) for _ in range(16)]
-
-    def feed(sl: slice) -> int:
-        batch_cts = cts[sl]
-        batch_pseudo = pseudo[sl]
-        for j in range(16):
-            H = build_hypothesis_matrix(batch_cts, LeakageModel(LAST_ROUND_HD, j))
-            accs[j].update_batch(H, batch_pseudo)
-        return batch_cts.shape[0]
-
-    def scores() -> np.ndarray:
-        out = np.zeros((16, 256))
-        for j in range(16):
-            if accs[j].n >= 2:
-                out[j] = cpa_scores(accs[j].finalize().corr)
-        return out
-
-    limit = n if budget is None else min(n, budget)
-    slices = [slice(lo, min(lo + checkpoint_interval, limit))
-              for lo in range(0, limit, checkpoint_interval)]
-    disclosure = traces_to_disclosure(slices, feed, scores, correct,
-                                      checkpoint_interval, budget)
-    final = scores()
-    final_ranks = np.array([rank_of(final[j], correct[j]) for j in range(16)])
-    return HybridResult(disclosure, final_ranks, float(final_ranks.mean()),
-                        disclosure.checkpoints[-1] if disclosure.checkpoints else 0)
 
 
 # ------------------------------------------------------------- model files

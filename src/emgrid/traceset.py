@@ -17,12 +17,13 @@ file size.
 """
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, DataFormatError
+from .errors import DataFormatError
 from .grid import GridGeometry
 
 MAGIC = b"EMGD"
@@ -86,32 +87,6 @@ class DatasetHeader:
             raise DataFormatError(f"malformed dataset header: {e}") from e
 
 
-@dataclass
-class NormalizationParams:
-    """Global [-1, 1] normalization; one pair of extrema for a whole dataset.
-
-    Applying parameters from one dataset to another (the cross-device case)
-    can push samples outside [-1, 1]; those are extrapolated by the same
-    affine map and tallied in out_of_range_count rather than rejected.
-    """
-
-    global_min: float
-    global_max: float
-    out_of_range_count: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        if not self.global_min < self.global_max:
-            raise AnalysisError(
-                f"normalization undefined: min {self.global_min} >= max {self.global_max}")
-
-    def normalize_array(self, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.float64)
-        self.out_of_range_count += int(
-            np.count_nonzero((x < self.global_min) | (x > self.global_max)))
-        scale = 2.0 / (self.global_max - self.global_min)
-        return ((x - self.global_min) * scale - 1.0).astype(np.float32)
-
-
 def _validate_record(rec: TraceRecord, header: DatasetHeader, idx: int):
     pos_limit = min(header.geometry.position_count, 1 << 16)
     if not 0 <= rec.position_index < pos_limit:
@@ -170,8 +145,7 @@ def read_header(path) -> DatasetHeader:
         return _read_header(f, path)
 
 
-def _record_stream(path, header: DatasetHeader, offset: int):
-    rec_size = _RECORD_FIXED.size + 4 * header.m
+def _record_stream(path, header: DatasetHeader, offset: int, rec_size: int):
     with open(path, "rb") as f:
         f.seek(offset)
         for _ in range(header.trace_count):
@@ -186,11 +160,22 @@ def _record_stream(path, header: DatasetHeader, offset: int):
 
 
 def read_dataset(path):
-    """Return (header, lazy record stream). The stream owns its file handle."""
+    """Return (header, lazy record stream). The stream owns its file handle.
+
+    Bytes past the last declared record are rejected here; a file too short
+    for its records fails in the stream, at the first incomplete record.
+    """
     with open(path, "rb") as f:
         header = _read_header(f, path)
         offset = f.tell()
-    return header, _record_stream(path, header, offset)
+        size = os.fstat(f.fileno()).st_size
+    rec_size = _RECORD_FIXED.size + 4 * header.m
+    end = offset + header.trace_count * rec_size
+    if size > end:
+        raise DataFormatError(
+            f"{path}: {size - end} trailing bytes after the last record "
+            f"at byte offset {end}")
+    return header, _record_stream(path, header, offset, rec_size)
 
 
 def filter_records(records, predicate):
@@ -198,27 +183,6 @@ def filter_records(records, predicate):
     for rec in records:
         if predicate(rec.position_index, rec.split):
             yield rec
-
-
-def compute_global_extrema(records) -> NormalizationParams:
-    """Exact min/max over every sample of every trace, in one pass."""
-    lo = np.inf
-    hi = -np.inf
-    seen = False
-    for rec in records:
-        seen = True
-        lo = min(lo, float(np.min(rec.samples)))
-        hi = max(hi, float(np.max(rec.samples)))
-    if not seen:
-        raise AnalysisError("cannot compute extrema of an empty record stream")
-    if lo == hi:
-        raise AnalysisError(f"constant dataset: every sample equals {lo}")
-    return NormalizationParams(lo, hi)
-
-
-def apply_normalization(rec: TraceRecord, params: NormalizationParams) -> TraceRecord:
-    return TraceRecord(rec.position_index, rec.split, rec.key, rec.plaintext,
-                       rec.ciphertext, params.normalize_array(rec.samples))
 
 
 @dataclass

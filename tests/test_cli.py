@@ -405,6 +405,20 @@ def test_hybrid_threads_determinism(capsys, workdir, hd_dataset):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize("flag", [("--checkpoint", 0), ("--budget", -1)])
+@pytest.mark.parametrize("command", ["cpa", "hybrid"])
+def test_disclosure_bad_checkpoint_or_budget_exit_2(capsys, workdir, hd_dataset,
+                                                    command, flag):
+    model = (["--model", identity_regressor(workdir / "id3.emmod")]
+             if command == "hybrid" else [])
+    code, events = run(capsys, command, *model, "--in", hd_dataset, *flag,
+                       "--out-disclosure", workdir / "bad_d.csv",
+                       "--out-ranks", workdir / "bad_r.csv")
+    assert code == 2
+    assert events[-1]["event"] == "error"
+    assert events[-1]["kind"] == "ConfigError"
+
+
 # ------------------------------------------------------------------ render
 
 def test_render_svg_masked_and_stable(capsys, workdir):
@@ -427,10 +441,13 @@ def test_render_svg_masked_and_stable(capsys, workdir):
 
 def test_render_bad_csv_exit_1(capsys, workdir):
     bad = workdir / "bad.csv"
-    bad.write_text("nonsense")
-    code, events = run(capsys, "render", "--csv", bad, "--svg", workdir / "x.svg")
-    assert code == 1
-    assert events[-1]["kind"] == "DataFormatError"
+    for text in ("nonsense", "y\\x,0,1\n0,5,abc\n", "y\\x,0,1\n0,nan,5\n",
+                 "y\\x,0,1\n0,-inf,5\n"):
+        bad.write_text(text)
+        code, events = run(capsys, "render", "--csv", bad,
+                           "--svg", workdir / "x.svg")
+        assert code == 1, text
+        assert events[-1]["kind"] == "DataFormatError"
 
 
 # ------------------------------------------------------------- entry point

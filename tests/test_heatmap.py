@@ -85,11 +85,20 @@ def test_csv_round_trip_property(vals):
     assert np.array_equal(back.ravel(), h.values)
 
 
+BAD_CSVS = (
+    "a,b\n1,2",
+    "y\\x,0,1\n0,5",  # ragged row
+    "y\\x,0,1",  # no data rows
+    "y\\x,0,1\n0,5,abc",  # non-numeric cell
+    "y\\x,0,1\n0,5,nan",
+    "y\\x,0,1\n0,-inf,5",
+)
+
+
 def test_csv_parse_errors():
-    with pytest.raises(DataFormatError):
-        heatmap_from_csv("a,b\n1,2")
-    with pytest.raises(DataFormatError):
-        heatmap_from_csv("y\\x,0,1\n0,5")  # ragged row
+    for text in BAD_CSVS:
+        with pytest.raises(DataFormatError):
+            heatmap_from_csv(text)
 
 
 # --------------------------------------------------------------------- SVG

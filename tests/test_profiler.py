@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from emgrid.aes import encrypt_blocks, expand_keys_batch, round10_key
+from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.errors import AnalysisError, ConfigError, DataFormatError
+from emgrid.evaluation import evaluate_hybrid_grid
+from emgrid.grid import GridGeometry
 from emgrid.leakage import (
     FIRST_ROUND_SBOX_INPUT,
     LAST_ROUND_HD,
@@ -18,13 +20,11 @@ from emgrid.leakage import (
 from emgrid.profiler import (
     CLASSIFIER_256,
     HD_REGRESSOR_16,
-    HybridResult,
     ProfilingModel,
     StandardizationParams,
     TrainConfig,
     classify_attack,
     fit_standardization,
-    hybrid_attack,
     load_model,
     multiplace_train,
     predict_hd,
@@ -36,10 +36,11 @@ from emgrid.profiler import (
     train_classifier,
     train_hd_regressor,
 )
-from emgrid.traceset import TraceArrays
+from emgrid.traceset import SPLIT_TRAIN, TraceArrays
 
 KEY = bytes(range(16))
 TARGET = LeakageModel(FIRST_ROUND_SBOX_INPUT, 0)
+G11 = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
 
 
 def make_arrays(samples, seed=0, key=KEY, positions=None):
@@ -424,59 +425,56 @@ def hd_attack_arrays(n, seed):
                        base.splits)
 
 
+def hybrid(regressor, attack, **kwargs):
+    """One-cell hybrid attack: (traces to disclosure, average final rank)."""
+    disc, rank = evaluate_hybrid_grid(regressor, attack, G11, SPLIT_TRAIN,
+                                      **kwargs)
+    return disc.values[0], rank.values[0]
+
+
 def test_hybrid_oracle_regressor_discloses_at_first_checkpoint():
     attack = hd_attack_arrays(1200, seed=100)
-    res = hybrid_attack(oracle_regressor(), attack, checkpoint_interval=500)
-    assert res.disclosure.full_key == 500
-    assert res.disclosure.per_byte == [500] * 16
-    assert np.all(res.final_ranks == 0)
-    assert res.average_rank == 0.0
-    assert res.traces_used == 500
+    assert hybrid(oracle_regressor(), attack, checkpoint_interval=500) \
+        == (500, 0.0)
 
 
 def test_hybrid_affine_invariance():
     attack = hd_attack_arrays(800, seed=101)
-    a = hybrid_attack(oracle_regressor(), attack, checkpoint_interval=300)
-    b = hybrid_attack(oracle_regressor(scale=3.25, shift=-7.0), attack,
-                      checkpoint_interval=300)
-    assert a.disclosure.full_key == b.disclosure.full_key
-    assert a.disclosure.per_byte == b.disclosure.per_byte
-    assert np.array_equal(a.final_ranks, b.final_ranks)
+    a = hybrid(oracle_regressor(), attack, checkpoint_interval=300)
+    b = hybrid(oracle_regressor(scale=3.25, shift=-7.0), attack,
+               checkpoint_interval=300)
+    assert a == b
 
 
 def test_hybrid_constant_regressor_never_discloses():
     attack = hd_attack_arrays(600, seed=102)
     const = ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 16)), np.full(16, 4.0),
                            StandardizationParams(np.zeros(16), np.ones(16)))
-    res = hybrid_attack(const, attack, checkpoint_interval=200)
-    assert res.disclosure.full_key == math.inf
-    assert res.disclosure.per_byte == [math.inf] * 16
-    assert res.average_rank == 127.5
+    assert hybrid(const, attack, checkpoint_interval=200) == (math.inf, 127.5)
 
 
 def test_hybrid_budget_limits_traces():
     attack = hd_attack_arrays(900, seed=103)
     const = ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 16)), np.zeros(16),
                            StandardizationParams(np.zeros(16), np.ones(16)))
-    res = hybrid_attack(const, attack, budget=400, checkpoint_interval=200)
-    assert res.traces_used == 400
-    assert res.disclosure.full_key == math.inf
+    assert hybrid(const, attack, budget=400, checkpoint_interval=200)[0] \
+        == math.inf
+    # The stream stops at the budget and is judged there, before the first
+    # checkpoint at 500 would come round.
+    assert hybrid(oracle_regressor(), attack, budget=400,
+                  checkpoint_interval=500) == (400, 0.0)
 
 
 def test_hybrid_rejects_mixed_keys_and_wrong_kind():
     attack = hd_attack_arrays(64, seed=104)
-    other = hd_attack_arrays(64, seed=105, )
     mixed_keys = attack.keys.copy()
     mixed_keys[0] ^= 0xFF
     mixed = TraceArrays(attack.samples, mixed_keys, attack.plaintexts,
                         attack.ciphertexts, attack.positions, attack.splits)
     with pytest.raises(AnalysisError):
-        hybrid_attack(oracle_regressor(), mixed)
+        hybrid(oracle_regressor(), mixed)
     with pytest.raises(ConfigError):
-        hybrid_attack(identity_model(CLASSIFIER_256, 16, 256), attack)
-    with pytest.raises(AnalysisError):
-        hybrid_attack(oracle_regressor(), attack.subset(np.zeros(64, dtype=bool)))
-    del other
+        hybrid(identity_model(CLASSIFIER_256, 16, 256), attack)
 
 
 # -------------------------------------------------------------- model files

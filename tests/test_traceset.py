@@ -1,5 +1,5 @@
 """Dataset format tests: grid bijection, bit-exact round trips, streaming
-memory bounds, and normalization arithmetic."""
+memory bounds, and size checks against the header."""
 
 import tracemalloc
 
@@ -8,17 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgrid.errors import AnalysisError, ConfigError, DataFormatError
+from emgrid.errors import ConfigError, DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.traceset import (
     SPLIT_HOLDOUT,
     SPLIT_TEST,
     SPLIT_TRAIN,
     DatasetHeader,
-    NormalizationParams,
     TraceRecord,
-    apply_normalization,
-    compute_global_extrema,
     filter_records,
     read_arrays,
     read_dataset,
@@ -156,6 +153,20 @@ def test_truncation_names_offset(tmp_path):
         list(stream)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    rng = np.random.default_rng(1)
+    header = DatasetHeader(GEOM, m=8, trace_count=3)
+    path = tmp_path / "full.emgd"
+    write_dataset(header, make_records(rng, header), path)
+    raw = path.read_bytes()
+    padded = tmp_path / "padded.emgd"
+    padded.write_bytes(raw + b"\x00" * 5)
+    with pytest.raises(DataFormatError, match=f"5 trailing bytes .* offset {len(raw)}"):
+        read_dataset(padded)
+    with pytest.raises(DataFormatError, match="trailing"):
+        read_arrays(padded)
+
+
 def test_write_mismatched_record_reports_index(tmp_path):
     rng = np.random.default_rng(2)
     header = DatasetHeader(GEOM, m=4, trace_count=1)
@@ -192,72 +203,6 @@ def test_streaming_read_is_bounded(tmp_path):
     # Streaming holds one record at a time: peak allocations must be far
     # below the 3.2 MB file (one record is ~16 KB).
     assert peak < 500_000
-
-
-def test_extrema_and_normalization(tmp_path):
-    header = DatasetHeader(GEOM, m=3, trace_count=2)
-    recs = [
-        TraceRecord(0, SPLIT_TRAIN, b"\x00" * 16, b"\x00" * 16, b"\x00" * 16,
-                    np.array([-2.0, 0.0, 1.0], dtype=np.float32)),
-        TraceRecord(1, SPLIT_TEST, b"\x00" * 16, b"\x00" * 16, b"\x00" * 16,
-                    np.array([0.5, 2.0, -1.0], dtype=np.float32)),
-    ]
-    params = compute_global_extrema(iter(recs))
-    assert (params.global_min, params.global_max) == (-2.0, 2.0)
-    out = apply_normalization(recs[0], params)
-    assert out.samples.dtype == np.float32
-    assert out.samples[0] == -1.0
-    assert out.samples[1] == 0.0
-    out2 = apply_normalization(recs[1], params)
-    assert out2.samples[1] == 1.0
-    # s=1 under (-2, 2) -> 0.5
-    assert np.isclose(out.samples[2], 0.5)
-    assert params.out_of_range_count == 0
-
-
-def test_extrema_match_two_pass_rescan(tmp_path):
-    rng = np.random.default_rng(4)
-    header = DatasetHeader(GEOM, m=50, trace_count=100)
-    recs = make_records(rng, header)
-    path = tmp_path / "scan.emgd"
-    write_dataset(header, recs, path)
-    _, stream = read_dataset(path)
-    params = compute_global_extrema(stream)
-    stacked = np.stack([r.samples for r in recs])
-    assert params.global_min == float(stacked.min())
-    assert params.global_max == float(stacked.max())
-
-
-def test_normalization_affine_invariance():
-    rng = np.random.default_rng(5)
-    base = rng.normal(size=(20, 16)).astype(np.float32)
-    shifted = (3.5 * base.astype(np.float64) + 1.25).astype(np.float64)
-    p1 = NormalizationParams(float(base.min()), float(base.max()))
-    p2 = NormalizationParams(float(shifted.min()), float(shifted.max()))
-    n1 = p1.normalize_array(base)
-    n2 = p2.normalize_array(shifted)
-    assert np.allclose(n1, n2, atol=1e-6)
-    assert n1.min() == -1.0 and n1.max() == 1.0
-    assert n2.min() == -1.0 and n2.max() == 1.0
-
-
-def test_normalization_out_of_range_counted():
-    params = NormalizationParams(-1.0, 1.0)
-    out = params.normalize_array(np.array([-2.0, 0.0, 3.0, 1.0]))
-    assert params.out_of_range_count == 2
-    # Extrapolated by the same affine rule, not clamped.
-    assert out[0] == -2.0 and out[2] == 3.0
-
-
-def test_degenerate_normalization_rejected():
-    with pytest.raises(AnalysisError):
-        NormalizationParams(5.0, 5.0)
-    recs = [TraceRecord(0, SPLIT_TRAIN, b"\x00" * 16, b"\x00" * 16, b"\x00" * 16,
-                        np.full(4, 5.0, dtype=np.float32))]
-    with pytest.raises(AnalysisError, match="constant"):
-        compute_global_extrema(iter(recs))
-    with pytest.raises(AnalysisError, match="empty"):
-        compute_global_extrema(iter([]))
 
 
 def test_filter_records(tmp_path):
