@@ -66,13 +66,6 @@ def _target(args) -> LeakageModel:
     return LeakageModel(TARGET_KINDS[args.target], args.byte)
 
 
-def _load_split_arrays(path, *splits):
-    """Read only the requested splits from a dataset file."""
-    want = set(splits)
-    header, arrays = read_arrays(path, where=lambda pos, split: split in want)
-    return header, arrays
-
-
 def _write_heatmap_csvs(h: Heatmap, path: str):
     """One CSV per z layer; single-layer grids write exactly `path`."""
     if h.geometry.nz == 1:
@@ -114,7 +107,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_snr(args) -> int:
     split = _split_code(args.split)
-    header, arrays = _load_split_arrays(args.dataset, split)
+    header, arrays = read_arrays(args.dataset, (split,))
     h = evaluate_snr_grid(arrays, header.geometry, split, _target(args),
                           threads=args.threads,
                           progress=lambda d: _log("position", **d))
@@ -124,9 +117,11 @@ def cmd_snr(args) -> int:
 
 def cmd_cpa(args) -> int:
     split = _split_code(args.split)
-    header, arrays = _load_split_arrays(args.dataset, split)
+    header, arrays = read_arrays(args.dataset, (split,))
+    # evaluate_cpa_grid attacks all 16 key bytes and ignores the byte index.
+    target = LeakageModel(TARGET_KINDS[args.target], 0)
     disc, rank = evaluate_cpa_grid(
-        arrays, header.geometry, split, _target(args), budget=args.budget,
+        arrays, header.geometry, split, target, budget=args.budget,
         checkpoint_interval=args.checkpoint, threads=args.threads,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
@@ -163,7 +158,7 @@ def _select_positions(args, arrays):
 
 
 def cmd_train(args) -> int:
-    header, arrays = _load_split_arrays(args.dataset, SPLIT_TRAIN, SPLIT_TEST)
+    header, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
     train = arrays.subset(arrays.splits == SPLIT_TRAIN)
     val = arrays.subset(arrays.splits == SPLIT_TEST)
     positions = _select_positions(args, arrays)
@@ -192,7 +187,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate expects a classifier model; "
                           "attack regressors with the hybrid command")
     split = _split_code(args.split)
-    header, arrays = _load_split_arrays(args.dataset, split)
+    header, arrays = read_arrays(args.dataset, (split,))
     byte = model.byte_index if args.byte is None else args.byte
     target = LeakageModel(TARGET_KINDS[args.target], byte)
     h = evaluate_classifier_grid(model, arrays, header.geometry, split, target,
@@ -207,7 +202,7 @@ def cmd_hybrid(args) -> int:
     if model.kind != HD_REGRESSOR_16:
         raise ConfigError("hybrid expects an HD regressor model")
     split = _split_code(args.split)
-    header, arrays = _load_split_arrays(args.dataset, split)
+    header, arrays = read_arrays(args.dataset, (split,))
     disc, rank = evaluate_hybrid_grid(
         model, arrays, header.geometry, split, budget=args.budget,
         checkpoint_interval=args.checkpoint, threads=args.threads,
@@ -242,8 +237,8 @@ def _add_dataset(p):
     p.add_argument("--in", dest="dataset", required=True, help="dataset file")
 
 
-def _add_target(p, default="sbox-input"):
-    p.add_argument("--target", choices=sorted(TARGET_KINDS), default=default)
+def _add_target(p):
+    p.add_argument("--target", choices=sorted(TARGET_KINDS), default="sbox-input")
     p.add_argument("--byte", type=int, default=0, help="target byte index")
 
 
@@ -270,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cpa", help="per-position CPA disclosure map")
     _add_dataset(p)
-    _add_target(p, default="last-round-hd")
+    p.add_argument("--target", choices=sorted(TARGET_KINDS),
+                   default="last-round-hd", help="all 16 key bytes are attacked")
     p.add_argument("--split", choices=sorted(SPLIT_CODES), default="holdout")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--checkpoint", type=int, default=1000)

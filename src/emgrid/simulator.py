@@ -37,7 +37,7 @@ from .traceset import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     DatasetHeader,
-    TraceRecord,
+    TraceArrays,
     write_dataset,
 )
 
@@ -45,7 +45,7 @@ LAST_ROUND_HD_TRUE = "LastRoundHDTrue"
 SOURCE_TARGETS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD_TRUE)
 
 D_MIN_MM = 0.05   # distance floor: probes never touch the die
-_CHUNK = 4096     # traces synthesized per batch while streaming to disk
+_CHUNK = 4096     # traces synthesized and written per TraceArrays chunk
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,16 @@ def _source_true_values(src: LeakSource, pts, cts, s9, key_bytes) -> np.ndarray:
     return HW_TABLE[vals].astype(np.float64)
 
 
+def _chunk(position: int, split: int, keys, pts, cts, samples) -> TraceArrays:
+    n = len(samples)
+    return TraceArrays(samples.astype(np.float32), keys, pts, cts,
+                       np.full(n, position, dtype=np.int32),
+                       np.full(n, split, dtype=np.uint8))
+
+
 def _synthesize_chunk(config: SimConfig, position: int, split: int,
-                      start: int, count: int):
-    """Generate `count` consecutive records for one (position, split)."""
+                      start: int, count: int) -> TraceArrays:
+    """Generate `count` consecutive traces for one (position, split)."""
     dev = config.device
     m = config.m
     pts = np.empty((count, 16), dtype=np.uint8)
@@ -228,18 +235,14 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
         samples += noise
     if dev.adc_bits:
         samples = _quantize(samples, dev.adc_bits, dev.full_scale)
-    samples = samples.astype(np.float32)
-
-    for i in range(count):
-        yield TraceRecord(position, split, keys[i].tobytes(), pts[i].tobytes(),
-                          cts[i].tobytes(), samples[i])
+    return _chunk(position, split, keys, pts, cts, samples)
 
 
 def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
-                   key: bytes, rng) -> TraceRecord:
-    """Single-trace reference path; rng supplies jitter and noise draws in
-    the documented order. Used for spot checks; the dataset generator is the
-    batched equivalent."""
+                   key: bytes, rng) -> TraceArrays:
+    """Single-trace reference path returning a one-row train-split chunk; rng
+    supplies jitter and noise draws in the documented order. Used for spot
+    checks; the dataset generator is the batched equivalent."""
     dev = config.device
     m = config.m
     if not 0 <= position_index < config.geometry.position_count:
@@ -250,6 +253,7 @@ def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
     noise = rng.normal(0.0, dev.noise_sigma, m) if dev.noise_sigma > 0 else 0.0
 
     pt = np.frombuffer(bytes(plaintext), dtype=np.uint8).reshape(1, 16)
+    key_row = np.frombuffer(bytes(key), dtype=np.uint8).reshape(1, 16)
     rks = expand_keys(key)
     need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
     out = encrypt_blocks(pt, rks, return_round9_state=need_s9)
@@ -267,18 +271,17 @@ def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
     samples = dev.offset + dev.gain * samples + noise
     if dev.adc_bits:
         samples = _quantize(samples, dev.adc_bits, dev.full_scale)
-    return TraceRecord(position_index, SPLIT_TRAIN, bytes(key), bytes(plaintext),
-                       ct[0].tobytes(), samples.astype(np.float32))
+    return _chunk(position_index, SPLIT_TRAIN, key_row, pt, ct, samples[None, :])
 
 
-def _all_records(config: SimConfig, progress=None):
+def _all_chunks(config: SimConfig, progress=None):
     emitted = 0
     for position in range(config.geometry.position_count):
         for split in (SPLIT_TRAIN, SPLIT_TEST, SPLIT_HOLDOUT):
             count = _split_count(config, split)
             for start in range(0, count, _CHUNK):
                 chunk = min(_CHUNK, count - start)
-                yield from _synthesize_chunk(config, position, split, start, chunk)
+                yield _synthesize_chunk(config, position, split, start, chunk)
                 emitted += chunk
                 if progress is not None:
                     progress(emitted, config.total_traces)
@@ -305,7 +308,7 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None) -> DatasetHead
         description=config.description,
         adc_bits=config.device.adc_bits,
     )
-    write_dataset(header, _all_records(config, progress), path)
+    write_dataset(header, _all_chunks(config, progress), path)
     return header
 
 

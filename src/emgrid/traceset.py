@@ -7,13 +7,11 @@ File layout (all little-endian):
     bytes 6-9   header JSON byte length, u32
     ...         UTF-8 JSON header: {geometry{nx,ny,nz,step_mm,z_step_mm,
                 origin_mm}, m, trace_count, description, adc_bits}
-    ...         trace_count records, each:
-                    position_index u16, split u8,
-                    key 16 B, plaintext 16 B, ciphertext 16 B,
-                    samples m x f32
+    ...         trace_count packed records of record_dtype(m)
 
-Readers stream records one at a time, so memory stays O(m) regardless of
-file size.
+Files are written in TraceArrays chunks and read whole into TraceArrays;
+both directions reject records whose position lies outside the grid or whose
+split code is unknown.
 """
 
 import json
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .grid import GridGeometry
 
 MAGIC = b"EMGD"
@@ -35,17 +33,12 @@ SPLIT_HOLDOUT = 2
 SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_TEST: "test", SPLIT_HOLDOUT: "holdout"}
 SPLIT_CODES = {v: k for k, v in SPLIT_NAMES.items()}
 
-_RECORD_FIXED = struct.Struct("<HB16s16s16s")  # 51 bytes before the samples
 
-
-@dataclass
-class TraceRecord:
-    position_index: int
-    split: int
-    key: bytes
-    plaintext: bytes
-    ciphertext: bytes
-    samples: np.ndarray  # float32, shape (m,)
+def record_dtype(m: int) -> np.dtype:
+    """The packed on-disk layout of one record holding m samples."""
+    return np.dtype([("position", "<u2"), ("split", "u1"),
+                     ("key", "u1", (16,)), ("plaintext", "u1", (16,)),
+                     ("ciphertext", "u1", (16,)), ("samples", "<f4", (m,))])
 
 
 @dataclass
@@ -59,6 +52,9 @@ class DatasetHeader:
     def __post_init__(self):
         if self.m <= 0:
             raise DataFormatError("header m must be > 0")
+        # numpy caps a dtype's size at a C int; check before building one.
+        if record_dtype(0).itemsize + 4 * self.m >= 1 << 31:
+            raise DataFormatError(f"header m {self.m} is too large for one record")
         if self.trace_count < 0:
             raise DataFormatError("header trace_count must be >= 0")
 
@@ -83,44 +79,61 @@ class DatasetHeader:
                 description=str(d.get("description", "")),
                 adc_bits=int(d.get("adc_bits", 0)),
             )
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as e:
             raise DataFormatError(f"malformed dataset header: {e}") from e
 
 
-def _validate_record(rec: TraceRecord, header: DatasetHeader, idx: int):
-    pos_limit = min(header.geometry.position_count, 1 << 16)
-    if not 0 <= rec.position_index < pos_limit:
-        raise DataFormatError(
-            f"record/header mismatch at index {idx}: position {rec.position_index} "
-            f"outside grid of {header.geometry.position_count}")
-    if rec.split not in SPLIT_NAMES:
-        raise DataFormatError(f"record/header mismatch at index {idx}: bad split {rec.split}")
-    for name, val in (("key", rec.key), ("plaintext", rec.plaintext),
-                      ("ciphertext", rec.ciphertext)):
-        if len(val) != 16:
-            raise DataFormatError(f"record/header mismatch at index {idx}: {name} not 16 bytes")
-    if len(rec.samples) != header.m:
-        raise DataFormatError(
-            f"record/header mismatch at index {idx}: samples length "
-            f"{len(rec.samples)} != m {header.m}")
+def _check_rows(positions, splits, header: DatasetHeader, start: int):
+    """Reject the first row whose position lies outside the grid or whose
+    split code is unknown; errors name the global row index."""
+    bad_pos = (positions < 0) | (positions >= header.geometry.position_count)
+    bad_split = ~np.isin(splits, list(SPLIT_NAMES))
+    bad = np.flatnonzero(bad_pos | bad_split)
+    if len(bad):
+        i = bad[0]
+        what = (f"position {positions[i]} outside grid of "
+                f"{header.geometry.position_count}") if bad_pos[i] \
+            else f"bad split {splits[i]}"
+        raise DataFormatError(f"record/header mismatch at index {start + i}: {what}")
 
 
-def write_dataset(header: DatasetHeader, records, path) -> None:
-    """Serialize a record stream; records are validated against the header."""
+def _pack(chunk, header: DatasetHeader, dtype: np.dtype, start: int) -> np.ndarray:
+    """Check one TraceArrays chunk against the header and pack its rows."""
+    n = len(chunk)
+    shapes = {"samples": (n, header.m), "keys": (n, 16), "plaintexts": (n, 16),
+              "ciphertexts": (n, 16), "positions": (n,), "splits": (n,)}
+    for name, shape in shapes.items():
+        got = np.shape(getattr(chunk, name))
+        if got != shape:
+            raise DataFormatError(
+                f"record/header mismatch at index {start}: {name} shape {got} "
+                f"!= {shape}")
+    _check_rows(chunk.positions, chunk.splits, header, start)
+    rec = np.empty(n, dtype=dtype)
+    rec["position"] = chunk.positions
+    rec["split"] = chunk.splits
+    rec["key"] = chunk.keys
+    rec["plaintext"] = chunk.plaintexts
+    rec["ciphertext"] = chunk.ciphertexts
+    rec["samples"] = chunk.samples
+    return rec
+
+
+def write_dataset(header: DatasetHeader, chunks, path) -> None:
+    """Serialize an iterable of TraceArrays chunks; every row is checked
+    against the header. The bytes do not depend on how rows are chunked."""
     if header.geometry.position_count > 1 << 16:
         raise DataFormatError("grid has more positions than the u16 index can address")
+    dtype = record_dtype(header.m)
     hdr = header.to_json_bytes()
     count = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<HI", FORMAT_VERSION, len(hdr)))
         f.write(hdr)
-        for idx, rec in enumerate(records):
-            _validate_record(rec, header, idx)
-            f.write(_RECORD_FIXED.pack(rec.position_index, rec.split,
-                                       rec.key, rec.plaintext, rec.ciphertext))
-            f.write(np.ascontiguousarray(rec.samples, dtype="<f4").tobytes())
-            count += 1
+        for chunk in chunks:
+            f.write(_pack(chunk, header, dtype, count))
+            count += len(chunk)
     if count != header.trace_count:
         raise DataFormatError(
             f"record/header mismatch: wrote {count} records, header declares "
@@ -145,46 +158,6 @@ def read_header(path) -> DatasetHeader:
         return _read_header(f, path)
 
 
-def _record_stream(path, header: DatasetHeader, offset: int, rec_size: int):
-    with open(path, "rb") as f:
-        f.seek(offset)
-        for _ in range(header.trace_count):
-            start = f.tell()
-            buf = f.read(rec_size)
-            if len(buf) < rec_size:
-                raise DataFormatError(f"{path}: truncated file at byte offset {start}")
-            pos, split, key, pt, ct = _RECORD_FIXED.unpack_from(buf)
-            samples = np.frombuffer(buf, dtype="<f4", count=header.m,
-                                    offset=_RECORD_FIXED.size)
-            yield TraceRecord(pos, split, key, pt, ct, samples)
-
-
-def read_dataset(path):
-    """Return (header, lazy record stream). The stream owns its file handle.
-
-    Bytes past the last declared record are rejected here; a file too short
-    for its records fails in the stream, at the first incomplete record.
-    """
-    with open(path, "rb") as f:
-        header = _read_header(f, path)
-        offset = f.tell()
-        size = os.fstat(f.fileno()).st_size
-    rec_size = _RECORD_FIXED.size + 4 * header.m
-    end = offset + header.trace_count * rec_size
-    if size > end:
-        raise DataFormatError(
-            f"{path}: {size - end} trailing bytes after the last record "
-            f"at byte offset {end}")
-    return header, _record_stream(path, header, offset, rec_size)
-
-
-def filter_records(records, predicate):
-    """Order-preserving filter on (position_index, split)."""
-    for rec in records:
-        if predicate(rec.position_index, rec.split):
-            yield rec
-
-
 @dataclass
 class TraceArrays:
     """A materialized slice of a dataset, stacked into flat arrays."""
@@ -206,30 +179,36 @@ class TraceArrays:
                            self.positions[idx], self.splits[idx])
 
 
-def read_arrays(path, where=None, max_records=None) -> tuple:
-    """Materialize (header, TraceArrays), optionally filtered by
-    where(position_index, split). For streaming analyses prefer read_dataset.
+def read_arrays(path, splits=None) -> tuple:
+    """Read a whole dataset into (header, TraceArrays), keeping the records
+    whose split code is in `splits` (all records when None), in file order.
+
+    The file size is checked against the header before any record is read:
+    a short file fails at the byte offset of its first incomplete record,
+    bytes past the last declared record are rejected.
     """
-    header, records = read_dataset(path)
-    if where is not None:
-        records = filter_records(records, where)
-    samples, keys, pts, cts, poss, splits = [], [], [], [], [], []
-    for rec in records:
-        samples.append(rec.samples)
-        keys.append(rec.key)
-        pts.append(rec.plaintext)
-        cts.append(rec.ciphertext)
-        poss.append(rec.position_index)
-        splits.append(rec.split)
-        if max_records is not None and len(samples) >= max_records:
-            break
-    n = len(samples)
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
+        offset = f.tell()
+        size = os.fstat(f.fileno()).st_size
+    dtype = record_dtype(header.m)
+    end = offset + header.trace_count * dtype.itemsize
+    if size < end:
+        first_incomplete = offset + (size - offset) // dtype.itemsize * dtype.itemsize
+        raise DataFormatError(f"{path}: truncated file at byte offset {first_incomplete}")
+    if size > end:
+        raise DataFormatError(
+            f"{path}: {size - end} trailing bytes after the last record "
+            f"at byte offset {end}")
+    rec = np.fromfile(path, dtype=dtype, count=header.trace_count, offset=offset)
+    _check_rows(rec["position"], rec["split"], header, 0)
+    keep = np.isin(rec["split"], list(SPLIT_NAMES) if splits is None else splits)
     arrays = TraceArrays(
-        samples=np.asarray(samples, dtype=np.float32).reshape(n, header.m),
-        keys=np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(n, 16),
-        plaintexts=np.frombuffer(b"".join(pts), dtype=np.uint8).reshape(n, 16),
-        ciphertexts=np.frombuffer(b"".join(cts), dtype=np.uint8).reshape(n, 16),
-        positions=np.asarray(poss, dtype=np.int32).reshape(n),
-        splits=np.asarray(splits, dtype=np.uint8).reshape(n),
+        samples=rec["samples"][keep],
+        keys=rec["key"][keep],
+        plaintexts=rec["plaintext"][keep],
+        ciphertexts=rec["ciphertext"][keep],
+        positions=rec["position"][keep].astype(np.int32),
+        splits=rec["split"][keep],
     )
     return header, arrays

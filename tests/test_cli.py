@@ -1,16 +1,21 @@
 """Command-line pipeline tests: subcommand wiring, exit codes, JSON-line
 logging, and byte-level determinism of every artifact."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys_batch
+from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
 from emgrid.grid import GridGeometry
 from emgrid.heatmap import heatmap_from_csv
@@ -27,8 +32,9 @@ from emgrid.profiler import (
 from emgrid.traceset import (
     SPLIT_HOLDOUT,
     DatasetHeader,
-    TraceRecord,
+    TraceArrays,
     read_header,
+    record_dtype,
     write_dataset,
 )
 
@@ -45,6 +51,15 @@ def run(capsys, *argv):
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.splitlines() if line.strip()]
     return code, events
+
+
+def holdout_chunk(keys, pts, samples):
+    """Position-0 holdout rows with ciphertexts that match their keys."""
+    n = len(samples)
+    return TraceArrays(samples, keys, pts,
+                       encrypt_blocks(pts, expand_keys_batch(keys)),
+                       np.zeros(n, dtype=np.int32),
+                       np.full(n, SPLIT_HOLDOUT, dtype=np.uint8))
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +110,8 @@ def hd_dataset(workdir):
     geometry = GridGeometry(1, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.0))
     header = DatasetHeader(geometry=geometry, m=16, trace_count=n,
                            description="true-HD fixture", adc_bits=0)
-    records = (TraceRecord(0, SPLIT_HOLDOUT, KEY, pts[i].tobytes(),
-                           cts[i].tobytes(), hds[i]) for i in range(n))
     path = workdir / "hd.emgd"
-    write_dataset(header, records, path)
+    write_dataset(header, [holdout_chunk(keys, pts, hds)], path)
     return path
 
 
@@ -180,12 +193,89 @@ def test_missing_dataset_exit_1(capsys, workdir):
 
 
 def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
+    good = json.loads(read_header(dataset).to_json_bytes())
+
+    def emgd(header: dict) -> bytes:
+        raw = json.dumps(header).encode()
+        return b"EMGD" + struct.pack("<HI", 1, len(raw)) + raw
+
     corrupt = workdir / "corrupt.emgd"
-    corrupt.write_bytes(b"JUNKJUNKJUNK")
-    code, events = run(capsys, "snr", "--in", corrupt, "--target", "sbox-input",
-                       "--byte", 0, "--out-heatmap", workdir / "x.csv")
+    for raw in (b"JUNKJUNKJUNK",
+                emgd({**good, "geometry": {**good["geometry"], "nx": 0}}),
+                emgd({**good, "m": 10**9})):  # a record beyond numpy's dtype size
+        corrupt.write_bytes(raw)
+        code, events = run(capsys, "snr", "--in", corrupt, "--target",
+                           "sbox-input", "--byte", 0,
+                           "--out-heatmap", workdir / "x.csv")
+        assert code == 1
+        assert events[-1]["kind"] == "DataFormatError"
+
+
+@pytest.fixture(scope="module")
+def small_dataset(workdir):
+    """Raw bytes of a valid 2x1-grid dataset of 6 train/test records, m=3."""
+    rng = np.random.default_rng(3)
+    n = 6
+    header = DatasetHeader(GridGeometry(2, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.0)),
+                           m=3, trace_count=n)
+    chunk = TraceArrays(rng.normal(size=(n, 3)).astype(np.float32),
+                        *rng.integers(0, 256, (3, n, 16), dtype=np.uint8),
+                        np.arange(n, dtype=np.int32) % 2,
+                        np.arange(n, dtype=np.uint8) % 2)
+    path = workdir / "small.emgd"
+    write_dataset(header, [chunk], path)
+    return path.read_bytes()
+
+
+def set_record_field(raw: bytes, index: int, field: str, value: int) -> bytes:
+    """Overwrite one integer field of record `index` in small_dataset's bytes."""
+    dtype = record_dtype(3)
+    field_dtype, field_offset = dtype.fields[field]
+    records_start = len(raw) - 6 * dtype.itemsize
+    at = records_start + index * dtype.itemsize + field_offset
+    return raw[:at] + np.array(value, field_dtype).tobytes() + \
+        raw[at + field_dtype.itemsize:]
+
+
+def snr_on_bytes(tmp_dir, raw: bytes):
+    """Run `emgrid snr` on a dataset with the given bytes; returns (exit
+    code, stderr JSON events). Any uncaught exception fails the caller."""
+    path = tmp_dir / "fault.emgd"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["snr", "--in", str(path), "--out-heatmap",
+                     str(tmp_dir / "fault.csv")])
+    return code, [json.loads(line) for line in err.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("field, value", [("position", 5), ("split", 7)])
+def test_snr_bad_record_field_exit_1(workdir, small_dataset, field, value):
+    code, events = snr_on_bytes(
+        workdir, set_record_field(small_dataset, 2, field, value))
     assert code == 1
-    assert events[-1]["kind"] == "DataFormatError"
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "DataFormatError"
+    assert "at index 2" in events[0]["message"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_snr_reader_faults_exit_1(tmp_path_factory, small_dataset, data):
+    raw = small_dataset
+    fault = data.draw(st.sampled_from(["truncate", "pad", "position", "split"]))
+    if fault == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif fault == "pad":
+        raw = raw + data.draw(st.binary(min_size=1, max_size=200))
+    else:
+        index = data.draw(st.integers(0, 5))
+        value = data.draw(st.integers(2, 0xFFFF) if fault == "position"
+                          else st.integers(3, 0xFF))
+        raw = set_record_field(raw, index, fault, value)
+    code, events = snr_on_bytes(tmp_path_factory.mktemp("fault"), raw)
+    assert code == 1
+    assert [e["event"] for e in events] == ["error"]
 
 
 # --------------------------------------------------------------------- cpa
@@ -217,13 +307,9 @@ def test_cpa_mixed_keys_exit_3(capsys, workdir):
     geometry = GridGeometry(1, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.0))
     header = DatasetHeader(geometry=geometry, m=4, trace_count=n,
                            description="", adc_bits=0)
-    records = (TraceRecord(0, SPLIT_HOLDOUT, keys[i].tobytes(),
-                           pts[i].tobytes(),
-                           aes128_encrypt(pts[i].tobytes(), keys[i].tobytes()),
-                           rng.normal(size=4).astype(np.float32))
-               for i in range(n))
+    samples = rng.normal(size=(n, 4)).astype(np.float32)
     path = workdir / "mixed.emgd"
-    write_dataset(header, records, path)
+    write_dataset(header, [holdout_chunk(keys, pts, samples)], path)
     code, events = run(capsys, "cpa", "--in", path,
                        "--out-disclosure", workdir / "m_d.csv",
                        "--out-ranks", workdir / "m_r.csv")
@@ -456,6 +542,14 @@ def test_module_entry_point_and_usage_exit_2(workdir):
     proc = subprocess.run([sys.executable, "-m", "emgrid", "no-such-command"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+    # cpa attacks all 16 bytes, so it takes no --byte.
+    proc = subprocess.run([sys.executable, "-m", "emgrid", "cpa", "--in",
+                           str(workdir / "x.emgd"), "--byte", "3",
+                           "--out-disclosure", str(workdir / "d.csv"),
+                           "--out-ranks", str(workdir / "r.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--byte" in proc.stderr
     proc = subprocess.run([sys.executable, "-m", "emgrid", "render", "--csv",
                            str(workdir / "absent.csv"), "--svg",
                            str(workdir / "x.svg")],

@@ -27,7 +27,7 @@ from emgrid.simulator import (
     simulate_trace,
     _trace_rng,
 )
-from emgrid.traceset import SPLIT_NAMES, read_arrays, read_dataset
+from emgrid.traceset import SPLIT_NAMES, read_arrays
 
 POINT = GridGeometry(1, 1, 1, 0.5, 0.0, (0.0, 0.0, -0.3))
 
@@ -85,9 +85,9 @@ def test_label_consistency(tmp_path):
     config = tiny_config()
     path = tmp_path / "lbl.emgd"
     simulate_grid_dataset(config, path)
-    _, records = read_dataset(path)
-    for rec in records:
-        assert rec.ciphertext == aes128_encrypt(rec.plaintext, rec.key)
+    _, arrays = read_arrays(path)
+    for pt, key, ct in zip(arrays.plaintexts, arrays.keys, arrays.ciphertexts):
+        assert ct.tobytes() == aes128_encrypt(pt.tobytes(), key.tobytes())
 
 
 def test_fixed_key_applies_to_all_splits(tmp_path):
@@ -118,7 +118,7 @@ def test_inverse_square_on_leak_sample():
         config = SimConfig(geometry=geom, m=8, sources=(src,),
                            device=DeviceProfile(), seed=1,
                            traces_per_position={"train": 1})
-        traces[z] = simulate_trace(config, 0, pt, key, rng).samples
+        traces[z] = simulate_trace(config, 0, pt, key, rng).samples[0]
     leak_near = traces[0.2][5]
     leak_far = traces[0.4][5]
     assert leak_near == pytest.approx(4 * leak_far, rel=1e-6)
@@ -133,19 +133,21 @@ def test_background_and_offset_only():
                        device=DeviceProfile(gain=2.0, offset=0.5),
                        background=Background(amplitude=0.25), seed=3,
                        traces_per_position={"train": 1})
-    rec = simulate_trace(config, 0, bytes(16), bytes(16), np.random.default_rng(0))
+    trace = simulate_trace(config, 0, bytes(16), bytes(16),
+                           np.random.default_rng(0)).samples[0]
     t = np.arange(126)
     want = 0.5 + 2.0 * 0.25 * np.sin(2 * np.pi * t / 62.5)
-    np.testing.assert_allclose(rec.samples, want, atol=1e-6)
+    np.testing.assert_allclose(trace, want, atol=1e-6)
     # The default period is 62.5 samples, so the carrier repeats every 125.
-    assert rec.samples[0] == pytest.approx(rec.samples[125], abs=1e-5)
+    assert trace[0] == pytest.approx(trace[125], abs=1e-5)
 
 
 def test_no_sources_no_noise_zero_trace():
     config = SimConfig(geometry=POINT, m=16, sources=(), device=DeviceProfile(),
                        seed=4, traces_per_position={"train": 1})
-    rec = simulate_trace(config, 0, bytes(16), bytes(16), np.random.default_rng(0))
-    assert np.all(rec.samples == 0.0)
+    trace = simulate_trace(config, 0, bytes(16), bytes(16),
+                           np.random.default_rng(0)).samples[0]
+    assert np.all(trace == 0.0)
 
 
 def test_quantization_levels(tmp_path):
@@ -171,9 +173,8 @@ def test_batch_generation_matches_single_trace_path(tmp_path):
     ))
     path = tmp_path / "eq.emgd"
     simulate_grid_dataset(config, path)
-    _, records = read_dataset(path)
-    recs = list(records)
-    # Reconstruct record #0 of each split from its substream and compare.
+    _, arrays = read_arrays(path)
+    # Reconstruct the first and last trace of each split from its substream.
     offset = 0
     for split_name, count in (("train", 8), ("test", 4), ("holdout", 6)):
         split = {"train": 0, "test": 1, "holdout": 2}[split_name]
@@ -182,9 +183,9 @@ def test_batch_generation_matches_single_trace_path(tmp_path):
             pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
             key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
             want = simulate_trace(config, 0, pt, key, rng)
-            got = recs[offset + idx]
-            assert got.plaintext == pt and got.key == key
-            assert got.ciphertext == want.ciphertext
+            got = arrays.subset([offset + idx])
+            assert got.plaintexts.tobytes() == pt and got.keys.tobytes() == key
+            assert np.array_equal(got.ciphertexts, want.ciphertexts)
             assert np.array_equal(got.samples, want.samples)
         offset += count
 
@@ -220,8 +221,8 @@ def test_jitter_moves_leak_sample():
         rng = _trace_rng(config.seed, 0, 0, i)
         pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
         key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        rec = simulate_trace(config, 0, pt, key, rng)
-        nz = np.nonzero(rec.samples)[0]
+        trace = simulate_trace(config, 0, pt, key, rng).samples[0]
+        nz = np.nonzero(trace)[0]
         if len(nz):
             assert len(nz) == 1
             assert 13 <= nz[0] <= 19
@@ -259,8 +260,8 @@ def test_derive_device_b_gain_doubles_noiseless_amplitudes():
     doubled = derive_device_b(config, gain_factor=2.0)
     pt, key = bytes(16), bytes(16)
     rng = np.random.default_rng(0)
-    a = simulate_trace(config, 0, pt, key, rng).samples
-    b = simulate_trace(doubled, 0, pt, key, rng).samples
+    a = simulate_trace(config, 0, pt, key, rng).samples[0]
+    b = simulate_trace(doubled, 0, pt, key, rng).samples[0]
     np.testing.assert_allclose(b, 2 * a, rtol=1e-6)
 
 

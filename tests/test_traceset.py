@@ -1,7 +1,5 @@
-"""Dataset format tests: grid bijection, bit-exact round trips, streaming
-memory bounds, and size checks against the header."""
-
-import tracemalloc
+"""Dataset format tests: grid bijection, bit-exact round trips, row checks,
+and size checks against the header."""
 
 import numpy as np
 import pytest
@@ -15,10 +13,8 @@ from emgrid.traceset import (
     SPLIT_TEST,
     SPLIT_TRAIN,
     DatasetHeader,
-    TraceRecord,
-    filter_records,
+    TraceArrays,
     read_arrays,
-    read_dataset,
     read_header,
     write_dataset,
 )
@@ -26,19 +22,25 @@ from emgrid.traceset import (
 GEOM = GridGeometry(3, 2, 2, 0.5, 0.25, (0.0, 0.0, -0.3))
 
 
-def make_records(rng, header, positions=None, splits=None):
-    recs = []
-    for i in range(header.trace_count):
-        recs.append(TraceRecord(
-            position_index=int(positions[i]) if positions is not None
-            else int(rng.integers(header.geometry.position_count)),
-            split=int(splits[i]) if splits is not None else int(rng.integers(3)),
-            key=rng.integers(0, 256, 16, dtype=np.uint8).tobytes(),
-            plaintext=rng.integers(0, 256, 16, dtype=np.uint8).tobytes(),
-            ciphertext=rng.integers(0, 256, 16, dtype=np.uint8).tobytes(),
-            samples=rng.normal(size=header.m).astype(np.float32),
-        ))
-    return recs
+def make_arrays(rng, header):
+    n = header.trace_count
+    return TraceArrays(
+        samples=rng.normal(size=(n, header.m)).astype(np.float32),
+        keys=rng.integers(0, 256, (n, 16), dtype=np.uint8),
+        plaintexts=rng.integers(0, 256, (n, 16), dtype=np.uint8),
+        ciphertexts=rng.integers(0, 256, (n, 16), dtype=np.uint8),
+        positions=rng.integers(header.geometry.position_count, size=n,
+                               dtype=np.int32),
+        splits=rng.integers(3, size=n, dtype=np.uint8),
+    )
+
+
+def assert_arrays_equal(got, want):
+    for name in ("samples", "keys", "plaintexts", "ciphertexts", "positions",
+                 "splits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_grid_bijection_exhaustive():
@@ -73,28 +75,21 @@ def test_grid_validation():
 def test_round_trip_single_record(tmp_path):
     rng = np.random.default_rng(0)
     header = DatasetHeader(GEOM, m=4, trace_count=1, description="t", adc_bits=8)
-    recs = make_records(rng, header)
+    want = make_arrays(rng, header)
     path = tmp_path / "one.emgd"
-    write_dataset(header, recs, path)
-    got_header, stream = read_dataset(path)
-    got = list(stream)
+    write_dataset(header, [want], path)
+    got_header, got = read_arrays(path)
     assert got_header == header
-    assert len(got) == 1
-    assert got[0].position_index == recs[0].position_index
-    assert got[0].split == recs[0].split
-    assert got[0].key == recs[0].key
-    assert got[0].plaintext == recs[0].plaintext
-    assert got[0].ciphertext == recs[0].ciphertext
-    assert np.array_equal(got[0].samples, recs[0].samples)
+    assert_arrays_equal(got, want)
 
 
 def test_empty_dataset_round_trip(tmp_path):
     header = DatasetHeader(GEOM, m=7, trace_count=0)
     path = tmp_path / "empty.emgd"
     write_dataset(header, [], path)
-    got_header, stream = read_dataset(path)
+    got_header, got = read_arrays(path)
     assert got_header.trace_count == 0
-    assert list(stream) == []
+    assert got.samples.shape == (0, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -103,25 +98,25 @@ def test_round_trip_property(tmp_path_factory, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = data.draw(st.integers(1, 64))
     n = data.draw(st.integers(0, 20))
+    cut = data.draw(st.integers(0, n))
     header = DatasetHeader(GEOM, m=m, trace_count=n,
                            description=data.draw(st.text(max_size=30)))
-    recs = make_records(rng, header)
-    path = tmp_path_factory.mktemp("rt") / "ds.emgd"
-    write_dataset(header, recs, path)
-    got_header, stream = read_dataset(path)
+    want = make_arrays(rng, header)
+    root = tmp_path_factory.mktemp("rt")
+    write_dataset(header, [want], root / "one.emgd")
+    write_dataset(header, [want.subset(slice(0, cut)), want.subset(slice(cut, n))],
+                  root / "two.emgd")
+    assert (root / "two.emgd").read_bytes() == (root / "one.emgd").read_bytes()
+    got_header, got = read_arrays(root / "two.emgd")
     assert got_header == header
-    for orig, got in zip(recs, stream, strict=True):
-        assert (got.position_index, got.split) == (orig.position_index, orig.split)
-        assert (got.key, got.plaintext, got.ciphertext) == \
-            (orig.key, orig.plaintext, orig.ciphertext)
-        assert got.samples.tobytes() == orig.samples.tobytes()
+    assert_arrays_equal(got, want)
 
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.emgd"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(DataFormatError, match="magic"):
-        read_dataset(path)
+        read_arrays(path)
 
 
 def test_unsupported_version(tmp_path):
@@ -132,14 +127,14 @@ def test_unsupported_version(tmp_path):
     raw[4] = 9
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="version"):
-        read_dataset(path)
+        read_arrays(path)
 
 
 def test_truncation_names_offset(tmp_path):
     rng = np.random.default_rng(1)
     header = DatasetHeader(GEOM, m=8, trace_count=3)
     path = tmp_path / "full.emgd"
-    write_dataset(header, make_records(rng, header), path)
+    write_dataset(header, [make_arrays(rng, header)], path)
     raw = path.read_bytes()
     rec_size = 51 + 4 * header.m
     data_start = len(raw) - 3 * rec_size
@@ -148,102 +143,62 @@ def test_truncation_names_offset(tmp_path):
     cut = data_start + rec_size + 10
     trunc = tmp_path / "trunc.emgd"
     trunc.write_bytes(raw[:cut])
-    _, stream = read_dataset(trunc)
     with pytest.raises(DataFormatError, match=f"byte offset {data_start + rec_size}"):
-        list(stream)
+        read_arrays(trunc)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     rng = np.random.default_rng(1)
     header = DatasetHeader(GEOM, m=8, trace_count=3)
     path = tmp_path / "full.emgd"
-    write_dataset(header, make_records(rng, header), path)
+    write_dataset(header, [make_arrays(rng, header)], path)
     raw = path.read_bytes()
     padded = tmp_path / "padded.emgd"
     padded.write_bytes(raw + b"\x00" * 5)
     with pytest.raises(DataFormatError, match=f"5 trailing bytes .* offset {len(raw)}"):
-        read_dataset(padded)
-    with pytest.raises(DataFormatError, match="trailing"):
         read_arrays(padded)
 
 
 def test_write_mismatched_record_reports_index(tmp_path):
     rng = np.random.default_rng(2)
     header = DatasetHeader(GEOM, m=4, trace_count=1)
-    recs = make_records(rng, header)
-    recs[0].samples = np.zeros(3, dtype=np.float32)
+    rows = make_arrays(rng, header)
+    rows.samples = np.zeros((1, 3), dtype=np.float32)
     with pytest.raises(DataFormatError, match="at index 0"):
-        write_dataset(header, recs, tmp_path / "x.emgd")
+        write_dataset(header, [rows], tmp_path / "x.emgd")
 
+    # Indices count rows across chunks: row 1 opens the second chunk.
     header2 = DatasetHeader(GEOM, m=4, trace_count=2)
-    recs2 = make_records(rng, header2)
-    recs2[1].position_index = GEOM.position_count
-    with pytest.raises(DataFormatError, match="at index 1"):
-        write_dataset(header2, recs2, tmp_path / "y.emgd")
+    rows = make_arrays(rng, header2)
+    rows.positions[1] = GEOM.position_count
+    with pytest.raises(DataFormatError, match="at index 1: position"):
+        write_dataset(header2, [rows.subset([0]), rows.subset([1])],
+                      tmp_path / "y.emgd")
+    rows = make_arrays(rng, header2)
+    rows.splits[1] = 7
+    with pytest.raises(DataFormatError, match="at index 1: bad split 7"):
+        write_dataset(header2, [rows], tmp_path / "s.emgd")
 
     with pytest.raises(DataFormatError, match="declares 2"):
-        write_dataset(header2, make_records(rng, header2)[:1], tmp_path / "z.emgd")
-
-
-def test_streaming_read_is_bounded(tmp_path):
-    rng = np.random.default_rng(3)
-    header = DatasetHeader(GEOM, m=4000, trace_count=200)
-    path = tmp_path / "big.emgd"
-    write_dataset(header, make_records(rng, header), path)
-    assert path.stat().st_size > 3_000_000
-    _, stream = read_dataset(path)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    total = 0
-    for rec in stream:
-        total += len(rec.samples)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert total == 200 * 4000
-    # Streaming holds one record at a time: peak allocations must be far
-    # below the 3.2 MB file (one record is ~16 KB).
-    assert peak < 500_000
-
-
-def test_filter_records(tmp_path):
-    rng = np.random.default_rng(6)
-    header = DatasetHeader(GEOM, m=2, trace_count=30)
-    splits = [SPLIT_TRAIN, SPLIT_TEST, SPLIT_HOLDOUT] * 10
-    positions = list(range(10)) * 3
-    recs = make_records(rng, header, positions=positions, splits=splits)
-
-    got = list(filter_records(iter(recs), lambda p, s: True))
-    assert len(got) == 30
-    assert [r.position_index for r in got] == positions
-
-    got = list(filter_records(iter(recs), lambda p, s: s == SPLIT_HOLDOUT and p < 5))
-    assert len(got) == 5
-    assert all(r.split == SPLIT_HOLDOUT for r in got)
-
-    got = list(filter_records(iter(recs), lambda p, s: s == 77))
-    assert got == []
+        write_dataset(header2, [make_arrays(rng, header2).subset([0])],
+                      tmp_path / "z.emgd")
 
 
 def test_read_arrays(tmp_path):
     rng = np.random.default_rng(7)
     header = DatasetHeader(GEOM, m=5, trace_count=40)
-    recs = make_records(rng, header)
+    want = make_arrays(rng, header)
     path = tmp_path / "arr.emgd"
-    write_dataset(header, recs, path)
+    write_dataset(header, [want], path)
     _, arrays = read_arrays(path)
-    assert len(arrays) == 40
     assert arrays.samples.shape == (40, 5)
-    assert arrays.keys.shape == (40, 16)
-    i = 17
-    assert arrays.keys[i].tobytes() == recs[i].key
-    assert arrays.plaintexts[i].tobytes() == recs[i].plaintext
-    assert np.array_equal(arrays.samples[i], recs[i].samples)
+    assert arrays.samples.flags.c_contiguous
+    assert_arrays_equal(arrays, want)
 
-    _, train_only = read_arrays(path, where=lambda p, s: s == SPLIT_TRAIN)
-    assert len(train_only) == sum(1 for r in recs if r.split == SPLIT_TRAIN)
-
-    _, capped = read_arrays(path, max_records=8)
-    assert len(capped) == 8
+    _, train_only = read_arrays(path, (SPLIT_TRAIN,))
+    assert_arrays_equal(train_only, want.subset(want.splits == SPLIT_TRAIN))
+    _, attack = read_arrays(path, (SPLIT_TEST, SPLIT_HOLDOUT))
+    assert_arrays_equal(attack, want.subset(want.splits != SPLIT_TRAIN))
 
 
 def test_read_header_only(tmp_path):
