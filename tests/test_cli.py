@@ -202,6 +202,7 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
     corrupt = workdir / "corrupt.emgd"
     for raw in (b"JUNKJUNKJUNK",
                 emgd({**good, "geometry": {**good["geometry"], "nx": 0}}),
+                emgd({**good, "m": float("inf")}),
                 emgd({**good, "m": 10**9})):  # a record beyond numpy's dtype size
         corrupt.write_bytes(raw)
         code, events = run(capsys, "snr", "--in", corrupt, "--target",
