@@ -162,6 +162,9 @@ def cmd_train(args) -> int:
     train = arrays.subset(arrays.splits == SPLIT_TRAIN)
     val = arrays.subset(arrays.splits == SPLIT_TEST)
     positions = _select_positions(args, arrays)
+    # train and val are copies; releasing the whole file makes room for the
+    # standardized float64 training matrix.
+    del arrays
     _log("selected", mode=args.mode, positions=[int(p) for p in positions])
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                          epochs=args.epochs, steps_per_epoch=args.steps,

@@ -9,6 +9,7 @@ which makes x the fastest-varying axis. Physical probe coordinates are the
 lattice coordinates scaled by the step sizes and offset by the origin.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -32,6 +33,9 @@ class GridGeometry:
             raise ConfigError("z_step_mm must be >= 0")
         if len(self.origin_mm) != 3:
             raise ConfigError("origin_mm must be an (x, y, z) triple")
+        if not all(math.isfinite(v) for v in
+                   (self.step_mm, self.z_step_mm, *self.origin_mm)):
+            raise ConfigError("step sizes and origin must be finite")
 
     @property
     def position_count(self) -> int:

@@ -5,7 +5,9 @@ classifier over an intermediate byte value, and a 16-output regressor
 predicting the true last-round Hamming distances. Both standardize samples
 per-index (parameters stored in the model, so attack-time preprocessing is
 self-contained) and train with plain seeded mini-batch gradient descent;
-training is a pure function of (data, config, seed).
+training is a pure function of (data, config, seed). Standardization is
+fitted once per training run and applied once to the training and once to
+the validation matrix; the SGD steps index rows of the standardized matrix.
 
 The hybrid attack (evaluation.evaluate_hybrid_grid) runs the regressor over
 every attack trace and feeds the 16-float outputs into last-round CPA as
@@ -180,7 +182,9 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
     RNG draw order: one normal() for the weight init, then one permutation
     per epoch plus one per mid-epoch wraparound.
     """
-    n, m = X.shape
+    Z = stdz.apply(X)
+    Z_val = stdz.apply(X_val)
+    n, m = Z.shape
     outputs = 256 if kind == CLASSIFIER_256 else 16
     rng = np.random.default_rng(config.seed)
     W = rng.normal(0.0, 0.01, (outputs, m))
@@ -197,7 +201,7 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
                 cursor = 0
             idx = perm[cursor:cursor + batch]
             cursor += batch
-            Xb = stdz.apply(X[idx])
+            Xb = Z[idx]
             if kind == CLASSIFIER_256:
                 p = _softmax(Xb @ W.T + b)
                 p[np.arange(batch), Y[idx]] -= 1.0
@@ -207,12 +211,12 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
                 g = (2.0 / (batch * outputs)) * err
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
-        history.append(_validate(W, b, stdz, X_val, val_labels, kind))
+        history.append(_validate(W, b, Z_val, val_labels, kind))
     return W, b, history
 
 
-def _validate(W, b, stdz, X_val, val_labels, kind) -> float:
-    out = stdz.apply(X_val) @ W.T + b
+def _validate(W, b, Z_val, val_labels, kind) -> float:
+    out = Z_val @ W.T + b
     if kind == CLASSIFIER_256:
         probs = _softmax(out)
         return float(_ranks_of_scores(probs, val_labels).mean())

@@ -48,6 +48,11 @@ D_MIN_MM = 0.05   # distance floor: probes never touch the die
 _CHUNK = 4096     # traces synthesized and written per TraceArrays chunk
 
 
+def _require_finite(what: str, *values):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class LeakSource:
     position_mm: tuple
@@ -69,6 +74,8 @@ class LeakSource:
             raise ConfigError("source needs at least one sample index")
         if any(i < 0 for i in self.sample_indices):
             raise ConfigError("sample indices must be non-negative")
+        _require_finite("source amplitude and position", self.amplitude,
+                        *self.position_mm)
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,10 @@ class DeviceProfile:
     full_scale: tuple = (-4.0, 4.0)
 
     def __post_init__(self):
+        if len(self.full_scale) != 2:
+            raise ConfigError("full_scale must be a (lo, hi) pair")
+        _require_finite("gain, offset, noise_sigma and full_scale", self.gain,
+                        self.offset, self.noise_sigma, *self.full_scale)
         if self.gain <= 0:
             raise ConfigError("gain must be > 0")
         if self.noise_sigma < 0:
@@ -107,6 +118,8 @@ class Background:
     phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite("background amplitude, period and phase",
+                        self.amplitude, self.period_samples, self.phase)
         if self.amplitude < 0:
             raise ConfigError("background amplitude must be >= 0")
         if self.period_samples <= 0:
@@ -132,6 +145,10 @@ class SimConfig:
     def __post_init__(self):
         if self.m <= 0:
             raise ConfigError("m must be > 0")
+        if self.geometry.position_count > 1 << 16:
+            raise ConfigError(
+                f"grid has {self.geometry.position_count} positions; the .emgd "
+                f"u16 position index addresses at most {1 << 16}")
         for src in self.sources:
             if max(src.sample_indices) >= self.m:
                 raise ConfigError(
@@ -372,10 +389,19 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     return d
 
 
+def _block(d: dict, name: str) -> dict:
+    value = d.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad simulation config: {name!r} must be an object")
+    return value
+
+
 def sim_config_from_dict(d: dict) -> SimConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("bad simulation config: not a JSON object")
     try:
-        dev = d.get("device", {})
-        bg = d.get("background", {})
+        dev = _block(d, "device")
+        bg = _block(d, "background")
         config = SimConfig(
             geometry=GridGeometry.from_json_dict(d["geometry"]),
             m=int(d["m"]),
@@ -396,7 +422,8 @@ def sim_config_from_dict(d: dict) -> SimConfig:
                 jitter_max=int(dev.get("jitter_max", 0)),
                 adc_bits=int(dev.get("adc_bits", 0)),
                 axis_flip_y=bool(dev.get("axis_flip_y", False)),
-                full_scale=tuple(dev.get("full_scale", (-4.0, 4.0))),
+                full_scale=tuple(float(v) for v in
+                                 dev.get("full_scale", (-4.0, 4.0))),
             ),
             background=Background(
                 amplitude=float(bg.get("amplitude", 0.0)),
@@ -406,21 +433,21 @@ def sim_config_from_dict(d: dict) -> SimConfig:
             seed=int(d.get("seed", 0)),
             fixed_key=bytes.fromhex(d["fixed_key"]) if "fixed_key" in d else None,
             traces_per_position={k: int(v) for k, v in
-                                 d.get("traces_per_position", {}).items()},
+                                 _block(d, "traces_per_position").items()},
             description=str(d.get("description", "")),
         )
-    except (KeyError, TypeError, ValueError) as e:
+        if "perturbation" in d:
+            p = _block(d, "perturbation")
+            config = derive_device_b(
+                config,
+                probe_origin_shift_mm=tuple(
+                    float(v) for v in p.get("probe_origin_shift_mm", (0, 0, 0))),
+                gain_factor=float(p.get("gain_factor", 1.0)),
+                extra_noise=float(p.get("extra_noise", 0.0)),
+                jitter_delta=int(p.get("jitter_delta", 0)),
+            )
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad simulation config: {e}") from e
-    if "perturbation" in d:
-        p = d["perturbation"]
-        config = derive_device_b(
-            config,
-            probe_origin_shift_mm=tuple(float(v) for v in
-                                        p.get("probe_origin_shift_mm", (0, 0, 0))),
-            gain_factor=float(p.get("gain_factor", 1.0)),
-            extra_noise=float(p.get("extra_noise", 0.0)),
-            jitter_delta=int(p.get("jitter_delta", 0)),
-        )
     return config
 
 
@@ -428,6 +455,6 @@ def load_sim_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             d = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
     return sim_config_from_dict(d)

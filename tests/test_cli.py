@@ -134,11 +134,61 @@ def test_simulate_missing_config_exit_2(capsys, workdir):
 
 def test_simulate_bad_config_exit_2(capsys, workdir):
     bad = workdir / "bad.json"
-    bad.write_text("{\"m\": 4}")  # no geometry
-    code, events = run(capsys, "simulate", "--config", bad,
-                       "--out", workdir / "x.emgd")
+    # no geometry; then bytes that are not UTF-8
+    for raw in (b'{"m": 4}', b'{"m": "\xff"}'):
+        bad.write_bytes(raw)
+        code, events = run(capsys, "simulate", "--config", bad,
+                           "--out", workdir / "x.emgd")
+        assert code == 2
+        assert events[-1]["kind"] == "ConfigError"
+
+
+SOURCE = {"position_mm": [0.0, 0.0, 0.0], "sample_indices": [5],
+          "target": "FirstRoundSboxOutput", "byte_index": 0, "amplitude": 0.05}
+GEOMETRY = {"nx": 2, "ny": 1, "nz": 1, "step_mm": 0.5, "z_step_mm": 0.5,
+            "origin_mm": [0.0, 0.0, 0.2]}
+INF = float("inf")
+NAN = float("nan")
+
+BAD_CONFIGS = {
+    "m-1e999": {"m": 1e999},
+    "full-scale-one-value": {"device": {"full_scale": [1]}},
+    "origin-shift-not-a-triple": {"perturbation": {"probe_origin_shift_mm": 5}},
+    "perturbation-not-an-object": {"perturbation": 5},
+    "device-not-an-object": {"device": [1]},
+    "split-count-inf": {"traces_per_position": {"train": INF}},
+    "amplitude-inf": {"sources": [{**SOURCE, "amplitude": INF}]},
+    "source-position-nan": {"sources": [{**SOURCE, "position_mm": [0, NAN, 0]}]},
+    "gain-inf": {"device": {"gain": INF}},
+    "offset-nan": {"device": {"offset": NAN}},
+    "noise-sigma-nan": {"device": {"noise_sigma": NAN}},
+    "full-scale-inf": {"device": {"full_scale": [-4, INF]}},
+    "background-amplitude-inf": {"background": {"amplitude": INF}},
+    "background-period-nan": {"background": {"period_samples": NAN}},
+    "background-phase-inf": {"background": {"phase": -INF}},
+    "step-nan": {"geometry": {**GEOMETRY, "step_mm": NAN}},
+    "z-step-inf": {"geometry": {**GEOMETRY, "z_step_mm": INF}},
+    "origin-inf": {"geometry": {**GEOMETRY, "origin_mm": [0, INF, 0]}},
+    # more positions than the u16 record field can address
+    "grid-300x300": {"geometry": {**GEOMETRY, "nx": 300, "ny": 300}},
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_CONFIGS, "top-level-array"])
+def test_simulate_malformed_config_exit_2(capsys, workdir, sim_config, case):
+    bad = workdir / f"bad_{case}.json"
+    out = workdir / f"bad_{case}.emgd"
+    cfg = json.loads(sim_config.read_text())
+    if case == "top-level-array":
+        cfg = [cfg]
+    else:
+        cfg.update(BAD_CONFIGS[case])
+    bad.write_text(json.dumps(cfg))
+    code, events = run(capsys, "simulate", "--config", bad, "--out", out)
     assert code == 2
-    assert events[-1]["kind"] == "ConfigError"
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_simulate_deterministic_and_seed_sensitive(capsys, workdir, sim_config,

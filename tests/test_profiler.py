@@ -23,6 +23,9 @@ from emgrid.profiler import (
     ProfilingModel,
     StandardizationParams,
     TrainConfig,
+    _apply_data_cap,
+    _ranks_of_scores,
+    _softmax,
     classify_attack,
     fit_standardization,
     load_model,
@@ -208,6 +211,121 @@ def test_train_config_validation():
 
 def test_second_half_mean():
     assert second_half_mean([1.0, 2.0, 3.0, 4.0]) == 3.0
+
+
+# ------------------------------------------ per-minibatch training oracle
+
+def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
+    """Seeded SGD that standardizes every minibatch and the validation matrix
+    anew at each use. Standardizing once per run must match it bit for bit:
+    each element goes through the same float32 -> float64, subtract, divide."""
+    n, m = X.shape
+    outputs = 256 if kind == CLASSIFIER_256 else 16
+    rng = np.random.default_rng(config.seed)
+    W = rng.normal(0.0, 0.01, (outputs, m))
+    b = np.zeros(outputs)
+    lr = config.learning_rate
+    batch = min(config.batch_size, n)
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        cursor = 0
+        for _ in range(config.steps_per_epoch):
+            if cursor + batch > n:
+                perm = rng.permutation(n)
+                cursor = 0
+            idx = perm[cursor:cursor + batch]
+            cursor += batch
+            Xb = stdz.apply(X[idx])
+            if kind == CLASSIFIER_256:
+                p = _softmax(Xb @ W.T + b)
+                p[np.arange(batch), Y[idx]] -= 1.0
+                g = p / batch
+            else:
+                err = (Xb @ W.T + b) - Y[idx]
+                g = (2.0 / (batch * outputs)) * err
+            W -= lr * (g.T @ Xb)
+            b -= lr * g.sum(axis=0)
+        out = stdz.apply(X_val) @ W.T + b
+        if kind == CLASSIFIER_256:
+            history.append(float(_ranks_of_scores(_softmax(out), val_labels).mean()))
+        else:
+            history.append(float(np.mean((out - val_labels) ** 2)))
+    return W, b, history
+
+
+def reference_train(kind, train, val, config):
+    train = _apply_data_cap(train, config)
+    stdz = fit_standardization(train.samples)
+    if kind == CLASSIFIER_256:
+        y, y_val = labels_of(train).astype(np.int64), labels_of(val).astype(np.int64)
+    else:
+        y, y_val = (true_hds_of(train).astype(np.float64),
+                    true_hds_of(val).astype(np.float64))
+    return reference_train_loop(train.samples, y, val.samples, y_val, config,
+                                kind, stdz)
+
+
+def train_kind(kind, train, val, config):
+    if kind == CLASSIFIER_256:
+        return train_classifier(train, val, TARGET, config)
+    return train_hd_regressor(train, val, config)
+
+
+def offset_noise_arrays(n, m, seed):
+    """Gaussian samples with per-column offsets and scales, so that
+    standardization changes every column."""
+    rng = np.random.default_rng(seed)
+    loc = rng.uniform(-3.0, 3.0, m)
+    scale = rng.uniform(0.1, 4.0, m)
+    return make_arrays(rng.normal(loc, scale, (n, m)).astype(np.float32),
+                       seed=seed + 1)
+
+
+ORACLE_CASES = {
+    # n = 1000 is not a multiple of the batch of 64
+    "ragged-batches": (1000, dict(batch_size=64, epochs=3, steps_per_epoch=10)),
+    # 9 steps of 64 over 200 traces wrap the permutation mid-epoch
+    "mid-epoch-wraparound": (200, dict(batch_size=64, epochs=3,
+                                       steps_per_epoch=9)),
+    "data-cap": (1000, dict(batch_size=64, epochs=2, steps_per_epoch=8,
+                            data_cap=300)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
+def test_training_matches_per_minibatch_oracle(kind, case):
+    n, params = ORACLE_CASES[case]
+    train = offset_noise_arrays(n, 24, seed=90)
+    val = offset_noise_arrays(150, 24, seed=92)
+    cfg = TrainConfig(learning_rate=0.05, seed=94, **params)
+    W, b, history = reference_train(kind, train, val, cfg)
+    res = train_kind(kind, train, val, cfg)
+    assert np.array_equal(res.model.weights, W)
+    assert np.array_equal(res.model.bias, b)
+    assert res.val_history == history
+    assert len(history) == cfg.epochs
+
+
+@pytest.mark.parametrize("epochs, steps", [(0, 1), (1, 1), (4, 7)])
+@pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
+def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
+                                                  steps):
+    calls = []
+    apply = StandardizationParams.apply
+
+    def counted(self, samples):
+        calls.append(len(samples))
+        return apply(self, samples)
+
+    monkeypatch.setattr(StandardizationParams, "apply", counted)
+    train = offset_noise_arrays(100, 8, seed=96)
+    val = offset_noise_arrays(40, 8, seed=98)
+    cfg = TrainConfig(batch_size=16, epochs=epochs, steps_per_epoch=steps,
+                      seed=99)
+    train_kind(kind, train, val, cfg)
+    assert calls == [len(train), len(val)]
     assert second_half_mean([1.0, 2.0, 3.0, 4.0, 5.0]) == 4.0
     assert second_half_mean([7.0]) == 7.0
     with pytest.raises(AnalysisError):
