@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def require_finite(what: str, *values):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     nx: int
@@ -33,9 +38,8 @@ class GridGeometry:
             raise ConfigError("z_step_mm must be >= 0")
         if len(self.origin_mm) != 3:
             raise ConfigError("origin_mm must be an (x, y, z) triple")
-        if not all(math.isfinite(v) for v in
-                   (self.step_mm, self.z_step_mm, *self.origin_mm)):
-            raise ConfigError("step sizes and origin must be finite")
+        require_finite("step sizes and origin", self.step_mm, self.z_step_mm,
+                       *self.origin_mm)
 
     @property
     def position_count(self) -> int:

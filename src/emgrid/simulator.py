@@ -23,7 +23,7 @@ import numpy as np
 
 from .aes import encrypt_blocks, expand_keys, expand_keys_batch
 from .errors import ConfigError
-from .grid import GridGeometry
+from .grid import GridGeometry, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -48,11 +48,6 @@ D_MIN_MM = 0.05   # distance floor: probes never touch the die
 _CHUNK = 4096     # traces synthesized and written per TraceArrays chunk
 
 
-def _require_finite(what: str, *values):
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what} must be finite")
-
-
 @dataclass(frozen=True)
 class LeakSource:
     position_mm: tuple
@@ -74,8 +69,8 @@ class LeakSource:
             raise ConfigError("source needs at least one sample index")
         if any(i < 0 for i in self.sample_indices):
             raise ConfigError("sample indices must be non-negative")
-        _require_finite("source amplitude and position", self.amplitude,
-                        *self.position_mm)
+        require_finite("source amplitude and position", self.amplitude,
+                       *self.position_mm)
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,8 @@ class DeviceProfile:
     def __post_init__(self):
         if len(self.full_scale) != 2:
             raise ConfigError("full_scale must be a (lo, hi) pair")
-        _require_finite("gain, offset, noise_sigma and full_scale", self.gain,
-                        self.offset, self.noise_sigma, *self.full_scale)
+        require_finite("gain, offset, noise_sigma and full_scale", self.gain,
+                       self.offset, self.noise_sigma, *self.full_scale)
         if self.gain <= 0:
             raise ConfigError("gain must be > 0")
         if self.noise_sigma < 0:
@@ -118,8 +113,8 @@ class Background:
     phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite("background amplitude, period and phase",
-                        self.amplitude, self.period_samples, self.phase)
+        require_finite("background amplitude, period and phase",
+                       self.amplitude, self.period_samples, self.phase)
         if self.amplitude < 0:
             raise ConfigError("background amplitude must be >= 0")
         if self.period_samples <= 0:

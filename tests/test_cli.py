@@ -252,6 +252,8 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
     corrupt = workdir / "corrupt.emgd"
     for raw in (b"JUNKJUNKJUNK",
                 emgd({**good, "geometry": {**good["geometry"], "nx": 0}}),
+                emgd({**good, "geometry": {**good["geometry"],
+                                           "step_mm": float("nan")}}),
                 emgd({**good, "m": float("inf")}),
                 emgd({**good, "m": 10**9})):  # a record beyond numpy's dtype size
         corrupt.write_bytes(raw)

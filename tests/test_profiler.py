@@ -211,6 +211,10 @@ def test_train_config_validation():
 
 def test_second_half_mean():
     assert second_half_mean([1.0, 2.0, 3.0, 4.0]) == 3.0
+    assert second_half_mean([1.0, 2.0, 3.0, 4.0, 5.0]) == 4.0
+    assert second_half_mean([7.0]) == 7.0
+    with pytest.raises(AnalysisError):
+        second_half_mean([])
 
 
 # ------------------------------------------ per-minibatch training oracle
@@ -326,10 +330,6 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
                       seed=99)
     train_kind(kind, train, val, cfg)
     assert calls == [len(train), len(val)]
-    assert second_half_mean([1.0, 2.0, 3.0, 4.0, 5.0]) == 4.0
-    assert second_half_mean([7.0]) == 7.0
-    with pytest.raises(AnalysisError):
-        second_half_mean([])
 
 
 # -------------------------------------------------------------- prediction
