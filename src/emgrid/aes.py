@@ -90,23 +90,6 @@ def round10_key(key) -> bytes:
     return expand_keys(key)[10].tobytes()
 
 
-def master_key_from_round10(rk10) -> bytes:
-    """Invert the key schedule from the round-10 key back to the master key."""
-    w = np.zeros((44, 4), dtype=np.uint8)
-    rk10 = np.asarray(bytearray(rk10) if isinstance(rk10, (bytes, bytearray)) else rk10,
-                      dtype=np.uint8)
-    if rk10.shape != (16,):
-        raise ValueError("round key must be 16 bytes")
-    w[40:44] = rk10.reshape(4, 4)
-    for i in range(43, 3, -1):
-        t = w[i - 1].copy()
-        if i % 4 == 0:
-            t = SBOX[np.roll(t, -1)]
-            t[0] ^= RCON[i // 4 - 1]
-        w[i - 4] = w[i] ^ t
-    return w[:4].reshape(16).tobytes()
-
-
 def _mix_columns(state: np.ndarray) -> np.ndarray:
     a = state.reshape(-1, 4, 4)
     rot1 = np.roll(a, -1, axis=2)

@@ -24,7 +24,7 @@ from .evaluation import (
     evaluate_snr_grid,
 )
 from .heatmap import Heatmap, heatmap_from_csv, heatmap_to_csv, heatmap_to_svg
-from .grid import GridGeometry
+from .grid import GridGeometry, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -216,6 +216,10 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_render(args) -> int:
+    for flag, value in (("--vmin", args.vmin), ("--vmax", args.vmax),
+                        ("--mask-threshold", args.mask_threshold)):
+        if value is not None:
+            require_finite(flag, value)
     with open(args.csv) as f:
         grid = heatmap_from_csv(f.read())
     ny, nx = grid.shape
@@ -255,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    _add_threads(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted like the other subcommands' flag; "
+                        "simulation runs in one thread")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("snr", help="per-position peak-SNR map")

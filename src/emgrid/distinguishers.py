@@ -1,4 +1,6 @@
-"""Streaming statistical engines: SNR, CPA, rank metrics, disclosure counts.
+"""Streaming statistical engines: SNR and CPA accumulators, CPA scores and the
+mid-rank of a key candidate. The traces-to-disclosure loop that drives them
+lives in evaluation._run_cpa_position.
 
 Both accumulators follow the same contract: update with traces in any order,
 optionally in parallel shards, then merge shards and finalize. Merging is the
@@ -7,14 +9,12 @@ hypothesis values stay small integers so the closed-form Pearson sums remain
 exactly representable.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnalysisError
 
-EPS_PROB = 1e-30       # probability clamp before log
 _REL_DEGENERATE = 1e-10  # variance below this relative level counts as zero
 
 
@@ -195,27 +195,6 @@ def cpa_scores(corr: np.ndarray) -> np.ndarray:
     return np.abs(corr).max(axis=1)
 
 
-def loglik_aggregate(prob_vectors) -> np.ndarray:
-    """Sum log p-hat(s_j | t_i) over traces, clamping probabilities at 1e-30.
-
-    Accepts an iterable of length-256 probability vectors or an (n, 256)
-    array. Each vector must be non-negative and sum to 1 within 1e-6.
-    """
-    scores = np.zeros(256, dtype=np.float64)
-    seen = False
-    for p in prob_vectors:
-        rows = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        if rows.shape[1] != 256:
-            raise AnalysisError("probability vector must have 256 entries")
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
-            raise AnalysisError("malformed probability vector")
-        scores += np.log(np.maximum(rows, EPS_PROB)).sum(axis=0)
-        seen = True
-    if not seen:
-        raise AnalysisError("empty probability stream")
-    return scores
-
-
 def rank_of(scores: np.ndarray, correct: int) -> float:
     """Mid-rank of the correct candidate: strictly-greater count plus half
     the ties. All-equal scores give exactly 127.5, the random baseline."""
@@ -224,85 +203,3 @@ def rank_of(scores: np.ndarray, correct: int) -> float:
     greater = int(np.count_nonzero(s > sc))
     equal_others = int(np.count_nonzero(s == sc)) - 1
     return greater + equal_others / 2.0
-
-
-def mean_rank(scored_stream) -> float:
-    """Arithmetic mean of rank_of over a stream of (scores, correct) pairs."""
-    total = 0.0
-    count = 0
-    for scores, correct in scored_stream:
-        total += rank_of(scores, correct)
-        count += 1
-    if count == 0:
-        raise AnalysisError("mean_rank over an empty stream")
-    return total / count
-
-
-@dataclass
-class DisclosureResult:
-    """Traces needed until each byte (and the whole key) first ranks strictly
-    first; math.inf marks bytes never disclosed within the budget."""
-
-    per_byte: list
-    full_key: float
-    checkpoints: list = field(default_factory=list)
-
-    @property
-    def disclosed(self) -> bool:
-        return math.isfinite(self.full_key)
-
-
-def traces_to_disclosure(batches, feed, compute_scores, correct_bytes,
-                         checkpoint_interval: int = 1000,
-                         budget=None) -> DisclosureResult:
-    """Generic cumulative-disclosure loop.
-
-    batches yields chunks of traces; feed(chunk) consumes one chunk and
-    returns how many traces it contained; compute_scores() returns the
-    current (16, 256) score matrix. After every checkpoint_interval traces
-    (and at end of stream) all 16 byte ranks are evaluated. A byte counts as
-    disclosed only while strictly ranked first (ties fail). full_key is the
-    first checkpoint where all 16 bytes rank first simultaneously; inf if the
-    budget (or the stream) runs out first.
-    """
-    if checkpoint_interval < 1:
-        raise AnalysisError("checkpoint_interval must be >= 1")
-    correct = [int(b) for b in correct_bytes]
-    if len(correct) != 16:
-        raise AnalysisError("need 16 correct byte values")
-    per_byte = [math.inf] * 16
-    full_key = math.inf
-    checkpoints = []
-    processed = 0
-    next_cp = checkpoint_interval
-
-    def evaluate():
-        nonlocal full_key
-        checkpoints.append(processed)
-        scores = np.asarray(compute_scores(), dtype=np.float64)
-        if scores.shape != (16, 256):
-            raise AnalysisError("compute_scores must return a (16, 256) matrix")
-        all_first = True
-        for b in range(16):
-            if rank_of(scores[b], correct[b]) == 0.0:
-                if per_byte[b] == math.inf:
-                    per_byte[b] = processed
-            else:
-                all_first = False
-        if all_first and full_key == math.inf:
-            full_key = processed
-
-    for chunk in batches:
-        processed += int(feed(chunk))
-        if processed >= next_cp:
-            evaluate()
-            next_cp = (processed // checkpoint_interval + 1) * checkpoint_interval
-        if full_key != math.inf:
-            break
-        if budget is not None and processed >= budget:
-            break
-    # End of stream between checkpoints: evaluate on whatever arrived.
-    if full_key == math.inf and processed >= 2 \
-            and (not checkpoints or checkpoints[-1] != processed):
-        evaluate()
-    return DisclosureResult(per_byte, full_key, checkpoints)

@@ -14,8 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .aes import SHIFT_MAP, round10_key
-from .distinguishers import CpaAccumulator, SnrAccumulator, cpa_scores, rank_of, \
-    traces_to_disclosure
+from .distinguishers import CpaAccumulator, SnrAccumulator, cpa_scores, rank_of
 from .errors import AnalysisError, ConfigError
 from .grid import GridGeometry
 from .heatmap import Heatmap
@@ -135,33 +134,32 @@ def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
 
 def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
                       correct, budget, checkpoint_interval):
-    """Streaming 16-byte CPA over one position's traces; returns the
-    disclosure result and the final 16 byte ranks."""
+    """Streaming 16-byte CPA over one position's first min(n, budget) traces.
+
+    The traces are consumed in slices that end at each checkpoint and at the
+    end of the stream; after each slice all 16 bytes are scored. Returns the
+    first slice end at which every byte ranks strictly first (ties fail), or
+    inf if none does, and the 16 byte ranks at the last slice scored.
+    """
     n, m = samples.shape
-    accs = [CpaAccumulator(m) for _ in range(16)]
-
-    def feed(sl: slice) -> int:
-        X = samples[sl].astype(np.float64)
-        for j in range(16):
-            H = build_hypothesis_matrix(publics[sl], LeakageModel(kind, j))
-            accs[j].update_batch(H, X)
-        return X.shape[0]
-
-    def scores() -> np.ndarray:
-        out = np.zeros((16, 256))
-        for j in range(16):
-            if accs[j].n >= 2:
-                out[j] = cpa_scores(accs[j].finalize().corr)
-        return out
-
     limit = n if budget is None else min(n, budget)
-    slices = [slice(lo, min(lo + checkpoint_interval, limit))
-              for lo in range(0, limit, checkpoint_interval)]
-    disclosure = traces_to_disclosure(slices, feed, scores, correct,
-                                      checkpoint_interval, budget)
-    final = scores()
-    ranks = np.array([rank_of(final[j], correct[j]) for j in range(16)])
-    return disclosure, ranks
+    accs = [CpaAccumulator(m) for _ in range(16)]
+    ranks = np.full(16, 127.5)  # all-equal scores before anything is scored
+    for lo in range(0, limit, checkpoint_interval):
+        sl = slice(lo, min(lo + checkpoint_interval, limit))
+        X = samples[sl].astype(np.float64)
+        for j, acc in enumerate(accs):
+            acc.update_batch(
+                build_hypothesis_matrix(publics[sl], LeakageModel(kind, j)), X)
+        del X  # free the float64 slice before the finalize temporaries peak
+        scores = np.zeros((16, 256))
+        for j, acc in enumerate(accs):
+            if acc.n >= 2:
+                scores[j] = cpa_scores(acc.finalize().corr)
+        ranks = np.array([rank_of(scores[j], correct[j]) for j in range(16)])
+        if (ranks == 0.0).all():
+            return sl.stop, ranks
+    return math.inf, ranks
 
 
 def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
@@ -189,8 +187,8 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
         avg = float(ranks.mean())
         if progress is not None:
             progress({"position": p, "traces": len(idx),
-                      "disclosure": disclosure.full_key, "average_rank": avg})
-        return disclosure.full_key, avg
+                      "disclosure": disclosure, "average_rank": avg})
+        return disclosure, avg
 
     results = _map_positions(groups, one, threads)
     disclosure_vals = np.full(geometry.position_count, math.inf)

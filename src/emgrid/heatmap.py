@@ -196,42 +196,3 @@ def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:
 
 def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-@dataclass
-class HeatmapComparison:
-    fraction_a_better: float
-    a_better: int
-    b_better: int
-    ties: int              # equal finite values
-    ties_infinite: int     # both cells infinite
-    mean_difference: float  # mean of (a - b) over cells where both are finite
-    wins: np.ndarray       # per cell: -1 a wins, +1 b wins, 0 tie
-
-
-def compare_heatmaps(a: Heatmap, b: Heatmap) -> HeatmapComparison:
-    """Cellwise comparison, lower is better. Infinity loses to any finite
-    value; two infinities tie."""
-    if a.geometry != b.geometry:
-        raise ConfigError("cannot compare heatmaps over different geometries")
-    av, bv = a.values, b.values
-    wins = np.zeros(len(av), dtype=np.int8)
-    wins[av < bv] = -1
-    wins[bv < av] = 1
-    both_inf = np.isinf(av) & np.isinf(bv)
-    wins[both_inf] = 0
-    both_finite = np.isfinite(av) & np.isfinite(bv)
-    a_better = int(np.count_nonzero(wins == -1))
-    b_better = int(np.count_nonzero(wins == 1))
-    ties = int(np.count_nonzero((wins == 0) & ~both_inf))
-    mean_diff = float(np.mean(av[both_finite] - bv[both_finite])) \
-        if both_finite.any() else math.nan
-    return HeatmapComparison(
-        fraction_a_better=a_better / len(av),
-        a_better=a_better,
-        b_better=b_better,
-        ties=ties,
-        ties_infinite=int(both_inf.sum()),
-        mean_difference=mean_diff,
-        wins=wins,
-    )

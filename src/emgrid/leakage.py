@@ -30,11 +30,6 @@ HW_TABLE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1).astype(np.uint8)
 
 
-def hamming_weight(v):
-    """Population count of a byte value; works elementwise on arrays."""
-    return HW_TABLE[v]
-
-
 @dataclass(frozen=True)
 class LeakageModel:
     kind: str
@@ -45,20 +40,6 @@ class LeakageModel:
             raise ConfigError(f"unknown leakage model kind {self.kind!r}")
         if not 0 <= self.byte_index < 16:
             raise ConfigError("byte_index must be in 0..15")
-
-
-def first_round_sbox_input(plaintext, key_byte_guess: int, byte_index: int) -> int:
-    return plaintext[byte_index] ^ key_byte_guess
-
-
-def first_round_sbox_output(plaintext, key_byte_guess: int, byte_index: int) -> int:
-    return int(SBOX[plaintext[byte_index] ^ key_byte_guess])
-
-
-def last_round_hd_hypothesis(ciphertext, key_byte_guess: int, byte_index: int) -> int:
-    """HW(ct[j] ^ InvSBox[ct[SHIFT_MAP[j]] ^ guess]) for j = byte_index."""
-    prev = INV_SBOX[ciphertext[SHIFT_MAP[byte_index]] ^ key_byte_guess]
-    return int(HW_TABLE[ciphertext[byte_index] ^ prev])
 
 
 def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndarray:
@@ -104,7 +85,8 @@ def true_last_round_hds(ciphertexts: np.ndarray, round9_states: np.ndarray) -> n
     """True HD between each ciphertext byte and the state byte it replaced.
 
     Shapes (n, 16); uses the instrumented cipher's round-9 output, so no key
-    guess is involved. Column j matches last_round_hd_hypothesis(ct, k10
-    [SHIFT_MAP[j]], j) when the guess is the true round-10 key byte.
+    guess is involved. Column j equals row k10[SHIFT_MAP[j]] of
+    build_hypothesis_matrix(ct, LeakageModel(LAST_ROUND_HD, j)), the
+    hypothesis under the true round-10 key byte.
     """
     return HW_TABLE[ciphertexts ^ round9_states]

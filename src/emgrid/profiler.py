@@ -24,6 +24,7 @@ import numpy as np
 
 from .aes import encrypt_blocks, expand_keys_batch
 from .errors import AnalysisError, ConfigError, DataFormatError
+from .grid import require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -76,6 +77,7 @@ class TrainConfig:
     data_cap: int = None
 
     def __post_init__(self):
+        require_finite("learning_rate", self.learning_rate)
         if self.learning_rate <= 0 or self.batch_size <= 0 \
                 or self.epochs < 0 or self.steps_per_epoch <= 0:
             raise ConfigError("training hyperparameters must be positive")
@@ -285,6 +287,12 @@ def select_top_n_positions(heatmap, n: int) -> list:
     return [int(p) for p in order[:n]]
 
 
+def _at_positions(arrays: TraceArrays, positions) -> TraceArrays:
+    """The traces at the given positions; a copy only if some are dropped."""
+    keep = np.isin(arrays.positions, positions)
+    return arrays if keep.all() else arrays.subset(keep)
+
+
 def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
                      target: LeakageModel, config: TrainConfig,
                      kind: str = CLASSIFIER_256) -> TrainResult:
@@ -297,8 +305,8 @@ def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
     positions = sorted({int(p) for p in positions})
     if not positions:
         raise ConfigError("multiplace_train needs a non-empty position set")
-    sub_train = train.subset(np.isin(train.positions, positions))
-    sub_val = val.subset(np.isin(val.positions, positions))
+    sub_train = _at_positions(train, positions)
+    sub_val = _at_positions(val, positions)
     if len(sub_train) == 0:
         raise AnalysisError("no training traces at the selected positions")
     if kind == CLASSIFIER_256:
@@ -364,6 +372,8 @@ def load_model(path) -> ProfilingModel:
         if len(raw) < want:
             raise DataFormatError(f"{path}: truncated model file")
         vals = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(vals).all():
+            raise DataFormatError(f"{path}: model parameters are not finite")
         W = vals[:outputs * m].reshape(outputs, m).copy()
         rest = vals[outputs * m:]
         bias = rest[:outputs].copy()

@@ -191,13 +191,6 @@ def _source_true_values(src: LeakSource, pts, cts, s9, key_bytes) -> np.ndarray:
     return HW_TABLE[vals].astype(np.float64)
 
 
-def _chunk(position: int, split: int, keys, pts, cts, samples) -> TraceArrays:
-    n = len(samples)
-    return TraceArrays(samples.astype(np.float32), keys, pts, cts,
-                       np.full(n, position, dtype=np.int32),
-                       np.full(n, split, dtype=np.uint8))
-
-
 def _synthesize_chunk(config: SimConfig, position: int, split: int,
                       start: int, count: int) -> TraceArrays:
     """Generate `count` consecutive traces for one (position, split)."""
@@ -247,43 +240,9 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
         samples += noise
     if dev.adc_bits:
         samples = _quantize(samples, dev.adc_bits, dev.full_scale)
-    return _chunk(position, split, keys, pts, cts, samples)
-
-
-def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
-                   key: bytes, rng) -> TraceArrays:
-    """Single-trace reference path returning a one-row train-split chunk; rng
-    supplies jitter and noise draws in the documented order. Used for spot
-    checks; the dataset generator is the batched equivalent."""
-    dev = config.device
-    m = config.m
-    if not 0 <= position_index < config.geometry.position_count:
-        raise ConfigError("position index outside geometry")
-    jitter = 0
-    if dev.jitter_max > 0:
-        jitter = int(rng.integers(-dev.jitter_max, dev.jitter_max + 1))
-    noise = rng.normal(0.0, dev.noise_sigma, m) if dev.noise_sigma > 0 else 0.0
-
-    pt = np.frombuffer(bytes(plaintext), dtype=np.uint8).reshape(1, 16)
-    key_row = np.frombuffer(bytes(key), dtype=np.uint8).reshape(1, 16)
-    rks = expand_keys(key)
-    need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
-    out = encrypt_blocks(pt, rks, return_round9_state=need_s9)
-    ct, s9 = out if need_s9 else (out, None)
-
-    probe = config.geometry.position_mm(position_index, flip_y=dev.axis_flip_y)
-    samples = config.background.waveform(m)
-    for src in config.sources:
-        w = coupling_weight(src.position_mm, probe)
-        val = float(_source_true_values(src, pt, ct, s9, key)[0])
-        for t in src.sample_indices:
-            tj = t + jitter
-            if 0 <= tj < m:
-                samples[tj] += w * src.amplitude * val
-    samples = dev.offset + dev.gain * samples + noise
-    if dev.adc_bits:
-        samples = _quantize(samples, dev.adc_bits, dev.full_scale)
-    return _chunk(position_index, SPLIT_TRAIN, key_row, pt, ct, samples[None, :])
+    return TraceArrays(samples.astype(np.float32), keys, pts, cts,
+                       np.full(count, position, dtype=np.int32),
+                       np.full(count, split, dtype=np.uint8))
 
 
 def _all_chunks(config: SimConfig, progress=None):

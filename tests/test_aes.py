@@ -7,6 +7,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from emgrid.aes import (
     INV_SBOX,
+    RCON,
     SBOX,
     SHIFT_MAP,
     SHIFT_ROWS_SELECT,
@@ -15,7 +16,6 @@ from emgrid.aes import (
     decrypt_blocks,
     encrypt_blocks,
     expand_keys,
-    master_key_from_round10,
     round10_key,
 )
 
@@ -27,6 +27,22 @@ FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 def reference_ecb_encrypt(key: bytes, blocks: bytes) -> bytes:
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
     return enc.update(blocks) + enc.finalize()
+
+
+def master_key_from_round10(rk10) -> bytes:
+    """Invert the key schedule from the round-10 key back to the master key."""
+    rk10 = np.frombuffer(bytes(rk10), dtype=np.uint8)
+    if rk10.shape != (16,):
+        raise ValueError("round key must be 16 bytes")
+    w = np.zeros((44, 4), dtype=np.uint8)
+    w[40:44] = rk10.reshape(4, 4)
+    for i in range(43, 3, -1):
+        t = w[i - 1].copy()
+        if i % 4 == 0:
+            t = SBOX[np.roll(t, -1)]
+            t[0] ^= RCON[i // 4 - 1]
+        w[i - 4] = w[i] ^ t
+    return w[:4].reshape(16).tobytes()
 
 
 def test_fips_vector():

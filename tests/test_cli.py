@@ -336,20 +336,26 @@ def test_snr_reader_faults_exit_1(tmp_path_factory, small_dataset, data):
 def test_cpa_discloses_on_hd_fixture(capsys, workdir, hd_dataset):
     discl = workdir / "cpa_d.csv"
     ranks = workdir / "cpa_r.csv"
-    code, _ = run(capsys, "cpa", "--in", hd_dataset, "--checkpoint", 200,
-                  "--out-disclosure", discl, "--out-ranks", ranks)
+    code, events = run(capsys, "cpa", "--in", hd_dataset, "--checkpoint", 200,
+                       "--out-disclosure", discl, "--out-ranks", ranks)
     assert code == 0
     assert heatmap_from_csv(discl.read_text())[0, 0] == 200
     assert heatmap_from_csv(ranks.read_text())[0, 0] == 0
+    position = [e for e in events if e["event"] == "position"]
+    assert len(position) == 1
+    disclosure = position[0]["disclosure"]
+    assert disclosure == 200 and isinstance(disclosure, int)  # logged as 200
 
 
 def test_cpa_budget_zero_all_infinite(capsys, workdir, hd_dataset):
     discl = workdir / "cpa_b0_d.csv"
     ranks = workdir / "cpa_b0_r.csv"
-    code, _ = run(capsys, "cpa", "--in", hd_dataset, "--budget", 0,
-                  "--out-disclosure", discl, "--out-ranks", ranks)
+    code, events = run(capsys, "cpa", "--in", hd_dataset, "--budget", 0,
+                       "--out-disclosure", discl, "--out-ranks", ranks)
     assert code == 0
     assert math.isinf(heatmap_from_csv(discl.read_text())[0, 0])
+    position = [e for e in events if e["event"] == "position"]
+    assert [e["disclosure"] for e in position] == ["inf"]
 
 
 def test_cpa_mixed_keys_exit_3(capsys, workdir):
@@ -393,6 +399,15 @@ def test_train_single_needs_one_position(capsys, workdir, dataset):
     code, events = run(capsys, "train", "--in", dataset, "--mode", "single",
                        "--positions", 0, 1, "--out-model", workdir / "x.emmod")
     assert code == 2
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_train_non_finite_lr_exit_2(capsys, workdir, dataset, rate):
+    code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
+                       "--lr", rate, "--out-model", workdir / "lr.emmod")
+    assert code == 2
+    assert events[-1]["kind"] == "ConfigError"
+    assert not (workdir / "lr.emmod").exists()
 
 
 def test_train_multiplace_threshold_selection(capsys, workdir, dataset):
@@ -587,6 +602,22 @@ def test_render_bad_csv_exit_1(capsys, workdir):
                            "--svg", workdir / "x.svg")
         assert code == 1, text
         assert events[-1]["kind"] == "DataFormatError"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--vmin", "nan"), ("--vmax", "nan"), ("--vmin", "inf"),
+    ("--vmax", "inf"), ("--mask-threshold", "nan"),
+])
+def test_render_non_finite_flag_exit_2(capsys, workdir, flag, value):
+    csv = workdir / "render_flag.csv"
+    csv.write_text("y\\x,0,1\n0,100,127.5\n")
+    svg = workdir / "flag.svg"
+    code, events = run(capsys, "render", "--csv", csv, "--svg", svg,
+                       flag, value)
+    assert code == 2
+    assert events[-1]["kind"] == "ConfigError"
+    assert flag in events[-1]["message"]
+    assert not svg.exists()
 
 
 # ------------------------------------------------------------- entry point

@@ -1,5 +1,6 @@
 """Statistical-core tests: hand-computed Welford values, closed-form SNR,
-batch Pearson oracles, merge laws, rank conventions, disclosure logic."""
+batch Pearson oracles, merge laws, rank conventions, and the disclosure loop
+of evaluation._run_cpa_position."""
 
 import math
 
@@ -8,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emgrid import evaluation
 from emgrid.distinguishers import (
     CpaAccumulator,
     SnrAccumulator,
     cpa_scores,
-    loglik_aggregate,
-    mean_rank,
     rank_of,
-    traces_to_disclosure,
 )
 from emgrid.errors import AnalysisError
+from emgrid.leakage import FIRST_ROUND_SBOX_INPUT
 
 
 # ---------------------------------------------------------------- SNR
@@ -233,42 +233,6 @@ def test_cpa_scores_row_scan_oracle():
 
 # ---------------------------------------------------------- scores/ranks
 
-def test_loglik_uniform_and_onehot():
-    uni = np.full(256, 1 / 256)
-    scores = loglik_aggregate([uni])
-    np.testing.assert_allclose(scores, math.log(1 / 256), rtol=1e-12)
-
-    hot = np.zeros(256)
-    hot[42] = 1.0
-    scores = loglik_aggregate([hot, hot])
-    assert scores[42] == pytest.approx(0.0, abs=1e-12)
-    other = np.delete(scores, 42)
-    np.testing.assert_allclose(other, 2 * math.log(1e-30), rtol=1e-12)
-
-
-def test_loglik_matches_fsum_oracle():
-    rng = np.random.default_rng(11)
-    vecs = rng.dirichlet(np.ones(256), size=100)
-    scores = loglik_aggregate(vecs)
-    for j in (0, 77, 255):
-        want = math.fsum(math.log(max(v, 1e-30)) for v in vecs[:, j])
-        assert scores[j] == pytest.approx(want, rel=1e-10)
-
-
-def test_loglik_rejects_malformed():
-    bad = np.full(256, 1 / 256)
-    with pytest.raises(AnalysisError):
-        loglik_aggregate([bad * 1.5])
-    neg = bad.copy()
-    neg[0] = -bad[0]
-    with pytest.raises(AnalysisError):
-        loglik_aggregate([neg])
-    with pytest.raises(AnalysisError):
-        loglik_aggregate([])
-    with pytest.raises(AnalysisError):
-        loglik_aggregate([np.full(128, 1 / 128)])
-
-
 def test_rank_of_examples():
     scores = np.zeros(256)
     scores[7] = 1.0
@@ -287,37 +251,52 @@ def test_mid_rank_sum_invariant(vals):
     assert total == 256 * 255 / 2
 
 
-def test_mean_rank_examples():
-    uni = np.full(256, 1.0)
-    assert mean_rank([(uni, c) for c in range(16)]) == 127.5
-    perfect = np.zeros(256)
-    perfect[5] = 2.0
-    assert mean_rank([(perfect, 5)] * 4) == 0.0
-    mixed = [(uni, 0), (perfect, 5)]
-    assert mean_rank(mixed) == 63.75
-    with pytest.raises(AnalysisError):
-        mean_rank([])
-
-
 # ------------------------------------------------------ disclosure loop
 
+KEY = list(range(16))
+
+
 class FakeScorer:
-    """Returns rigged (16, 256) score matrices keyed by processed count."""
+    """Stands in for evaluation.cpa_scores and returns rigged score rows.
 
-    def __init__(self, plan):
-        self.plan = plan  # list of (threshold, matrix) sorted ascending
-        self.processed = 0
+    The disclosure loop scores the 16 bytes in order once per slice, so call
+    k belongs to byte k % 16 of score pass k // 16. Passes end at multiples
+    of the checkpoint interval and at the end of the budgeted stream; each
+    pass gets the rows of the last plan entry whose threshold it reached.
+    """
 
-    def feed(self, chunk):
-        self.processed += len(chunk)
-        return len(chunk)
+    def __init__(self, plan, interval, limit):
+        self.plan = plan  # list of (threshold, (16, 256) matrix), ascending
+        self.interval = interval
+        self.limit = limit
+        self.calls = 0
 
-    def scores(self):
+    @property
+    def passes(self):
+        return self.calls // 16
+
+    def __call__(self, corr):
+        k = self.calls
+        self.calls += 1
+        processed = min((k // 16 + 1) * self.interval, self.limit)
         current = self.plan[0][1]
         for threshold, matrix in self.plan:
-            if self.processed >= threshold:
+            if processed >= threshold:
                 current = matrix
-        return current
+        return current[k % 16]
+
+
+def run_disclosure(monkeypatch, plan, n, interval=1000, budget=None):
+    """Drive evaluation._run_cpa_position over n random traces with rigged
+    scores; returns (disclosure, final ranks, scorer)."""
+    scorer = FakeScorer(plan, interval, n if budget is None else min(n, budget))
+    monkeypatch.setattr(evaluation, "cpa_scores", scorer)
+    rng = np.random.default_rng(0)
+    samples = rng.normal(size=(n, 2)).astype(np.float32)
+    publics = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    disclosure, ranks = evaluation._run_cpa_position(
+        samples, publics, FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
+    return disclosure, ranks, scorer
 
 
 def perfect_matrix(key):
@@ -327,59 +306,45 @@ def perfect_matrix(key):
     return m
 
 
-def test_disclosure_immediate():
-    key = list(range(16))
-    scorer = FakeScorer([(0, perfect_matrix(key))])
-    res = traces_to_disclosure(
-        [np.zeros(500), np.zeros(500), np.zeros(500)],
-        scorer.feed, scorer.scores, key, checkpoint_interval=1000, budget=3000)
-    assert res.full_key == 1000
-    assert res.per_byte == [1000] * 16
-    assert res.checkpoints == [1000]
-    assert res.disclosed
+def test_disclosure_immediate(monkeypatch):
+    full_key, ranks, scorer = run_disclosure(
+        monkeypatch, [(0, perfect_matrix(KEY))], 1500, budget=3000)
+    assert full_key == 1000 and isinstance(full_key, int)
+    assert ranks.tolist() == [0.0] * 16
+    assert scorer.passes == 1
 
 
-def test_disclosure_never_uniform():
-    key = list(range(16))
-    scorer = FakeScorer([(0, np.ones((16, 256)))])
-    res = traces_to_disclosure(
-        iter([np.zeros(1000)] * 10), scorer.feed, scorer.scores, key,
-        checkpoint_interval=1000, budget=5000)
-    assert res.full_key == math.inf
-    assert res.per_byte == [math.inf] * 16
-    assert not res.disclosed
-    assert res.checkpoints == [1000, 2000, 3000, 4000, 5000]
+def test_disclosure_never_uniform(monkeypatch):
+    full_key, ranks, scorer = run_disclosure(
+        monkeypatch, [(0, np.ones((16, 256)))], 10_000, budget=5000)
+    assert full_key == math.inf
+    assert ranks.tolist() == [127.5] * 16
+    assert scorer.passes == 5  # the budget stops the stream at 5000
 
 
-def test_disclosure_tie_counts_as_failure():
-    key = list(range(16))
-    tied = perfect_matrix(key)
+def test_disclosure_tie_counts_as_failure(monkeypatch):
+    tied = perfect_matrix(KEY)
     tied[0, 200] = 1.0  # byte 0 ties with a wrong candidate
-    scorer = FakeScorer([(0, tied)])
-    res = traces_to_disclosure([np.zeros(1000)] * 2, scorer.feed, scorer.scores,
-                               key, budget=2000)
-    assert res.full_key == math.inf
-    assert res.per_byte[0] == math.inf
-    assert res.per_byte[1] == 1000
+    full_key, ranks, _ = run_disclosure(monkeypatch, [(0, tied)], 2000,
+                                        budget=2000)
+    assert full_key == math.inf
+    assert ranks[0] == 0.5
+    assert ranks[1] == 0.0
 
 
-def test_disclosure_partial_then_full():
-    key = list(range(16))
-    partial = perfect_matrix(key)
+def test_disclosure_partial_then_full(monkeypatch):
+    partial = perfect_matrix(KEY)
     partial[3] = 0.0  # byte 3 undecided early
-    scorer = FakeScorer([(0, partial), (3000, perfect_matrix(key))])
-    res = traces_to_disclosure([np.zeros(1000)] * 6, scorer.feed, scorer.scores,
-                               key, budget=6000)
-    assert res.per_byte[0] == 1000
-    assert res.per_byte[3] == 3000
-    assert res.full_key == 3000
-    assert res.checkpoints == [1000, 2000, 3000]
+    full_key, ranks, scorer = run_disclosure(
+        monkeypatch, [(0, partial), (3000, perfect_matrix(KEY))], 6000,
+        budget=6000)
+    assert full_key == 3000
+    assert ranks.tolist() == [0.0] * 16
+    assert scorer.passes == 3  # the loop stops at the disclosing checkpoint
 
 
-def test_disclosure_end_of_stream_checkpoint():
-    key = list(range(16))
-    scorer = FakeScorer([(0, perfect_matrix(key))])
-    res = traces_to_disclosure([np.zeros(700)], scorer.feed, scorer.scores,
-                               key, checkpoint_interval=1000)
-    assert res.checkpoints == [700]
-    assert res.full_key == 700
+def test_disclosure_end_of_stream_checkpoint(monkeypatch):
+    full_key, _, scorer = run_disclosure(
+        monkeypatch, [(0, perfect_matrix(KEY))], 700)
+    assert full_key == 700
+    assert scorer.passes == 1

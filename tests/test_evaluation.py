@@ -19,9 +19,9 @@ from emgrid.leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
     LAST_ROUND_HD,
+    HW_TABLE,
     SBOX,
     LeakageModel,
-    hamming_weight,
     true_first_round_values,
 )
 from emgrid.profiler import (
@@ -132,7 +132,7 @@ def test_snr_grid_peaks_at_leaky_position():
                                      arr.keys, 0)
     samples = rng.normal(size=(n, 8)).astype(np.float32)
     leaky = positions == 0
-    samples[leaky, 3] += 0.5 * hamming_weight(labels[leaky]).astype(np.float32)
+    samples[leaky, 3] += 0.5 * HW_TABLE[labels[leaky]].astype(np.float32)
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     h = evaluate_snr_grid(arr, G21, SPLIT_TEST,
@@ -190,7 +190,7 @@ def test_cpa_grid_first_round_target():
     sbox_hw = np.zeros((n, 16), dtype=np.float32)
     for j in range(16):
         vals = SBOX[arr.plaintexts[:, j] ^ arr.keys[:, j]]
-        sbox_hw[:, j] = hamming_weight(vals)
+        sbox_hw[:, j] = HW_TABLE[vals]
     arr = TraceArrays(sbox_hw, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
@@ -208,7 +208,7 @@ def test_cpa_grid_first_round_correlates_hamming_weights():
     # only partially (r ~ 0.6) and need a second checkpoint here.
     n = 400
     arr = build_arrays(n, 40, np.zeros(n))
-    leak = hamming_weight(SBOX[arr.plaintexts ^ arr.keys]).astype(np.float32)
+    leak = HW_TABLE[SBOX[arr.plaintexts ^ arr.keys]].astype(np.float32)
     arr = TraceArrays(leak, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))

@@ -1,4 +1,4 @@
-"""Heatmap container, CSV round trip, SVG rendering, cellwise comparison."""
+"""Heatmap container, CSV round trip and SVG rendering."""
 
 import math
 import re
@@ -14,7 +14,6 @@ from emgrid.heatmap import (
     COLOR_RAMP,
     MASK_FILL,
     Heatmap,
-    compare_heatmaps,
     heatmap_from_csv,
     heatmap_to_csv,
     heatmap_to_svg,
@@ -156,66 +155,3 @@ def test_svg_metric_name_escaped():
     h = Heatmap(g(1, 1), np.array([1.0]), "a<b&c")
     svg = heatmap_to_svg(h)
     assert "<title>a&lt;b&amp;c</title>" in svg
-
-
-# -------------------------------------------------------------- comparison
-
-def test_compare_identical_all_ties():
-    a = Heatmap(G32, np.array(VALS), "x")
-    b = Heatmap(G32, np.array(VALS), "x")
-    cmp = compare_heatmaps(a, b)
-    assert cmp.fraction_a_better == 0.0
-    assert cmp.a_better == cmp.b_better == 0
-    assert cmp.ties + cmp.ties_infinite == 6
-    assert cmp.ties_infinite == 1
-    assert np.all(cmp.wins == 0)
-
-
-def test_compare_strict_dominance():
-    a = Heatmap(G32, np.zeros(6), "x")
-    b = Heatmap(G32, np.full(6, 127.5), "x")
-    cmp = compare_heatmaps(a, b)
-    assert cmp.fraction_a_better == 1.0
-    assert cmp.mean_difference == -127.5
-
-
-def test_compare_infinity_rules():
-    a = Heatmap(g(3, 1), np.array([math.inf, 1.0, math.inf]), "x")
-    b = Heatmap(g(3, 1), np.array([5.0, math.inf, math.inf]), "x")
-    cmp = compare_heatmaps(a, b)
-    assert cmp.wins.tolist() == [1, -1, 0]  # finite beats inf; inf-inf ties
-    assert cmp.ties_infinite == 1
-    assert math.isnan(cmp.mean_difference)  # no both-finite cell
-
-
-def test_compare_matches_cell_loop_oracle():
-    rng = np.random.default_rng(5)
-    av = rng.uniform(0, 200, 24)
-    bv = rng.uniform(0, 200, 24)
-    av[rng.choice(24, 5, replace=False)] = math.inf
-    bv[rng.choice(24, 5, replace=False)] = math.inf
-    geom = g(6, 4)
-    cmp = compare_heatmaps(Heatmap(geom, av, "x"), Heatmap(geom, bv, "x"))
-    a_better = b_better = ties = ties_inf = 0
-    diffs = []
-    for x, y in zip(av, bv):
-        if math.isinf(x) and math.isinf(y):
-            ties_inf += 1
-        elif x < y:
-            a_better += 1
-        elif y < x:
-            b_better += 1
-        else:
-            ties += 1
-        if math.isfinite(x) and math.isfinite(y):
-            diffs.append(x - y)
-    assert (cmp.a_better, cmp.b_better, cmp.ties, cmp.ties_infinite) == \
-        (a_better, b_better, ties, ties_inf)
-    assert cmp.fraction_a_better == a_better / 24
-    assert cmp.mean_difference == pytest.approx(np.mean(diffs))
-
-
-def test_compare_geometry_mismatch():
-    with pytest.raises(ConfigError):
-        compare_heatmaps(Heatmap(g(2, 1), np.zeros(2), "x"),
-                         Heatmap(g(1, 2), np.zeros(2), "x"))

@@ -207,6 +207,11 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(data_cap=16, batch_size=64)
+    # A non-finite rate would train a NaN model whose validation rank reads
+    # better than perfect.
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=rate)
 
 
 def test_second_half_mean():
@@ -475,6 +480,31 @@ def test_multiplace_union_and_metadata():
         multiplace_train(train, val, [9], TARGET, cfg)
 
 
+@pytest.mark.parametrize("positions,copies", [([0, 1, 2], 0), ([0, 2], 2)])
+def test_multiplace_copies_only_when_a_position_is_dropped(monkeypatch,
+                                                            positions, copies):
+    train, _ = onehot_arrays(300, seed=78)
+    train = TraceArrays(train.samples, train.keys, train.plaintexts,
+                        train.ciphertexts,
+                        np.repeat(np.arange(3, dtype=np.int32), 100),
+                        train.splits)
+    val, _ = onehot_arrays(60, seed=79)
+    val = TraceArrays(val.samples, val.keys, val.plaintexts, val.ciphertexts,
+                      np.repeat(np.arange(3, dtype=np.int32), 20), val.splits)
+    calls = []
+    subset = TraceArrays.subset
+
+    def counting_subset(self, idx):
+        calls.append(len(self))
+        return subset(self, idx)
+
+    monkeypatch.setattr(TraceArrays, "subset", counting_subset)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=5, seed=80)
+    res = multiplace_train(train, val, positions, TARGET, cfg)
+    assert len(calls) == copies
+    assert res.n_train == 100 * len(positions)
+
+
 def test_data_cap_at_union_size_is_identity():
     train, _ = onehot_arrays(256, seed=76)
     val, _ = onehot_arrays(64, seed=77)
@@ -646,6 +676,15 @@ def test_model_file_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(DataFormatError):
+        load_model(path)
+
+
+def test_model_file_nan_weight(tmp_path):
+    model = identity_model(HD_REGRESSOR_16, 4, 16, w_scale=1.0)
+    model.weights[3, 2] = math.nan
+    path = tmp_path / "nan.emmod"
+    save_model(model, path)
+    with pytest.raises(DataFormatError, match="not finite"):
         load_model(path)
 
 

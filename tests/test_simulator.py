@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from emgrid.aes import aes128_encrypt
+from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys
 from emgrid.distinguishers import SnrAccumulator
 from emgrid.errors import ConfigError
 from emgrid.grid import GridGeometry
-from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, hamming_weight
+from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE
 from emgrid.simulator import (
     D_MIN_MM,
     LAST_ROUND_HD_TRUE,
@@ -24,10 +24,11 @@ from emgrid.simulator import (
     sim_config_from_dict,
     sim_config_to_dict,
     simulate_grid_dataset,
-    simulate_trace,
+    _quantize,
+    _source_true_values,
     _trace_rng,
 )
-from emgrid.traceset import SPLIT_NAMES, read_arrays
+from emgrid.traceset import SPLIT_NAMES, TraceArrays, read_arrays
 
 POINT = GridGeometry(1, 1, 1, 0.5, 0.0, (0.0, 0.0, -0.3))
 
@@ -44,6 +45,41 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
+                   key: bytes, rng) -> TraceArrays:
+    """Single-trace reference for the batched generator: one trace, one
+    source sample at a time. rng supplies the jitter and noise draws in the
+    documented order; the result is a one-row train-split chunk."""
+    dev = config.device
+    m = config.m
+    jitter = 0
+    if dev.jitter_max > 0:
+        jitter = int(rng.integers(-dev.jitter_max, dev.jitter_max + 1))
+    noise = rng.normal(0.0, dev.noise_sigma, m) if dev.noise_sigma > 0 else 0.0
+
+    pt = np.frombuffer(bytes(plaintext), dtype=np.uint8).reshape(1, 16)
+    key_row = np.frombuffer(bytes(key), dtype=np.uint8).reshape(1, 16)
+    need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
+    out = encrypt_blocks(pt, expand_keys(key), return_round9_state=need_s9)
+    ct, s9 = out if need_s9 else (out, None)
+
+    probe = config.geometry.position_mm(position_index, flip_y=dev.axis_flip_y)
+    samples = config.background.waveform(m)
+    for src in config.sources:
+        w = coupling_weight(src.position_mm, probe)
+        val = float(_source_true_values(src, pt, ct, s9, key)[0])
+        for t in src.sample_indices:
+            tj = t + jitter
+            if 0 <= tj < m:
+                samples[tj] += w * src.amplitude * val
+    samples = dev.offset + dev.gain * samples + noise
+    if dev.adc_bits:
+        samples = _quantize(samples, dev.adc_bits, dev.full_scale)
+    return TraceArrays(samples[None, :].astype(np.float32), key_row, pt, ct,
+                       np.full(1, position_index, dtype=np.int32),
+                       np.zeros(1, dtype=np.uint8))
 
 
 def test_coupling_weight_examples():
@@ -203,8 +239,8 @@ def test_snr_decreases_with_distance(tmp_path):
         path = tmp_path / f"snr_{x}.emgd"
         simulate_grid_dataset(config, path)
         _, arrays = read_arrays(path)
-        labels = hamming_weight(true_first_round_values(
-            FIRST_ROUND_SBOX_OUTPUT, arrays.plaintexts, arrays.keys, 0))
+        labels = HW_TABLE[true_first_round_values(
+            FIRST_ROUND_SBOX_OUTPUT, arrays.plaintexts, arrays.keys, 0)]
         acc = SnrAccumulator(num_classes=9, m=4)
         acc.update_batch(labels, arrays.samples)
         snrs.append(acc.finalize()[3])
