@@ -6,7 +6,8 @@ explicit seeds (config file or --seed), so a fixed command line produces
 byte-identical artifacts, independent of --threads.
 
 Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config; 3 analysis
-precondition (e.g. mixed keys where a fixed key is required).
+precondition (e.g. mixed keys where a fixed key is required); 4 any other
+error, which is a defect in emgrid and is logged without a traceback.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from .errors import AnalysisError, ConfigError, DataFormatError
@@ -352,6 +354,12 @@ def main(argv=None) -> int:
     except AnalysisError as e:
         _log("error", kind="AnalysisError", message=str(e))
         return 3
+    except Exception as e:  # last resort: one event, never a traceback
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        _log("error", kind=type(e).__name__, message=str(e),
+             where=f"{os.path.basename(frame.filename)}:{frame.lineno} "
+                   f"in {frame.name}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Streaming statistical engines: SNR and CPA accumulators, CPA scores and the
 mid-rank of a key candidate. The traces-to-disclosure loop that drives them
-lives in evaluation._run_cpa_position.
+lives in evaluation._run_cpa_position: it updates every byte's CpaAccumulator
+with each slice of traces, but finalizes only as many bytes as the
+disclosure test needs.
 
 Both accumulators follow the same contract: update with traces in any order,
 optionally in parallel shards, then merge shards and finalize. Merging is the

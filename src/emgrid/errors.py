@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: DataFormatError and OSError to 1,
-ConfigError to 2, AnalysisError to 3.
+ConfigError to 2, AnalysisError to 3, and any other exception to 4.
 """
 
 

@@ -137,14 +137,22 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     """Streaming 16-byte CPA over one position's first min(n, budget) traces.
 
     The traces are consumed in slices that end at each checkpoint and at the
-    end of the stream; after each slice all 16 bytes are scored. Returns the
-    first slice end at which every byte ranks strictly first (ties fail), or
-    inf if none does, and the 16 byte ranks at the last slice scored.
+    end of the stream; every slice updates all 16 byte accumulators. Returns
+    the first slice end at which every byte ranks strictly first (ties fail),
+    or inf if none does, and the 16 byte ranks at the last slice.
+
+    A checkpoint discloses only if all 16 bytes rank first, so before the
+    last slice the bytes are scored one at a time and scoring stops at the
+    first byte that does not; that byte is scored first at the next
+    checkpoint. The last slice, and any slice at which every byte ranks
+    first, scores all 16. Bytes with fewer than 2 traces score as all-equal
+    rows (rank 127.5).
     """
     n, m = samples.shape
     limit = n if budget is None else min(n, budget)
     accs = [CpaAccumulator(m) for _ in range(16)]
     ranks = np.full(16, 127.5)  # all-equal scores before anything is scored
+    order = list(range(16))  # scoring order; a failing byte moves to the front
     for lo in range(0, limit, checkpoint_interval):
         sl = slice(lo, min(lo + checkpoint_interval, limit))
         X = samples[sl].astype(np.float64)
@@ -152,13 +160,17 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
             acc.update_batch(
                 build_hypothesis_matrix(publics[sl], LeakageModel(kind, j)), X)
         del X  # free the float64 slice before the finalize temporaries peak
-        scores = np.zeros((16, 256))
-        for j, acc in enumerate(accs):
-            if acc.n >= 2:
-                scores[j] = cpa_scores(acc.finalize().corr)
-        ranks = np.array([rank_of(scores[j], correct[j]) for j in range(16)])
-        if (ranks == 0.0).all():
-            return sl.stop, ranks
+        for j in order:
+            scores = cpa_scores(accs[j].finalize().corr) if accs[j].n >= 2 \
+                else np.zeros(256)
+            ranks[j] = rank_of(scores, correct[j])
+            if ranks[j] != 0.0 and sl.stop < limit:
+                order.remove(j)
+                order.insert(0, j)
+                break
+        else:
+            if (ranks == 0.0).all():
+                return sl.stop, ranks
     return math.inf, ranks
 
 
@@ -168,8 +180,10 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
     """Per-position disclosure attack over a fixed-key split.
 
     traces_of(idx) returns the (n, m) traces CPA correlates for one
-    position's row indices. Returns (traces-to-disclosure Heatmap,
-    average-final-rank Heatmap); positions without traces stay inf.
+    position's row indices; it gets only the first `budget` of them, while
+    the fixed-key check and the logged trace count cover them all. Returns
+    (traces-to-disclosure Heatmap, average-final-rank Heatmap); positions
+    without traces stay inf.
     """
     if checkpoint_interval < 1:
         raise ConfigError("checkpoint interval must be >= 1")
@@ -181,8 +195,9 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
 
     def one(p, idx):
         correct = _correct_bytes(kind, _check_fixed_key(arrays.keys[idx]))
+        attacked = idx if budget is None else idx[:budget]
         disclosure, ranks = _run_cpa_position(
-            traces_of(idx), publics_all[idx], kind, correct, budget,
+            traces_of(attacked), publics_all[attacked], kind, correct, budget,
             checkpoint_interval)
         avg = float(ranks.mean())
         if progress is not None:

@@ -11,6 +11,11 @@ For the last-round model the guess for ciphertext byte j is the round-10 key
 byte at position SHIFT_MAP[j] (see aes.SHIFT_MAP): ShiftRows moved the state
 byte at position j to ciphertext position SHIFT_MAP[j], so inverting the final
 round at ct[SHIFT_MAP[j]] recovers the state byte that ct[j] replaced.
+
+Hypothesis matrices are gathered from 256 x 256 tables built at import, whose
+row is the key-byte guess and whose column is the public byte: one gather per
+first-round matrix, and for the last round one gather of the inverted state
+byte followed by a Hamming-weight lookup.
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,13 @@ MODEL_KINDS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD)
 
 HW_TABLE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1).astype(np.uint8)
+
+# Entry [k, v] of each table is the value under guess k for public byte v.
+_GUESS_XOR = np.bitwise_xor.outer(np.arange(256, dtype=np.uint8),
+                                  np.arange(256, dtype=np.uint8))
+_SBOX_INPUT_HW = HW_TABLE[_GUESS_XOR]
+_SBOX_OUTPUT_HW = HW_TABLE[SBOX[_GUESS_XOR]]
+_INV_SBOX_OF_XOR = INV_SBOX[_GUESS_XOR]
 
 
 @dataclass(frozen=True)
@@ -53,15 +65,14 @@ def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndar
     pub = np.atleast_2d(np.asarray(publics, dtype=np.uint8))
     if pub.ndim != 2 or pub.shape[1] != 16 or pub.shape[0] == 0:
         raise ConfigError("publics must be a non-empty (n, 16) byte array")
-    guesses = np.arange(256, dtype=np.uint8)[:, None]
     j = model.byte_index
+    # np.take, unlike table[:, cols], returns a C-ordered (256, n) matrix
     if model.kind == LAST_ROUND_HD:
-        prev = INV_SBOX[pub[None, :, SHIFT_MAP[j]] ^ guesses]
-        return HW_TABLE[pub[None, :, j] ^ prev]
-    vals = pub[None, :, j] ^ guesses
-    if model.kind == FIRST_ROUND_SBOX_OUTPUT:
-        vals = SBOX[vals]
-    return HW_TABLE[vals]
+        prev = np.take(_INV_SBOX_OF_XOR, pub[:, SHIFT_MAP[j]], axis=1)
+        return np.take(HW_TABLE, pub[None, :, j] ^ prev)
+    table = _SBOX_OUTPUT_HW if model.kind == FIRST_ROUND_SBOX_OUTPUT \
+        else _SBOX_INPUT_HW
+    return np.take(table, pub[:, j], axis=1)
 
 
 def true_first_round_values(kind: str, plaintexts: np.ndarray, key,

@@ -11,7 +11,7 @@ File layout (all little-endian):
 
 Files are written in TraceArrays chunks and read whole into TraceArrays;
 both directions reject records whose position lies outside the grid or whose
-split code is unknown.
+split code is unknown, and reading also rejects non-finite samples.
 """
 
 import json
@@ -185,7 +185,9 @@ def read_arrays(path, splits=None) -> tuple:
 
     The file size is checked against the header before any record is read:
     a short file fails at the byte offset of its first incomplete record,
-    bytes past the last declared record are rejected.
+    bytes past the last declared record are rejected. Like an out-of-grid
+    position or an unknown split code, a NaN or infinite sample in any record,
+    kept or not, rejects the file.
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
@@ -202,6 +204,9 @@ def read_arrays(path, splits=None) -> tuple:
             f"at byte offset {end}")
     rec = np.fromfile(path, dtype=dtype, count=header.trace_count, offset=offset)
     _check_rows(rec["position"], rec["split"], header, 0)
+    if not np.isfinite(rec["samples"]).all():
+        i = np.flatnonzero(~np.isfinite(rec["samples"]).all(axis=1))[0]
+        raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
     keep = np.isin(rec["split"], list(SPLIT_NAMES) if splits is None else splits)
     arrays = TraceArrays(
         samples=rec["samples"][keep],

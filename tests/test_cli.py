@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emgrid import cli
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
 from emgrid.grid import GridGeometry
@@ -290,6 +291,16 @@ def set_record_field(raw: bytes, index: int, field: str, value: int) -> bytes:
         raw[at + field_dtype.itemsize:]
 
 
+def set_record_sample(raw: bytes, m: int, n: int, index: int, k: int,
+                      value: float) -> bytes:
+    """Overwrite sample k of record `index` in the bytes of an n-record
+    dataset with m samples per record."""
+    dtype = record_dtype(m)
+    at = len(raw) - n * dtype.itemsize + index * dtype.itemsize + \
+        dtype.fields["samples"][1] + 4 * k
+    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
+
+
 def snr_on_bytes(tmp_dir, raw: bytes):
     """Run `emgrid snr` on a dataset with the given bytes; returns (exit
     code, stderr JSON events). Any uncaught exception fails the caller."""
@@ -316,11 +327,17 @@ def test_snr_bad_record_field_exit_1(workdir, small_dataset, field, value):
 @given(data=st.data())
 def test_snr_reader_faults_exit_1(tmp_path_factory, small_dataset, data):
     raw = small_dataset
-    fault = data.draw(st.sampled_from(["truncate", "pad", "position", "split"]))
+    fault = data.draw(st.sampled_from(["truncate", "pad", "position", "split",
+                                       "sample"]))
     if fault == "truncate":
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
     elif fault == "pad":
         raw = raw + data.draw(st.binary(min_size=1, max_size=200))
+    elif fault == "sample":
+        # any record, including the test-split ones snr does not keep
+        raw = set_record_sample(
+            raw, 3, 6, data.draw(st.integers(0, 5)), data.draw(st.integers(0, 2)),
+            data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
     else:
         index = data.draw(st.integers(0, 5))
         value = data.draw(st.integers(2, 0xFFFF) if fault == "position"
@@ -356,6 +373,21 @@ def test_cpa_budget_zero_all_infinite(capsys, workdir, hd_dataset):
     assert math.isinf(heatmap_from_csv(discl.read_text())[0, 0])
     position = [e for e in events if e["event"] == "position"]
     assert [e["disclosure"] for e in position] == ["inf"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cpa_non_finite_sample_exit_1(capsys, workdir, hd_dataset, value):
+    # a NaN sample used to give an average rank of -0.5 with exit 0
+    bad = workdir / "hd_nonfinite.emgd"
+    bad.write_bytes(set_record_sample(hd_dataset.read_bytes(), 16, 700, 5, 9,
+                                      value))
+    code, events = run(capsys, "cpa", "--in", bad,
+                       "--out-disclosure", workdir / "nf_d.csv",
+                       "--out-ranks", workdir / "nf_r.csv")
+    assert code == 1
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "DataFormatError"
+    assert "non-finite sample in record at index 5" in events[0]["message"]
 
 
 def test_cpa_mixed_keys_exit_3(capsys, workdir):
@@ -639,6 +671,24 @@ def test_module_entry_point_and_usage_exit_2(workdir):
                            str(workdir / "x.svg")],
                           capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_unexpected_exception_exit_4(monkeypatch, capsys, workdir):
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "cmd_render", broken)
+    code = main(["render", "--csv", str(workdir / "x.csv"),
+                 "--svg", str(workdir / "x.svg")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    events = [json.loads(line) for line in err.splitlines()]
+    assert len(events) == 1
+    assert events[0]["event"] == "error"
+    assert events[0]["kind"] == "RuntimeError"
+    assert events[0]["message"] == "simulated defect"
+    assert events[0]["where"].endswith("in broken")  # the raising frame
 
 
 def test_stderr_is_json_lines(capsys, workdir, sim_config):

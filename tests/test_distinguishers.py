@@ -1,8 +1,9 @@
 """Statistical-core tests: hand-computed Welford values, closed-form SNR,
 batch Pearson oracles, merge laws, rank conventions, and the disclosure loop
-of evaluation._run_cpa_position."""
+of evaluation._run_cpa_position against an all-16-byte reference loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from emgrid.distinguishers import (
     rank_of,
 )
 from emgrid.errors import AnalysisError
-from emgrid.leakage import FIRST_ROUND_SBOX_INPUT
+from emgrid.leakage import (
+    FIRST_ROUND_SBOX_INPUT,
+    LeakageModel,
+    build_hypothesis_matrix,
+)
 
 
 # ---------------------------------------------------------------- SNR
@@ -256,47 +261,88 @@ def test_mid_rank_sum_invariant(vals):
 KEY = list(range(16))
 
 
-class FakeScorer:
-    """Stands in for evaluation.cpa_scores and returns rigged score rows.
+class Plan:
+    """Rigged score rows for evaluation._run_cpa_position.
 
-    The disclosure loop scores the 16 bytes in order once per slice, so call
-    k belongs to byte k % 16 of score pass k // 16. Passes end at multiples
-    of the checkpoint interval and at the end of the budgeted stream; each
-    pass gets the rows of the last plan entry whose threshold it reached.
+    entries is a list of (threshold, (16, 256) matrix), ascending. A byte
+    finalized after n traces gets its row of the last entry whose threshold
+    n reached. `finalized` logs the (byte, n) of every finalize call.
     """
 
-    def __init__(self, plan, interval, limit):
-        self.plan = plan  # list of (threshold, (16, 256) matrix), ascending
-        self.interval = interval
-        self.limit = limit
-        self.calls = 0
+    def __init__(self, entries):
+        self.entries = entries
+        self.finalized = []
 
-    @property
-    def passes(self):
-        return self.calls // 16
-
-    def __call__(self, corr):
-        k = self.calls
-        self.calls += 1
-        processed = min((k // 16 + 1) * self.interval, self.limit)
-        current = self.plan[0][1]
-        for threshold, matrix in self.plan:
-            if processed >= threshold:
+    def row(self, byte, n):
+        current = self.entries[0][1]
+        for threshold, matrix in self.entries:
+            if n >= threshold:
                 current = matrix
-        return current[k % 16]
+        return current[byte]
 
 
-def run_disclosure(monkeypatch, plan, n, interval=1000, budget=None):
-    """Drive evaluation._run_cpa_position over n random traces with rigged
-    scores; returns (disclosure, final ranks, scorer)."""
-    scorer = FakeScorer(plan, interval, n if budget is None else min(n, budget))
-    monkeypatch.setattr(evaluation, "cpa_scores", scorer)
-    rng = np.random.default_rng(0)
-    samples = rng.normal(size=(n, 2)).astype(np.float32)
-    publics = rng.integers(0, 256, (n, 16), dtype=np.uint8)
-    disclosure, ranks = evaluation._run_cpa_position(
-        samples, publics, FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
-    return disclosure, ranks, scorer
+class FakeAccumulator:
+    """Stands in for evaluation.CpaAccumulator. It learns its byte from the
+    hypotheses it is fed (rigged_publics makes them zero only at that
+    byte's index) and counts its traces, so what it finalizes depends on
+    (byte, traces processed), not on the order of calls."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.byte = None
+        self.n = 0
+
+    def update_batch(self, H, X):
+        byte = int(np.argmin(H[:, 0]))
+        assert self.byte in (None, byte)
+        self.byte = byte
+        self.n += X.shape[0]
+        return self
+
+    def finalize(self):
+        self.plan.finalized.append((self.byte, self.n))
+        # cpa_scores takes |r|: the (nonnegative) rigged row is the score
+        return SimpleNamespace(corr=self.plan.row(self.byte, self.n)[:, None])
+
+
+def rigged_publics(n):
+    """Plaintext byte j is j in every trace, so the sbox-input hypothesis
+    HW(j ^ guess) of byte j is zero at guess j only."""
+    return np.tile(np.arange(16, dtype=np.uint8), (n, 1))
+
+
+def reference_run_cpa_position(samples, publics, kind, correct, budget,
+                               interval):
+    """Disclosure loop that scores all 16 bytes at every checkpoint."""
+    n, m = samples.shape
+    limit = n if budget is None else min(n, budget)
+    accs = [evaluation.CpaAccumulator(m) for _ in range(16)]
+    ranks = np.full(16, 127.5)
+    for lo in range(0, limit, interval):
+        sl = slice(lo, min(lo + interval, limit))
+        X = samples[sl].astype(np.float64)
+        for j, acc in enumerate(accs):
+            acc.update_batch(
+                build_hypothesis_matrix(publics[sl], LeakageModel(kind, j)), X)
+        scores = np.zeros((16, 256))
+        for j, acc in enumerate(accs):
+            if acc.n >= 2:
+                scores[j] = cpa_scores(acc.finalize().corr)
+        ranks = np.array([rank_of(scores[j], correct[j]) for j in range(16)])
+        if (ranks == 0.0).all():
+            return sl.stop, ranks
+    return math.inf, ranks
+
+
+def run_disclosure(mp, entries, n, interval=1000, budget=None,
+                   loop=evaluation._run_cpa_position):
+    """Drive a disclosure loop over n traces with rigged scores; mp is a
+    pytest MonkeyPatch. Returns (disclosure, final ranks, finalize log)."""
+    plan = Plan(entries)
+    mp.setattr(evaluation, "CpaAccumulator", lambda m: FakeAccumulator(plan))
+    disclosure, ranks = loop(np.zeros((n, 2), np.float32), rigged_publics(n),
+                             FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
+    return disclosure, ranks, plan.finalized
 
 
 def perfect_matrix(key):
@@ -306,45 +352,99 @@ def perfect_matrix(key):
     return m
 
 
+def all_bytes(n):
+    return [(b, n) for b in range(16)]
+
+
 def test_disclosure_immediate(monkeypatch):
-    full_key, ranks, scorer = run_disclosure(
+    full_key, ranks, finalized = run_disclosure(
         monkeypatch, [(0, perfect_matrix(KEY))], 1500, budget=3000)
     assert full_key == 1000 and isinstance(full_key, int)
     assert ranks.tolist() == [0.0] * 16
-    assert scorer.passes == 1
+    assert finalized == all_bytes(1000)
 
 
 def test_disclosure_never_uniform(monkeypatch):
-    full_key, ranks, scorer = run_disclosure(
+    full_key, ranks, finalized = run_disclosure(
         monkeypatch, [(0, np.ones((16, 256)))], 10_000, budget=5000)
     assert full_key == math.inf
     assert ranks.tolist() == [127.5] * 16
-    assert scorer.passes == 5  # the budget stops the stream at 5000
+    # byte 0 fails each checkpoint alone; the budget ends the stream at 5000
+    assert finalized == [(0, 1000), (0, 2000), (0, 3000), (0, 4000)] + \
+        all_bytes(5000)
 
 
 def test_disclosure_tie_counts_as_failure(monkeypatch):
     tied = perfect_matrix(KEY)
     tied[0, 200] = 1.0  # byte 0 ties with a wrong candidate
-    full_key, ranks, _ = run_disclosure(monkeypatch, [(0, tied)], 2000,
-                                        budget=2000)
+    full_key, ranks, finalized = run_disclosure(monkeypatch, [(0, tied)], 2000,
+                                                budget=2000)
     assert full_key == math.inf
     assert ranks[0] == 0.5
     assert ranks[1] == 0.0
+    assert finalized == [(0, 1000)] + all_bytes(2000)
 
 
 def test_disclosure_partial_then_full(monkeypatch):
     partial = perfect_matrix(KEY)
     partial[3] = 0.0  # byte 3 undecided early
-    full_key, ranks, scorer = run_disclosure(
+    full_key, ranks, finalized = run_disclosure(
         monkeypatch, [(0, partial), (3000, perfect_matrix(KEY))], 6000,
         budget=6000)
     assert full_key == 3000
     assert ranks.tolist() == [0.0] * 16
-    assert scorer.passes == 3  # the loop stops at the disclosing checkpoint
+    # byte 3 stops the first checkpoint and is scored first from then on;
+    # the loop stops at the disclosing checkpoint
+    assert finalized == [(b, 1000) for b in range(4)] + [(3, 2000)] + \
+        [(b, 3000) for b in [3, 0, 1, 2] + list(range(4, 16))]
 
 
 def test_disclosure_end_of_stream_checkpoint(monkeypatch):
-    full_key, _, scorer = run_disclosure(
+    full_key, _, finalized = run_disclosure(
         monkeypatch, [(0, perfect_matrix(KEY))], 700)
     assert full_key == 700
-    assert scorer.passes == 1
+    assert finalized == all_bytes(700)
+
+
+BYTE_STATES = ["first"] * 4 + ["tie", "behind", "flat"]
+
+
+def rigged_matrix(states, other):
+    """One (16, 256) score matrix: byte b ranks first, ties with candidate
+    other[b], trails it, or scores all-equal."""
+    m = np.zeros((16, 256))
+    for b, (state, o) in enumerate(zip(states, other)):
+        o = (KEY[b] + 1 + o) % 256  # never the correct candidate
+        if state == "flat":
+            m[b] = 1.0
+        else:
+            m[b, KEY[b]] = 1.0 if state in ("first", "tie") else 0.0
+            m[b, o] = 0.0 if state == "first" else 1.0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_early_exit_matches_all_byte_reference(data):
+    n = data.draw(st.integers(0, 40), label="n")
+    interval = data.draw(st.integers(1, 12), label="interval")
+    budget = data.draw(st.none() | st.integers(0, 45), label="budget")
+    thresholds = data.draw(st.lists(st.integers(1, 40), max_size=4),
+                           label="thresholds")
+    entries = []
+    for threshold in [0] + sorted(thresholds):
+        states = data.draw(st.lists(st.sampled_from(BYTE_STATES),
+                                    min_size=16, max_size=16))
+        other = data.draw(st.lists(st.integers(0, 254), min_size=16,
+                                   max_size=16))
+        entries.append((threshold, rigged_matrix(states, other)))
+    with pytest.MonkeyPatch.context() as mp:
+        want, want_ranks, _ = run_disclosure(
+            mp, entries, n, interval, budget, loop=reference_run_cpa_position)
+        got, got_ranks, finalized = run_disclosure(mp, entries, n, interval,
+                                                   budget)
+    assert got == want and type(got) is type(want)
+    assert got_ranks.tolist() == want_ranks.tolist()
+    # never more finalizes than scoring every byte at every checkpoint
+    limit = n if budget is None else min(n, budget)
+    assert len(finalized) <= 16 * -(-limit // interval)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emgrid import evaluation
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.errors import AnalysisError, ConfigError
 from emgrid.evaluation import (
@@ -267,6 +268,50 @@ def test_cpa_grid_threads_equal():
                           threads=8, **kwargs)
     assert np.array_equal(a[0].values, b[0].values)
     assert np.array_equal(a[1].values, b[1].values)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 150, 10_000])
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
+    # 300 traces at position 0 and 120 at position 1; a mixed key beyond the
+    # budget must still be rejected, and events count every trace.
+    positions = np.repeat([0, 1], [300, 120])
+    arr = hd_samples(build_arrays(420, 34, positions))
+    fetched = []
+    predicted = []
+
+    def fake_loop(samples, publics, kind, correct, b, interval):
+        assert len(publics) == len(samples)
+        fetched.append(len(samples))
+        return math.inf, np.full(16, 127.5)
+
+    real_predict = evaluation.predict_hd
+
+    def counting_predict(model, traces):
+        predicted.append(len(traces))
+        return real_predict(model, traces)
+
+    monkeypatch.setattr(evaluation, "_run_cpa_position", fake_loop)
+    monkeypatch.setattr(evaluation, "predict_hd", counting_predict)
+    events = []
+    if hybrid:
+        evaluate_hybrid_grid(oracle_regressor(), arr, G21, SPLIT_TEST,
+                             budget=budget, progress=events.append)
+    else:
+        evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0),
+                          budget=budget, progress=events.append)
+    want = [n if budget is None else min(n, budget) for n in (300, 120)]
+    assert fetched == want
+    assert predicted == (want if hybrid else [])
+    assert [e["traces"] for e in events] == [300, 120]
+
+    keys = arr.keys.copy()
+    keys[299] ^= 1  # the last trace of position 0
+    mixed = TraceArrays(arr.samples, keys, arr.plaintexts, arr.ciphertexts,
+                        arr.positions, arr.splits)
+    with pytest.raises(AnalysisError, match="fixed"):
+        evaluate_cpa_grid(mixed, G21, SPLIT_TEST,
+                          LeakageModel(LAST_ROUND_HD, 0), budget=budget)
 
 
 # --------------------------------------------------------------- hybrid map

@@ -109,23 +109,25 @@ def test_hypothesis_matrix_identical_publics():
 
 
 def test_hypothesis_matrix_elementwise_oracle():
-    rng = np.random.default_rng(11)
-    pub = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+    # Row i of pub holds (i + 7*c) mod 256 in column c, so every column, and
+    # with it every target and SHIFT_MAP column, takes all 256 values. Every
+    # byte index and every guess is checked against the scalar oracles.
+    pub = ((np.arange(256)[:, None] + 7 * np.arange(16)) % 256).astype(np.uint8)
+    rows = [bytes(r) for r in pub]
     for kind, scalar in (
         (FIRST_ROUND_SBOX_INPUT, first_round_sbox_input),
         (FIRST_ROUND_SBOX_OUTPUT, first_round_sbox_output),
         (LAST_ROUND_HD, last_round_hd_hypothesis),
     ):
-        model = LeakageModel(kind, 13)
-        H = build_hypothesis_matrix(pub, model)
-        for i in range(pub.shape[0]):
-            for g in range(0, 256, 17):
-                want = scalar(pub[i], g, 13)
-                # first-round scalars give the byte, the matrix its weight;
-                # the last-round scalar is already a distance
-                if kind != LAST_ROUND_HD:
-                    want = int(want).bit_count()
-                assert H[g, i] == want
+        for j in range(16):
+            H = build_hypothesis_matrix(pub, LeakageModel(kind, j))
+            assert H.dtype == np.uint8 and H.shape == (256, 256)
+            # first-round scalars give the byte, the matrix its weight; the
+            # last-round scalar is already a distance
+            want = [[scalar(row, g, j) for row in rows] for g in range(256)]
+            if kind != LAST_ROUND_HD:
+                want = [[v.bit_count() for v in r] for r in want]
+            assert np.array_equal(H, want), (kind, j)
 
 
 def test_hypothesis_matrix_guess_permutation_symmetry():
