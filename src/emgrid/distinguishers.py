@@ -37,22 +37,9 @@ class SnrAccumulator:
         self.mean = np.zeros((num_classes, m), dtype=np.float64)
         self.m2 = np.zeros((num_classes, m), dtype=np.float64)
 
-    def update(self, class_label: int, samples: np.ndarray) -> "SnrAccumulator":
-        if not 0 <= class_label < self.num_classes:
-            raise AnalysisError(f"class label {class_label} out of range")
-        x = np.asarray(samples, dtype=np.float64)
-        if x.shape != (self.m,):
-            raise AnalysisError(f"samples must have length {self.m}")
-        c = class_label
-        self.counts[c] += 1
-        delta = x - self.mean[c]
-        self.mean[c] += delta / self.counts[c]
-        self.m2[c] += delta * (x - self.mean[c])
-        return self
-
     def update_batch(self, class_labels: np.ndarray, samples: np.ndarray) -> "SnrAccumulator":
-        """Consume a (b,) labels / (b, m) samples batch; equivalent to b
-        single updates up to float tolerance, but grouped per class."""
+        """Consume a (b,) labels / (b, m) samples batch, grouped per class;
+        equal, up to float tolerance, to b single-trace Welford updates."""
         labels = np.asarray(class_labels)
         x = np.asarray(samples, dtype=np.float64)
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.num_classes:
@@ -133,19 +120,6 @@ class CpaAccumulator:
         self.sum_x = np.zeros(m, dtype=np.float64)
         self.sum_x2 = np.zeros(m, dtype=np.float64)
         self.sum_hx = np.zeros((num_hypotheses, m), dtype=np.float64)
-
-    def update(self, hypotheses: np.ndarray, samples: np.ndarray) -> "CpaAccumulator":
-        h = np.asarray(hypotheses, dtype=np.float64)
-        x = np.asarray(samples, dtype=np.float64)
-        if h.shape != (self.num_hypotheses,) or x.shape != (self.m,):
-            raise AnalysisError("hypothesis/sample lengths do not match accumulator")
-        self.n += 1
-        self.sum_h += h
-        self.sum_h2 += h * h
-        self.sum_x += x
-        self.sum_x2 += x * x
-        self.sum_hx += np.outer(h, x)
-        return self
 
     def update_batch(self, hypotheses: np.ndarray, samples: np.ndarray) -> "CpaAccumulator":
         """hypotheses (num_hypotheses, b), samples (b, m); one matmul per batch."""

@@ -52,11 +52,6 @@ class GridGeometry:
         iy, ix = divmod(rem, self.nx)
         return ix, iy, iz
 
-    def coords_to_index(self, ix: int, iy: int, iz: int = 0) -> int:
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
-            raise ConfigError(f"coords ({ix},{iy},{iz}) outside grid")
-        return iz * self.nx * self.ny + iy * self.nx + ix
-
     def position_mm(self, p: int, flip_y: bool = False) -> tuple[float, float, float]:
         """Physical probe coordinates of position p.
 

@@ -17,6 +17,7 @@ amplifier for an unprofiled attack.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .traceset import TraceArrays
 
 CLASSIFIER_256 = "Classifier256"
 HD_REGRESSOR_16 = "HdRegressor16"
+_MODEL_OUTPUTS = {CLASSIFIER_256: 256, HD_REGRESSOR_16: 16}
 
 MODEL_MAGIC = b"EMMD"
 MODEL_FORMAT_VERSION = 1
@@ -187,7 +189,7 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
     Z = stdz.apply(X)
     Z_val = stdz.apply(X_val)
     n, m = Z.shape
-    outputs = 256 if kind == CLASSIFIER_256 else 16
+    outputs = _MODEL_OUTPUTS[kind]
     rng = np.random.default_rng(config.seed)
     W = rng.normal(0.0, 0.01, (outputs, m))
     b = np.zeros(outputs)
@@ -350,7 +352,44 @@ def save_model(model: ProfilingModel, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _model_header(raw: bytes, path) -> dict:
+    """Parse and check the JSON header of a model file."""
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise DataFormatError(f"{path}: malformed model header: {e}") from e
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: model header is not a JSON object")
+    kind = meta.get("kind")
+    if kind not in _MODEL_OUTPUTS:
+        raise DataFormatError(f"{path}: unknown model kind {kind!r}")
+    if not _is_int(meta.get("m")) or meta["m"] < 1:
+        raise DataFormatError(f"{path}: model m must be an integer >= 1")
+    if meta.get("outputs") != _MODEL_OUTPUTS[kind]:
+        raise DataFormatError(
+            f"{path}: a {kind} has {_MODEL_OUTPUTS[kind]} outputs, header "
+            f"says {meta.get('outputs')!r}")
+    byte_index = meta.get("byte_index")
+    if (byte_index is not None or kind == CLASSIFIER_256) and \
+            not (_is_int(byte_index) and 0 <= byte_index < 16):
+        raise DataFormatError(f"{path}: model byte_index must be an integer in 0..15")
+    if not _is_int(meta.get("seed", 0)):
+        raise DataFormatError(f"{path}: model seed must be an integer")
+    positions = meta.get("positions", [])
+    if not isinstance(positions, list) or \
+            not all(_is_int(p) and p >= 0 for p in positions):
+        raise DataFormatError(f"{path}: model positions must be a list of "
+                              f"non-negative integers")
+    return meta
+
+
 def load_model(path) -> ProfilingModel:
+    """Read a model file; any header, size or parameter fault raises
+    DataFormatError."""
     with open(path, "rb") as f:
         fixed = f.read(10)
         if len(fixed) < 10 or fixed[:4] != MODEL_MAGIC:
@@ -358,29 +397,29 @@ def load_model(path) -> ProfilingModel:
         version, meta_len = struct.unpack("<HI", fixed[4:10])
         if version != MODEL_FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported model version {version}")
-        try:
-            meta = json.loads(f.read(meta_len).decode("utf-8"))
-            kind = meta["kind"]
-            m = int(meta["m"])
-            outputs = int(meta["outputs"])
-        except (ValueError, KeyError) as e:
-            raise DataFormatError(f"{path}: malformed model header: {e}") from e
-        if kind not in (CLASSIFIER_256, HD_REGRESSOR_16):
-            raise DataFormatError(f"{path}: unknown model kind {kind!r}")
-        want = (outputs * m + outputs + m + m) * 8
-        raw = f.read(want)
-        if len(raw) < want:
+        raw = f.read(meta_len)
+        if len(raw) < meta_len:
             raise DataFormatError(f"{path}: truncated model file")
-        vals = np.frombuffer(raw, dtype="<f8")
-        if not np.isfinite(vals).all():
-            raise DataFormatError(f"{path}: model parameters are not finite")
-        W = vals[:outputs * m].reshape(outputs, m).copy()
-        rest = vals[outputs * m:]
-        bias = rest[:outputs].copy()
-        mean = rest[outputs:outputs + m].copy()
-        std = rest[outputs + m:].copy()
-    byte_index = meta.get("byte_index")
-    return ProfilingModel(kind, W, bias, StandardizationParams(mean, std),
-                          byte_index=None if byte_index is None else int(byte_index),
-                          positions=tuple(int(p) for p in meta.get("positions", [])),
-                          seed=int(meta.get("seed", 0)))
+        meta = _model_header(raw, path)
+        m, outputs = meta["m"], meta["outputs"]
+        want = (outputs * m + outputs + m + m) * 8
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < want:
+            raise DataFormatError(f"{path}: truncated model file")
+        if have > want:
+            raise DataFormatError(
+                f"{path}: {have - want} trailing bytes after the model parameters")
+        vals = np.frombuffer(f.read(want), dtype="<f8")
+    if not np.isfinite(vals).all():
+        raise DataFormatError(f"{path}: model parameters are not finite")
+    W = vals[:outputs * m].reshape(outputs, m).copy()
+    rest = vals[outputs * m:]
+    bias = rest[:outputs].copy()
+    mean = rest[outputs:outputs + m].copy()
+    std = rest[outputs + m:].copy()
+    if not (std > 0).all():
+        raise DataFormatError(f"{path}: model standardization std must be > 0")
+    return ProfilingModel(meta["kind"], W, bias, StandardizationParams(mean, std),
+                          byte_index=meta.get("byte_index"),
+                          positions=tuple(meta.get("positions", [])),
+                          seed=meta.get("seed", 0))

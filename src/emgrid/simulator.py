@@ -13,6 +13,17 @@ and parallelism cannot change the output. Draw order within a trace is fixed:
 plaintext bytes, then key bytes (only when keys are random), then one jitter
 offset (only when jitter_max > 0), then m noise values (only when
 noise_sigma > 0).
+
+A trace's stream is that of a fresh numpy Generator on
+Philox(key=[seed, position << 48 | split << 40 | trace_index]) drawing
+integers(0, 256, 16, uint8) for the plaintext and for a random key,
+integers(-jitter_max, jitter_max + 1) for the jitter and
+normal(0, noise_sigma, m) for the noise. A new Generator costs more than the
+rest of the trace, so each chunk builds one Philox and, before every trace,
+resets its state to that of a fresh Philox with the trace's key. Plaintext
+and key bytes are the first 2 or 4 raw 64-bit words read little-endian: the
+bytes integers(0, 256, 16, uint8) returns, since it takes them low byte first
+from uint32 draws, each the low and then the high half of one word.
 """
 
 import json
@@ -46,6 +57,7 @@ SOURCE_TARGETS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD
 
 D_MIN_MM = 0.05   # distance floor: probes never touch the die
 _CHUNK = 4096     # traces synthesized and written per TraceArrays chunk
+_INDEX_BITS = 40  # trace-index bits of a substream key's second word
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,10 @@ class SimConfig:
         for split, count in self.traces_per_position.items():
             if split not in SPLIT_CODES or count < 0:
                 raise ConfigError(f"bad traces_per_position entry {split!r}: {count}")
+            if count >= 1 << _INDEX_BITS:
+                raise ConfigError(
+                    f"traces_per_position entry {split!r}: {count} exceeds the "
+                    f"2**{_INDEX_BITS} trace indices of a substream key")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -168,12 +184,9 @@ def coupling_weight(source_mm, probe_mm) -> float:
     return 1.0 / max(d, D_MIN_MM) ** 2
 
 
-def _trace_rng(seed: int, position: int, split: int, trace_index: int):
-    if not 0 <= trace_index < 1 << 40:
-        raise ConfigError("trace index exceeds the substream space")
-    sub = (position << 48) | (split << 40) | trace_index
-    bg = np.random.Philox(key=np.array([seed, sub], dtype=np.uint64))
-    return np.random.Generator(bg)
+def _le_bytes(words: np.ndarray) -> np.ndarray:
+    """The bytes of 64-bit words, each word low byte first on any host."""
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def _quantize(x: np.ndarray, bits: int, full_scale) -> np.ndarray:
@@ -205,11 +218,21 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     random_keys = config.fixed_key is None
     if not random_keys:
         keys[:] = np.frombuffer(config.fixed_key, dtype=np.uint8)
+    words = 4 if random_keys else 2
+    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bg)
+    key = np.array([config.seed, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    sub = (position << 48) | (split << _INDEX_BITS)
     for i in range(count):
-        rng = _trace_rng(config.seed, position, split, start + i)
-        pts[i] = rng.integers(0, 256, 16, dtype=np.uint8)
+        key[1] = sub | (start + i)
+        bg.state = fresh
+        raw = _le_bytes(bg.random_raw(words))
+        pts[i] = raw[:16]
         if random_keys:
-            keys[i] = rng.integers(0, 256, 16, dtype=np.uint8)
+            keys[i] = raw[16:]
         if dev.jitter_max > 0:
             jitters[i] = rng.integers(-dev.jitter_max, dev.jitter_max + 1)
         if noise is not None:
@@ -305,43 +328,6 @@ def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
 
 
 # ------------------------------------------------------------ config I/O
-
-def sim_config_to_dict(config: SimConfig) -> dict:
-    d = {
-        "geometry": config.geometry.to_json_dict(),
-        "m": config.m,
-        "seed": config.seed,
-        "description": config.description,
-        "traces_per_position": dict(config.traces_per_position),
-        "background": {
-            "amplitude": config.background.amplitude,
-            "period_samples": config.background.period_samples,
-            "phase": config.background.phase,
-        },
-        "device": {
-            "gain": config.device.gain,
-            "offset": config.device.offset,
-            "noise_sigma": config.device.noise_sigma,
-            "jitter_max": config.device.jitter_max,
-            "adc_bits": config.device.adc_bits,
-            "axis_flip_y": config.device.axis_flip_y,
-            "full_scale": list(config.device.full_scale),
-        },
-        "sources": [
-            {
-                "position_mm": list(s.position_mm),
-                "sample_indices": list(s.sample_indices),
-                "target": s.target,
-                "byte_index": s.byte_index,
-                "amplitude": s.amplitude,
-            }
-            for s in config.sources
-        ],
-    }
-    if config.fixed_key is not None:
-        d["fixed_key"] = config.fixed_key.hex()
-    return d
-
 
 def _block(d: dict, name: str) -> dict:
     value = d.get(name, {})

@@ -33,6 +33,12 @@ SPLIT_HOLDOUT = 2
 SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_TEST: "test", SPLIT_HOLDOUT: "holdout"}
 SPLIT_CODES = {v: k for k, v in SPLIT_NAMES.items()}
 
+_READ_BLOCK_BYTES = 1 << 18
+# (TraceArrays attribute, record_dtype field) pairs
+_FIELDS = (("samples", "samples"), ("keys", "key"), ("plaintexts", "plaintext"),
+           ("ciphertexts", "ciphertext"), ("positions", "position"),
+           ("splits", "split"))
+
 
 def record_dtype(m: int) -> np.dtype:
     """The packed on-disk layout of one record holding m samples."""
@@ -110,12 +116,8 @@ def _pack(chunk, header: DatasetHeader, dtype: np.dtype, start: int) -> np.ndarr
                 f"!= {shape}")
     _check_rows(chunk.positions, chunk.splits, header, start)
     rec = np.empty(n, dtype=dtype)
-    rec["position"] = chunk.positions
-    rec["split"] = chunk.splits
-    rec["key"] = chunk.keys
-    rec["plaintext"] = chunk.plaintexts
-    rec["ciphertext"] = chunk.ciphertexts
-    rec["samples"] = chunk.samples
+    for name, field in _FIELDS:
+        rec[field] = getattr(chunk, name)
     return rec
 
 
@@ -153,11 +155,6 @@ def _read_header(f, path) -> DatasetHeader:
     return DatasetHeader.from_json_bytes(raw)
 
 
-def read_header(path) -> DatasetHeader:
-    with open(path, "rb") as f:
-        return _read_header(f, path)
-
-
 @dataclass
 class TraceArrays:
     """A materialized slice of a dataset, stacked into flat arrays."""
@@ -188,32 +185,47 @@ def read_arrays(path, splits=None) -> tuple:
     bytes past the last declared record are rejected. Like an out-of-grid
     position or an unknown split code, a NaN or infinite sample in any record,
     kept or not, rejects the file.
+
+    Records are read in blocks of about _READ_BLOCK_BYTES and copied field by
+    field into arrays sized for every record, which are then shrunk in place
+    to the kept ones, so reading needs about the file's size plus one block.
     """
+    codes = list(SPLIT_NAMES) if splits is None else list(splits)
     with open(path, "rb") as f:
         header = _read_header(f, path)
         offset = f.tell()
         size = os.fstat(f.fileno()).st_size
-    dtype = record_dtype(header.m)
-    end = offset + header.trace_count * dtype.itemsize
-    if size < end:
-        first_incomplete = offset + (size - offset) // dtype.itemsize * dtype.itemsize
-        raise DataFormatError(f"{path}: truncated file at byte offset {first_incomplete}")
-    if size > end:
-        raise DataFormatError(
-            f"{path}: {size - end} trailing bytes after the last record "
-            f"at byte offset {end}")
-    rec = np.fromfile(path, dtype=dtype, count=header.trace_count, offset=offset)
-    _check_rows(rec["position"], rec["split"], header, 0)
-    if not np.isfinite(rec["samples"]).all():
-        i = np.flatnonzero(~np.isfinite(rec["samples"]).all(axis=1))[0]
-        raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
-    keep = np.isin(rec["split"], list(SPLIT_NAMES) if splits is None else splits)
-    arrays = TraceArrays(
-        samples=rec["samples"][keep],
-        keys=rec["key"][keep],
-        plaintexts=rec["plaintext"][keep],
-        ciphertexts=rec["ciphertext"][keep],
-        positions=rec["position"][keep].astype(np.int32),
-        splits=rec["split"][keep],
-    )
+        dtype = record_dtype(header.m)
+        n = header.trace_count
+        end = offset + n * dtype.itemsize
+        if size < end:
+            first_incomplete = offset + (size - offset) // dtype.itemsize * dtype.itemsize
+            raise DataFormatError(f"{path}: truncated file at byte offset {first_incomplete}")
+        if size > end:
+            raise DataFormatError(
+                f"{path}: {size - end} trailing bytes after the last record "
+                f"at byte offset {end}")
+        arrays = TraceArrays(np.empty((n, header.m), np.float32),
+                             np.empty((n, 16), np.uint8), np.empty((n, 16), np.uint8),
+                             np.empty((n, 16), np.uint8), np.empty(n, np.int32),
+                             np.empty(n, np.uint8))
+        step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+        kept = 0
+        for start in range(0, n, step):
+            rec = np.fromfile(f, dtype=dtype, count=min(step, n - start))
+            _check_rows(rec["position"], rec["split"], header, start)
+            finite = np.isfinite(rec["samples"]).all(axis=1)
+            if not finite.all():
+                i = start + np.flatnonzero(~finite)[0]
+                raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
+            keep = np.isin(rec["split"], codes)
+            rows = slice(kept, kept + int(np.count_nonzero(keep)))
+            for name, field in _FIELDS:
+                getattr(arrays, name)[rows] = rec[field] if keep.all() \
+                    else rec[field][keep]
+            kept = rows.stop
+    if kept < n:
+        for name, _ in _FIELDS:
+            arr = getattr(arrays, name)
+            arr.resize((kept,) + arr.shape[1:], refcheck=False)
     return header, arrays

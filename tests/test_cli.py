@@ -34,7 +34,7 @@ from emgrid.traceset import (
     SPLIT_HOLDOUT,
     DatasetHeader,
     TraceArrays,
-    read_header,
+    _read_header,
     record_dtype,
     write_dataset,
 )
@@ -44,6 +44,11 @@ KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_header(path) -> DatasetHeader:
+    with open(path, "rb") as f:
+        return _read_header(f, path)
 
 
 def run(capsys, *argv):
@@ -158,6 +163,8 @@ BAD_CONFIGS = {
     "perturbation-not-an-object": {"perturbation": 5},
     "device-not-an-object": {"device": [1]},
     "split-count-inf": {"traces_per_position": {"train": INF}},
+    # beyond the 40-bit trace index of a substream key
+    "split-count-2**40": {"traces_per_position": {"holdout": 2**40}},
     "amplitude-inf": {"sources": [{**SOURCE, "amplitude": INF}]},
     "source-position-nan": {"sources": [{**SOURCE, "position_mm": [0, NAN, 0]}]},
     "gain-inf": {"device": {"gain": INF}},
@@ -301,16 +308,21 @@ def set_record_sample(raw: bytes, m: int, n: int, index: int, k: int,
     return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
 
 
-def snr_on_bytes(tmp_dir, raw: bytes):
-    """Run `emgrid snr` on a dataset with the given bytes; returns (exit
-    code, stderr JSON events). Any uncaught exception fails the caller."""
-    path = tmp_dir / "fault.emgd"
-    path.write_bytes(raw)
+def run_quiet(*argv):
+    """Like run, without capsys, for hypothesis tests. Any uncaught
+    exception fails the caller."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["snr", "--in", str(path), "--out-heatmap",
-                     str(tmp_dir / "fault.csv")])
+        code = main([str(a) for a in argv])
     return code, [json.loads(line) for line in err.getvalue().splitlines()]
+
+
+def snr_on_bytes(tmp_dir, raw: bytes):
+    """Run `emgrid snr` on a dataset with the given bytes; returns (exit
+    code, stderr JSON events)."""
+    path = tmp_dir / "fault.emgd"
+    path.write_bytes(raw)
+    return run_quiet("snr", "--in", path, "--out-heatmap", tmp_dir / "fault.csv")
 
 
 @pytest.mark.parametrize("field, value", [("position", 5), ("split", 7)])
@@ -589,6 +601,87 @@ def test_hybrid_threads_determinism(capsys, workdir, hd_dataset):
         assert code == 0
         hashes.append((sha256(discl), sha256(ranks)))
     assert hashes[0] == hashes[1]
+
+
+def model_bytes(meta: dict, params: bytes, magic=b"EMMD", version=1) -> bytes:
+    raw = json.dumps(meta).encode()
+    return magic + struct.pack("<HI", version, len(raw)) + raw + params
+
+
+# Header fields a model file may carry, each with values that must be
+# rejected. byte_index faults apply to the classifier only: a regressor has
+# none. The other kind's output count is a fault of its own.
+BAD_MODEL_FIELDS = {
+    "kind": ["Nope", 5, None],
+    "m": [-2, 0, "x", 1.5, None, True, 10**30, 13, 11],
+    "outputs": [255, 0, "x", None],
+    "byte_index": [None, 16, -1, "x", 2.0],
+    "seed": ["x", 1.5, None, [1]],
+    "positions": ["ab", 5, [1, "x"], [-1], None],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
+                                       data):
+    """Every damaged .emmod given to evaluate or hybrid ends in exit 1 or 2
+    with one JSON error event; exit 4 would mark a defect."""
+    command = data.draw(st.sampled_from(["evaluate", "hybrid"]))
+    if command == "evaluate":
+        m, outputs, meta_extra, in_file = 12, 256, {"byte_index": 0}, dataset
+    else:
+        m, outputs, meta_extra, in_file = 16, 16, {"byte_index": None}, hd_dataset
+    meta = {"kind": CLASSIFIER_256 if command == "evaluate" else HD_REGRESSOR_16,
+            "m": m, "outputs": outputs, "positions": [0], "seed": 3,
+            **meta_extra}
+    params = np.concatenate([np.zeros(outputs * m), np.zeros(outputs),
+                             np.zeros(m), np.ones(m)]).astype("<f8").tobytes()
+    fault = data.draw(st.sampled_from(
+        ["truncate", "pad", "magic", "version", "garbage", "not-object",
+         "field", "no-byte-index", "other-kind-outputs"]))
+    if fault == "truncate":
+        good = model_bytes(meta, params)
+        raw = good[:data.draw(st.integers(0, len(good) - 1))]
+    elif fault == "pad":
+        raw = model_bytes(meta, params) + data.draw(st.binary(min_size=1,
+                                                              max_size=64))
+    elif fault == "magic":
+        magic = data.draw(st.binary(min_size=4, max_size=4).filter(
+            lambda b: b != b"EMMD"))
+        raw = model_bytes(meta, params, magic=magic)
+    elif fault == "version":
+        raw = model_bytes(meta, params, version=data.draw(
+            st.integers(0, 0xFFFF).filter(lambda v: v != 1)))
+    elif fault == "garbage":
+        header = data.draw(st.binary(max_size=40))
+        raw = b"EMMD" + struct.pack("<HI", 1, len(header)) + header + params
+    elif fault == "not-object":
+        value = data.draw(st.sampled_from([[meta], 5, "x", None, []]))
+        raw = model_bytes(value, params)
+    elif fault == "other-kind-outputs":
+        meta["outputs"] = 256 + 16 - outputs
+        raw = model_bytes(meta, params)
+    elif fault == "no-byte-index":
+        if command == "hybrid":
+            meta["kind"], meta["outputs"] = CLASSIFIER_256, 256
+        del meta["byte_index"]
+        raw = model_bytes(meta, params)
+    else:
+        name = data.draw(st.sampled_from(sorted(BAD_MODEL_FIELDS)))
+        value = data.draw(st.sampled_from(BAD_MODEL_FIELDS[name]))
+        if name == "byte_index" and command == "hybrid":
+            meta["kind"], meta["outputs"] = CLASSIFIER_256, 256
+        meta[name] = value
+        raw = model_bytes(meta, params)
+    root = tmp_path_factory.mktemp("model_fault")
+    model = root / "fault.emmod"
+    model.write_bytes(raw)
+    outs = (["--out-heatmap", root / "h.csv"] if command == "evaluate" else
+            ["--out-disclosure", root / "d.csv", "--out-ranks", root / "r.csv"])
+    code, events = run_quiet(command, "--model", model, "--in", in_file, *outs)
+    assert code in (1, 2), (fault, events)
+    assert [e["event"] for e in events] == ["error"]
 
 
 @pytest.mark.parametrize("flag", [("--checkpoint", 0), ("--budget", -1)])

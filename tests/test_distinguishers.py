@@ -27,9 +27,19 @@ from emgrid.leakage import (
 
 # ---------------------------------------------------------------- SNR
 
+def welford_update(acc: SnrAccumulator, label: int, samples) -> SnrAccumulator:
+    """Single-trace Welford update: the reference for update_batch."""
+    x = np.asarray(samples, dtype=np.float64)
+    acc.counts[label] += 1
+    delta = x - acc.mean[label]
+    acc.mean[label] += delta / acc.counts[label]
+    acc.m2[label] += delta * (x - acc.mean[label])
+    return acc
+
+
 def test_welford_single_update():
     acc = SnrAccumulator(num_classes=4, m=3)
-    acc.update(2, np.array([1.0, -1.0, 5.0]))
+    acc.update_batch([2], np.array([[1.0, -1.0, 5.0]]))
     assert acc.counts[2] == 1
     assert np.array_equal(acc.mean[2], [1.0, -1.0, 5.0])
     assert np.array_equal(acc.m2[2], [0.0, 0.0, 0.0])
@@ -38,7 +48,7 @@ def test_welford_single_update():
 def test_welford_hand_values():
     # Samples 2 then 4 in one class: mean 3, M2 = (2-3)^2 + (4-3)^2 = 2.
     acc = SnrAccumulator(num_classes=2, m=1)
-    acc.update(0, [2.0]).update(0, [4.0])
+    acc.update_batch([0], [[2.0]]).update_batch([0], [[4.0]])
     assert acc.counts[0] == 2
     assert acc.mean[0][0] == 3.0
     assert acc.m2[0][0] == 2.0
@@ -48,10 +58,8 @@ def test_snr_closed_form():
     # Class A {-1,0,1}: mean 0, unbiased var 1. Class B {1,2,3}: mean 2,
     # var 1. Population variance of means {0,2} is 1, so SNR = 1 exactly.
     acc = SnrAccumulator(num_classes=2, m=1)
-    for v in (-1.0, 0.0, 1.0):
-        acc.update(0, [v])
-    for v in (1.0, 2.0, 3.0):
-        acc.update(1, [v])
+    acc.update_batch([0, 0, 0], [[-1.0], [0.0], [1.0]])
+    acc.update_batch([1, 1, 1], [[1.0], [2.0], [3.0]])
     snr = acc.finalize()
     assert snr.shape == (1,)
     assert snr[0] == pytest.approx(1.0, abs=1e-12)
@@ -61,12 +69,11 @@ def test_snr_order_invariance():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, 60)
     xs = rng.normal(size=(60, 5))
-    a = SnrAccumulator(4, 5)
+    a = SnrAccumulator(4, 5).update_batch(labels, xs)
     b = SnrAccumulator(4, 5)
-    for i in range(60):
-        a.update(labels[i], xs[i])
-    for i in rng.permutation(60):
-        b.update(labels[i], xs[i])
+    perm = rng.permutation(60)
+    for lo in range(0, 60, 7):
+        b.update_batch(labels[perm[lo:lo + 7]], xs[perm[lo:lo + 7]])
     np.testing.assert_allclose(a.finalize(), b.finalize(), rtol=1e-12)
 
 
@@ -80,9 +87,7 @@ def test_snr_near_zero_when_classes_identical():
 
 def test_snr_infinite_sentinel_on_noiseless_signal():
     acc = SnrAccumulator(2, 2)
-    for _ in range(3):
-        acc.update(0, [1.0, 7.0])
-        acc.update(1, [2.0, 7.0])
+    acc.update_batch([0, 1] * 3, [[1.0, 7.0], [2.0, 7.0]] * 3)
     snr = acc.finalize()
     assert snr[0] == np.inf  # class-dependent, zero noise
     assert snr[1] == 0.0     # constant everywhere: no signal, no noise
@@ -90,11 +95,11 @@ def test_snr_infinite_sentinel_on_noiseless_signal():
 
 def test_snr_insufficient_data():
     acc = SnrAccumulator(3, 2)
-    acc.update(0, [1.0, 2.0]).update(0, [2.0, 3.0]).update(1, [0.0, 1.0])
+    acc.update_batch([0, 0, 1], [[1.0, 2.0], [2.0, 3.0], [0.0, 1.0]])
     with pytest.raises(AnalysisError):
         acc.finalize()  # only one class reaches 2 traces
     with pytest.raises(AnalysisError):
-        acc.update(3, [0.0, 0.0])
+        acc.update_batch([3], [[0.0, 0.0]])
 
 
 def test_snr_batch_equals_single_updates():
@@ -103,7 +108,7 @@ def test_snr_batch_equals_single_updates():
     xs = rng.normal(size=(300, 7))
     a = SnrAccumulator(9, 7)
     for i in range(300):
-        a.update(labels[i], xs[i])
+        welford_update(a, labels[i], xs[i])
     b = SnrAccumulator(9, 7).update_batch(labels, xs)
     np.testing.assert_allclose(a.finalize(), b.finalize(), rtol=1e-12)
 
@@ -131,9 +136,23 @@ def batch_pearson(H, X):
     return num / den
 
 
+def pearson_update(acc: CpaAccumulator, hypotheses, samples) -> CpaAccumulator:
+    """Single-trace update of the Pearson sums: the reference for
+    update_batch."""
+    h = np.asarray(hypotheses, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
+    acc.n += 1
+    acc.sum_h += h
+    acc.sum_h2 += h * h
+    acc.sum_x += x
+    acc.sum_x2 += x * x
+    acc.sum_hx += np.outer(h, x)
+    return acc
+
+
 def test_cpa_single_trace_errors():
     acc = CpaAccumulator(m=3)
-    acc.update(np.arange(256), [1.0, 2.0, 3.0])
+    acc.update_batch(np.arange(256)[:, None], [[1.0, 2.0, 3.0]])
     with pytest.raises(AnalysisError):
         acc.finalize()
 
@@ -143,8 +162,8 @@ def test_cpa_matches_batch_pearson_oracle():
     H = rng.integers(0, 9, (256, 100))
     X = rng.normal(size=(100, 12))
     acc = CpaAccumulator(m=12)
-    for i in range(100):
-        acc.update(H[:, i], X[i])
+    for lo in range(0, 100, 30):
+        acc.update_batch(H[:, lo:lo + 30], X[lo:lo + 30])
     res = acc.finalize()
     np.testing.assert_allclose(res.corr, batch_pearson(H.astype(float), X),
                                rtol=1e-9, atol=1e-12)
@@ -158,7 +177,7 @@ def test_cpa_update_batch_equals_updates():
     X = rng.normal(size=(64, 9))
     a = CpaAccumulator(m=9)
     for i in range(64):
-        a.update(H[:, i], X[i])
+        pearson_update(a, H[:, i], X[i])
     b = CpaAccumulator(m=9).update_batch(H, X)
     np.testing.assert_allclose(a.finalize().corr, b.finalize().corr, rtol=1e-12)
 
@@ -177,8 +196,8 @@ def test_cpa_merge_law():
 
 def test_cpa_perfect_correlation_signs():
     acc = CpaAccumulator(m=1, num_hypotheses=2)
-    for v in (1.0, 2.0, 5.0):
-        acc.update([v, -v], [v])
+    v = np.array([1.0, 2.0, 5.0])
+    acc.update_batch(np.stack([v, -v]), v[:, None])
     res = acc.finalize()
     assert res.corr[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert res.corr[1, 0] == pytest.approx(-1.0, abs=1e-12)

@@ -1,11 +1,15 @@
 """Generator tests: determinism, the inverse-square law, quantization,
-split/key semantics, and batch-vs-single-trace equivalence."""
+split/key semantics, and batch-vs-single-trace equivalence against a
+per-trace substream oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emgrid import simulator
 from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys
 from emgrid.distinguishers import SnrAccumulator
 from emgrid.errors import ConfigError
@@ -22,13 +26,12 @@ from emgrid.simulator import (
     derive_device_b,
     load_sim_config,
     sim_config_from_dict,
-    sim_config_to_dict,
     simulate_grid_dataset,
+    _le_bytes,
     _quantize,
     _source_true_values,
-    _trace_rng,
 )
-from emgrid.traceset import SPLIT_NAMES, TraceArrays, read_arrays
+from emgrid.traceset import SPLIT_CODES, SPLIT_NAMES, TraceArrays, read_arrays
 
 POINT = GridGeometry(1, 1, 1, 0.5, 0.0, (0.0, 0.0, -0.3))
 
@@ -45,6 +48,33 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def trace_rng(seed: int, position: int, split: int, trace_index: int):
+    """The substream of one trace, as the reproducibility contract defines
+    it: a fresh Generator on Philox keyed by (seed, position, split, index)."""
+    sub = (position << 48) | (split << 40) | trace_index
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, sub], dtype=np.uint64)))
+
+
+def draw_plaintext_and_key(config: SimConfig, rng) -> tuple:
+    """The contract's first draws: plaintext bytes, then key bytes when keys
+    are random."""
+    pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+    if config.fixed_key is not None:
+        return pt, config.fixed_key
+    return pt, rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+
+
+def oracle_trace(config: SimConfig, position: int, split: int,
+                 index: int) -> TraceArrays:
+    """One record of a simulated file, rebuilt from its own substream."""
+    rng = trace_rng(config.seed, position, split, index)
+    pt, key = draw_plaintext_and_key(config, rng)
+    trace = simulate_trace(config, position, pt, key, rng)
+    trace.splits[:] = split
+    return trace
 
 
 def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
@@ -215,15 +245,75 @@ def test_batch_generation_matches_single_trace_path(tmp_path):
     for split_name, count in (("train", 8), ("test", 4), ("holdout", 6)):
         split = {"train": 0, "test": 1, "holdout": 2}[split_name]
         for idx in (0, count - 1):
-            rng = _trace_rng(config.seed, 0, split, idx)
-            pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-            key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+            rng = trace_rng(config.seed, 0, split, idx)
+            pt, key = draw_plaintext_and_key(config, rng)
             want = simulate_trace(config, 0, pt, key, rng)
             got = arrays.subset([offset + idx])
             assert got.plaintexts.tobytes() == pt and got.keys.tobytes() == key
             assert np.array_equal(got.ciphertexts, want.ciphertexts)
             assert np.array_equal(got.samples, want.samples)
         offset += count
+
+
+@st.composite
+def small_sim_configs(draw):
+    """Small grids that exercise every branch of the per-trace draws."""
+    nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    m = draw(st.integers(8, 24))
+    sources = tuple(
+        LeakSource((draw(st.floats(-0.5, 1.0)), 0.0, 0.0),
+                   tuple(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                       max_size=3, unique=True))),
+                   target, draw(st.integers(0, 15)), 0.05)
+        for target in draw(st.lists(st.sampled_from(simulator.SOURCE_TARGETS),
+                                    min_size=1, max_size=2)))
+    device = DeviceProfile(
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        jitter_max=draw(st.sampled_from([0, 1, 3])),
+        adc_bits=draw(st.sampled_from([0, 8, 12])),
+        axis_flip_y=draw(st.booleans()))
+    fixed_key = draw(st.none() | st.binary(min_size=16, max_size=16))
+    counts = {name: draw(st.integers(0, 7)) for name in SPLIT_CODES}
+    return SimConfig(geometry=GridGeometry(nx, ny, 1, 0.5, 0.0, (0.0, 0.0, -0.3)),
+                     m=m, sources=sources, device=device,
+                     background=Background(amplitude=0.05),
+                     seed=draw(st.integers(0, 2**64 - 1)), fixed_key=fixed_key,
+                     traces_per_position=counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_sim_configs())
+def test_every_trace_matches_its_substream_oracle(tmp_path_factory, config):
+    root = tmp_path_factory.mktemp("oracle")
+    files = {}
+    for chunk in (1, 3, simulator._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            files[chunk] = root / f"chunk{chunk}.emgd"
+            simulate_grid_dataset(config, files[chunk])
+    raw = {chunk: path.read_bytes() for chunk, path in files.items()}
+    assert raw[1] == raw[3] == raw[simulator._CHUNK]
+
+    _, got = read_arrays(files[1])
+    row = 0
+    for position in range(config.geometry.position_count):
+        for name, split in SPLIT_CODES.items():
+            for index in range(config.traces_per_position[name]):
+                want = oracle_trace(config, position, split, index)
+                for field in ("samples", "keys", "plaintexts", "ciphertexts",
+                              "positions", "splits"):
+                    assert np.array_equal(getattr(got, field)[row],
+                                          getattr(want, field)[0]), \
+                        (position, name, index, field)
+                row += 1
+    assert row == len(got)
+
+
+def test_raw_words_become_little_endian_bytes():
+    words = [0x0807060504030201, 0x100F0E0D0C0B0A09]
+    want = list(range(1, 17))
+    for dtype in ("<u8", ">u8"):  # a big-endian host's words, too
+        assert _le_bytes(np.array(words, dtype=dtype)).tolist() == want
 
 
 def test_snr_decreases_with_distance(tmp_path):
@@ -254,9 +344,8 @@ def test_jitter_moves_leak_sample():
                        traces_per_position={"train": 1})
     seen = set()
     for i in range(64):
-        rng = _trace_rng(config.seed, 0, 0, i)
-        pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+        rng = trace_rng(config.seed, 0, 0, i)
+        pt, key = draw_plaintext_and_key(config, rng)
         trace = simulate_trace(config, 0, pt, key, rng).samples[0]
         nz = np.nonzero(trace)[0]
         if len(nz):
@@ -301,6 +390,31 @@ def test_derive_device_b_gain_doubles_noiseless_amplitudes():
     np.testing.assert_allclose(b, 2 * a, rtol=1e-6)
 
 
+def sim_config_to_dict(config: SimConfig) -> dict:
+    """The JSON form of a config, as sim_config_from_dict reads it."""
+    dev, bg = config.device, config.background
+    d = {
+        "geometry": config.geometry.to_json_dict(),
+        "m": config.m,
+        "seed": config.seed,
+        "description": config.description,
+        "traces_per_position": dict(config.traces_per_position),
+        "background": {"amplitude": bg.amplitude,
+                       "period_samples": bg.period_samples, "phase": bg.phase},
+        "device": {"gain": dev.gain, "offset": dev.offset,
+                   "noise_sigma": dev.noise_sigma, "jitter_max": dev.jitter_max,
+                   "adc_bits": dev.adc_bits, "axis_flip_y": dev.axis_flip_y,
+                   "full_scale": list(dev.full_scale)},
+        "sources": [{"position_mm": list(s.position_mm),
+                     "sample_indices": list(s.sample_indices),
+                     "target": s.target, "byte_index": s.byte_index,
+                     "amplitude": s.amplitude} for s in config.sources],
+    }
+    if config.fixed_key is not None:
+        d["fixed_key"] = config.fixed_key.hex()
+    return d
+
+
 def test_config_json_round_trip(tmp_path):
     config = tiny_config(fixed_key=bytes(range(16)))
     d = sim_config_to_dict(config)
@@ -332,6 +446,10 @@ def test_config_validation():
         tiny_config(fixed_key=b"short")
     with pytest.raises(ConfigError):
         tiny_config(traces_per_position={"blue": 4})
+    # Trace indices fill the low 40 bits of a substream key.
+    tiny_config(traces_per_position={"train": (1 << 40) - 1})
+    with pytest.raises(ConfigError, match="2\\*\\*40"):
+        tiny_config(traces_per_position={"holdout": 1 << 40})
     with pytest.raises(ConfigError):
         sim_config_from_dict({"m": 4})
 

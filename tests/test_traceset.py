@@ -1,11 +1,14 @@
 """Dataset format tests: grid bijection, bit-exact round trips, row checks,
 and size checks against the header."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emgrid import traceset
 from emgrid.errors import ConfigError, DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.traceset import (
@@ -15,7 +18,6 @@ from emgrid.traceset import (
     DatasetHeader,
     TraceArrays,
     read_arrays,
-    read_header,
     write_dataset,
 )
 
@@ -43,21 +45,27 @@ def assert_arrays_equal(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def coords_to_index(geometry: GridGeometry, ix: int, iy: int, iz: int = 0) -> int:
+    """Position index of lattice coordinates: x fastest, then y, then z."""
+    assert 0 <= ix < geometry.nx and 0 <= iy < geometry.ny and 0 <= iz < geometry.nz
+    return iz * geometry.nx * geometry.ny + iy * geometry.nx + ix
+
+
 def test_grid_bijection_exhaustive():
     for p in range(GEOM.position_count):
         ix, iy, iz = GEOM.index_to_coords(p)
-        assert GEOM.coords_to_index(ix, iy, iz) == p
+        assert coords_to_index(GEOM, ix, iy, iz) == p
     coords = {GEOM.index_to_coords(p) for p in range(GEOM.position_count)}
     assert len(coords) == GEOM.position_count == 12
 
 
 def test_grid_position_mm_and_flip():
     g = GridGeometry(4, 3, 1, 0.5, 0.0, (1.0, 2.0, -0.3))
-    p = g.coords_to_index(2, 1, 0)
+    p = coords_to_index(g, 2, 1, 0)
     assert g.position_mm(p) == (2.0, 2.5, -0.3)
     # flip_y mirrors the row: iy=1 of 3 rows stays the middle row here,
     # so use a corner to see the flip.
-    corner = g.coords_to_index(0, 0, 0)
+    corner = coords_to_index(g, 0, 0, 0)
     assert g.position_mm(corner, flip_y=True) == (1.0, 3.0, -0.3)
 
 
@@ -68,8 +76,6 @@ def test_grid_validation():
         GridGeometry(1, 1, 1, 0.0, 0.0, (0, 0, 0))
     with pytest.raises(ConfigError):
         GEOM.index_to_coords(12)
-    with pytest.raises(ConfigError):
-        GEOM.coords_to_index(3, 0, 0)
 
 
 def test_round_trip_single_record(tmp_path):
@@ -201,8 +207,48 @@ def test_read_arrays(tmp_path):
     assert_arrays_equal(attack, want.subset(want.splits != SPLIT_TRAIN))
 
 
-def test_read_header_only(tmp_path):
-    header = DatasetHeader(GEOM, m=9, trace_count=0, description="hdr")
-    path = tmp_path / "h.emgd"
-    write_dataset(header, [], path)
-    assert read_header(path) == header
+def test_block_reads_match_and_name_global_indices(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    header = DatasetHeader(GEOM, m=5, trace_count=40)
+    want = make_arrays(rng, header)
+    path = tmp_path / "blocks.emgd"
+    write_dataset(header, [want], path)
+    raw = path.read_bytes()
+    dtype = traceset.record_dtype(5)
+    monkeypatch.setattr(traceset, "_READ_BLOCK_BYTES", 3 * dtype.itemsize)
+    for splits in (None, (SPLIT_TEST,), (SPLIT_TRAIN, SPLIT_HOLDOUT)):
+        _, got = read_arrays(path, splits)
+        keep = np.isin(want.splits, [0, 1, 2] if splits is None else splits)
+        assert_arrays_equal(got, want.subset(keep))
+        assert got.samples.flags.c_contiguous
+
+    # Record 31 sits in the eleventh three-record block.
+    at = len(raw) - 40 * dtype.itemsize + 31 * dtype.itemsize
+    bad = bytearray(raw)
+    bad[at + dtype.fields["split"][1]] = 9
+    path.write_bytes(bytes(bad))
+    with pytest.raises(DataFormatError, match="at index 31: bad split 9"):
+        read_arrays(path)
+    bad = bytearray(raw)
+    first_sample = at + dtype.fields["samples"][1]
+    bad[first_sample:first_sample + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(bad))
+    with pytest.raises(DataFormatError, match="record at index 31"):
+        read_arrays(path, (SPLIT_TRAIN,))
+
+
+def test_read_peak_memory_near_file_size(tmp_path):
+    rng = np.random.default_rng(8)
+    header = DatasetHeader(GEOM, m=1000, trace_count=4096)
+    path = tmp_path / "big.emgd"
+    write_dataset(header, [make_arrays(rng, header)], path)
+    size = path.stat().st_size
+    for splits in (None, (SPLIT_TRAIN,)):
+        tracemalloc.start()
+        try:
+            _, arrays = read_arrays(path, splits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size, (splits, peak, size)
+        del arrays
