@@ -3,7 +3,8 @@
 Every subcommand reads/writes files named by flags and logs progress as
 line-delimited JSON on stderr; stdout stays silent. All randomness comes from
 explicit seeds (config file or --seed), so a fixed command line produces
-byte-identical artifacts, independent of --threads.
+byte-identical artifacts. Every subcommand runs in one thread; --threads is
+accepted for compatibility and has no effect.
 
 Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config; 3 analysis
 precondition (e.g. mixed keys where a fixed key is required); 4 any other
@@ -111,7 +112,6 @@ def cmd_snr(args) -> int:
     split = _split_code(args.split)
     header, arrays = read_arrays(args.dataset, (split,))
     h = evaluate_snr_grid(arrays, header.geometry, split, _target(args),
-                          threads=args.threads,
                           progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
@@ -124,14 +124,25 @@ def cmd_cpa(args) -> int:
     target = LeakageModel(TARGET_KINDS[args.target], 0)
     disc, rank = evaluate_cpa_grid(
         arrays, header.geometry, split, target, budget=args.budget,
-        checkpoint_interval=args.checkpoint, threads=args.threads,
+        checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
     _write_heatmap_csvs(rank, args.out_ranks)
     return 0
 
 
-def _select_positions(args, arrays):
+def _selection_values(path, geometry):
+    """A heatmap CSV's cells in position order; it must cover the grid."""
+    with open(path) as f:
+        grid = heatmap_from_csv(f.read())
+    if grid.shape != (geometry.ny, geometry.nx):
+        raise ConfigError(
+            f"heatmap {path} is {grid.shape[0]}x{grid.shape[1]} (ny x nx); "
+            f"the dataset grid is {geometry.ny}x{geometry.nx}")
+    return grid.ravel()
+
+
+def _select_positions(args, arrays, geometry):
     if args.mode == "single":
         if not args.positions or len(args.positions) != 1:
             raise ConfigError("mode single needs exactly one --positions entry")
@@ -142,8 +153,7 @@ def _select_positions(args, arrays):
         if args.heatmap is None:
             raise ConfigError(
                 "mode multiplace needs --positions or --heatmap to select from")
-        with open(args.heatmap) as f:
-            values = heatmap_from_csv(f.read()).ravel()
+        values = _selection_values(args.heatmap, geometry)
         selected = sorted(select_leaky_positions(values, args.threshold))
         if not selected:
             raise AnalysisError(
@@ -152,8 +162,7 @@ def _select_positions(args, arrays):
     if args.mode == "topn":
         if args.heatmap is None or args.n is None:
             raise ConfigError("mode topn needs --heatmap and --n")
-        with open(args.heatmap) as f:
-            values = heatmap_from_csv(f.read()).ravel()
+        values = _selection_values(args.heatmap, geometry)
         return select_top_n_positions(values, args.n)
     # mode all
     return sorted({int(p) for p in arrays.positions[arrays.splits == SPLIT_TRAIN]})
@@ -163,7 +172,12 @@ def cmd_train(args) -> int:
     header, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
     train = arrays.subset(arrays.splits == SPLIT_TRAIN)
     val = arrays.subset(arrays.splits == SPLIT_TEST)
-    positions = _select_positions(args, arrays)
+    positions = _select_positions(args, arrays, header.geometry)
+    outside = [p for p in positions
+               if not 0 <= p < header.geometry.position_count]
+    if outside:
+        raise ConfigError(f"positions {outside} are outside the "
+                          f"{header.geometry.position_count}-position grid")
     # train and val are copies; releasing the whole file makes room for the
     # standardized float64 training matrix.
     del arrays
@@ -196,7 +210,6 @@ def cmd_evaluate(args) -> int:
     byte = model.byte_index if args.byte is None else args.byte
     target = LeakageModel(TARGET_KINDS[args.target], byte)
     h = evaluate_classifier_grid(model, arrays, header.geometry, split, target,
-                                 threads=args.threads,
                                  progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
@@ -210,7 +223,7 @@ def cmd_hybrid(args) -> int:
     header, arrays = read_arrays(args.dataset, (split,))
     disc, rank = evaluate_hybrid_grid(
         model, arrays, header.geometry, split, budget=args.budget,
-        checkpoint_interval=args.checkpoint, threads=args.threads,
+        checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
     _write_heatmap_csvs(rank, args.out_ranks)
@@ -239,7 +252,7 @@ def cmd_render(args) -> int:
 
 def _add_threads(p):
     p.add_argument("--threads", type=int, default=1,
-                   help="worker parallelism bound; never changes results")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_dataset(p):
@@ -261,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted like the other subcommands' flag; "
-                        "simulation runs in one thread")
+    _add_threads(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("snr", help="per-position peak-SNR map")

@@ -5,8 +5,9 @@ with each slice of traces, but finalizes only as many bytes as the
 disclosure test needs.
 
 Both accumulators follow the same contract: update with traces in any order,
-optionally in parallel shards, then merge shards and finalize. Merging is the
-parallelism mechanism; finalization is pure. All running sums are float64;
+optionally split into shards that merge into one, then finalize. The grid
+sweep feeds one accumulator per position in order and never merges;
+finalization is pure. All running sums are float64;
 hypothesis values stay small integers so the closed-form Pearson sums remain
 exactly representable.
 """

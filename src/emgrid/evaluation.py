@@ -2,14 +2,12 @@
 
 Each sweep filters a dataset to one split, groups traces by grid position,
 runs an independent per-position computation (SNR peak, classifier mean rank,
-CPA or hybrid disclosure), and assembles a Heatmap. Per-position work is pure
-and keyed by position index, so a thread pool of any size yields the same
-map; empty positions get the metric's sentinel (inf for lower-is-better
-metrics, 0 for SNR where higher means more leakage found).
+CPA or hybrid disclosure) on each position in turn, and assembles a Heatmap.
+Empty positions keep the metric's sentinel (inf for lower-is-better metrics,
+0 for SNR where higher means more leakage found).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,15 +41,11 @@ def _split_and_group(arrays: TraceArrays, geometry: GridGeometry, split: int):
     return groups
 
 
-def _map_positions(groups, fn, threads: int):
-    """Run fn(position, idx) per group; results keyed by position."""
-    if threads is None or threads <= 1 or len(groups) <= 1:
-        return {p: fn(p, idx) for p, idx in groups.items()}
-    out = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {p: pool.submit(fn, p, idx) for p, idx in groups.items()}
-        for p, fut in futures.items():
-            out[p] = fut.result()
+def _map_positions(groups, fn, out: np.ndarray) -> np.ndarray:
+    """Set out[..., p] = fn(p, idx) for each group, in position order; out
+    arrives filled with the metric's sentinel for positions without traces."""
+    for p, idx in groups.items():
+        out[..., p] = fn(p, idx)
     return out
 
 
@@ -71,8 +65,7 @@ def _correct_bytes(kind: str, key: bytes):
 
 
 def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
-                      target: LeakageModel, threads: int = 1,
-                      progress=None) -> Heatmap:
+                      target: LeakageModel, progress=None) -> Heatmap:
     """Peak SNR per position: partition the split's traces by the true value
     of the target intermediate and take the max SNR over sample indices."""
     groups = _split_and_group(arrays, geometry, split)
@@ -97,17 +90,13 @@ def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
             progress({"position": p, "traces": len(idx), "peak_snr": peak})
         return peak
 
-    results = _map_positions(groups, one, threads)
-    values = np.zeros(geometry.position_count)
-    for p, v in results.items():
-        values[p] = v
+    values = _map_positions(groups, one, np.zeros(geometry.position_count))
     return Heatmap(geometry, values, "peak_snr")
 
 
 def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
                              geometry: GridGeometry, split: int,
-                             target: LeakageModel, threads: int = 1,
-                             progress=None) -> Heatmap:
+                             target: LeakageModel, progress=None) -> Heatmap:
     """Mean rank of the true class per position; inf where the split has no
     traces."""
     if model.byte_index is not None and model.byte_index != target.byte_index:
@@ -125,10 +114,8 @@ def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
             progress({"position": p, "traces": len(idx), "mean_rank": mean_rank})
         return mean_rank
 
-    results = _map_positions(groups, one, threads)
-    values = np.full(geometry.position_count, math.inf)
-    for p, v in results.items():
-        values[p] = v
+    values = _map_positions(groups, one,
+                            np.full(geometry.position_count, math.inf))
     return Heatmap(geometry, values, "mean_rank")
 
 
@@ -176,7 +163,7 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
 
 def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
                      kind: str, traces_of, budget, checkpoint_interval: int,
-                     threads: int, progress):
+                     progress):
     """Per-position disclosure attack over a fixed-key split.
 
     traces_of(idx) returns the (n, m) traces CPA correlates for one
@@ -205,35 +192,29 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
                       "disclosure": disclosure, "average_rank": avg})
         return disclosure, avg
 
-    results = _map_positions(groups, one, threads)
-    disclosure_vals = np.full(geometry.position_count, math.inf)
-    rank_vals = np.full(geometry.position_count, math.inf)
-    for p, (d, r) in results.items():
-        disclosure_vals[p] = d
-        rank_vals[p] = r
+    disclosure_vals, rank_vals = _map_positions(
+        groups, one, np.full((2, geometry.position_count), math.inf))
     return (Heatmap(geometry, disclosure_vals, "traces_to_disclosure"),
             Heatmap(geometry, rank_vals, "average_rank"))
 
 
 def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
                       target: LeakageModel, budget=None,
-                      checkpoint_interval: int = 1000, threads: int = 1,
-                      progress=None):
+                      checkpoint_interval: int = 1000, progress=None):
     """Unprofiled CPA on the raw samples, swept over the grid. Every
     position's split traces must share one key; target.byte_index is
     ignored, all 16 key bytes are attacked."""
     return _disclosure_grid(arrays, geometry, split, target.kind,
                             lambda idx: arrays.samples[idx], budget,
-                            checkpoint_interval, threads, progress)
+                            checkpoint_interval, progress)
 
 
 def evaluate_hybrid_grid(regressor: ProfilingModel, arrays: TraceArrays,
                          geometry: GridGeometry, split: int, budget=None,
-                         checkpoint_interval: int = 1000, threads: int = 1,
-                         progress=None):
+                         checkpoint_interval: int = 1000, progress=None):
     """Regressor-then-CPA swept over the grid: each trace becomes the
     regressor's 16 predicted last-round HDs, and last-round CPA runs on
     those pseudo-traces. Same outputs as evaluate_cpa_grid."""
     return _disclosure_grid(arrays, geometry, split, LAST_ROUND_HD,
                             lambda idx: predict_hd(regressor, arrays.samples[idx]),
-                            budget, checkpoint_interval, threads, progress)
+                            budget, checkpoint_interval, progress)

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigError("training hyperparameters must be positive")
         if self.data_cap is not None and self.data_cap < self.batch_size:
             raise ConfigError("data_cap must be >= batch_size")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

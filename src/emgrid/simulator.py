@@ -44,9 +44,7 @@ from .leakage import (
 )
 from .traceset import (
     SPLIT_CODES,
-    SPLIT_HOLDOUT,
-    SPLIT_TEST,
-    SPLIT_TRAIN,
+    SPLIT_NAMES,
     DatasetHeader,
     TraceArrays,
     write_dataset,
@@ -81,6 +79,8 @@ class LeakSource:
             raise ConfigError("source needs at least one sample index")
         if any(i < 0 for i in self.sample_indices):
             raise ConfigError("sample indices must be non-negative")
+        if len(set(self.sample_indices)) != len(self.sample_indices):
+            raise ConfigError("sample indices must not repeat")
         require_finite("source amplitude and position", self.amplitude,
                        *self.position_mm)
 
@@ -256,8 +256,10 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
             cols = idx[None, :] + jitters[:, None]
             ok = (cols >= 0) & (cols < m)
             rows = np.broadcast_to(np.arange(count)[:, None], cols.shape)
-            np.add.at(samples, (rows[ok], cols[ok]),
-                      (w * src.amplitude) * np.broadcast_to(vals[:, None], cols.shape)[ok])
+            # distinct indices shift by one offset per row, so no (row, col)
+            # pair repeats and a plain indexed += adds each leak once
+            samples[rows[ok], cols[ok]] += \
+                (w * src.amplitude) * np.broadcast_to(vals[:, None], cols.shape)[ok]
     samples = dev.offset + dev.gain * samples
     if noise is not None:
         samples += noise
@@ -271,21 +273,14 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
 def _all_chunks(config: SimConfig, progress=None):
     emitted = 0
     for position in range(config.geometry.position_count):
-        for split in (SPLIT_TRAIN, SPLIT_TEST, SPLIT_HOLDOUT):
-            count = _split_count(config, split)
+        for split, name in SPLIT_NAMES.items():
+            count = int(config.traces_per_position.get(name, 0))
             for start in range(0, count, _CHUNK):
                 chunk = min(_CHUNK, count - start)
                 yield _synthesize_chunk(config, position, split, start, chunk)
                 emitted += chunk
                 if progress is not None:
                     progress(emitted, config.total_traces)
-
-
-def _split_count(config: SimConfig, split: int) -> int:
-    for name, code in SPLIT_CODES.items():
-        if code == split:
-            return int(config.traces_per_position.get(name, 0))
-    return 0
 
 
 def simulate_grid_dataset(config: SimConfig, path, progress=None) -> DatasetHeader:

@@ -9,15 +9,17 @@ import math
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgrid import cli
+from emgrid import cli, evaluation
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
+from emgrid.distinguishers import CpaAccumulator, SnrAccumulator
 from emgrid.grid import GridGeometry
 from emgrid.heatmap import heatmap_from_csv
 from emgrid.leakage import true_last_round_hds
@@ -179,6 +181,7 @@ BAD_CONFIGS = {
     "origin-inf": {"geometry": {**GEOMETRY, "origin_mm": [0, INF, 0]}},
     # more positions than the u16 record field can address
     "grid-300x300": {"geometry": {**GEOMETRY, "nx": 300, "ny": 300}},
+    "sample-index-repeated": {"sources": [{**SOURCE, "sample_indices": [5, 5]}]},
 }
 
 
@@ -454,6 +457,50 @@ def test_train_non_finite_lr_exit_2(capsys, workdir, dataset, rate):
     assert not (workdir / "lr.emmod").exists()
 
 
+def test_train_negative_seed_exit_2(capsys, workdir, dataset):
+    code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
+                       "--seed", -1, "--out-model", workdir / "seed.emmod")
+    assert code == 2
+    assert [e["kind"] for e in events if e["event"] == "error"] == ["ConfigError"]
+    assert not (workdir / "seed.emmod").exists()
+
+
+@pytest.mark.parametrize("selection", [
+    ["--mode", "multiplace", "--positions", 0, 99],
+    ["--mode", "multiplace", "--positions", -1],
+    ["--mode", "single", "--positions", 99],
+    ["--mode", "single", "--positions", 2],  # one past the 2x1 grid
+])
+def test_train_positions_outside_grid_exit_2(capsys, workdir, dataset,
+                                             selection):
+    out = workdir / "outside.emmod"
+    code, events = run(capsys, "train", "--in", dataset, *selection,
+                       "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "outside" in events[0]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [["multiplace"], ["topn", "--n", 1]])
+@pytest.mark.parametrize("csv", ["y\\x,0,1,2\n0,95,100,110\n",
+                                 "y\\x,0,1\n0,95,100\n1,95,100\n"])
+def test_train_heatmap_off_grid_exit_2(capsys, workdir, dataset, mode, csv):
+    """A selection heatmap must have the dataset grid's (ny, nx) shape, here
+    (1, 2): the cells of a (1, 3) or a (2, 2) map name other positions."""
+    ranks_csv = workdir / "off_grid.csv"
+    ranks_csv.write_text(csv)
+    out = workdir / "off_grid.emmod"
+    code, events = run(capsys, "train", "--in", dataset, "--mode", *mode,
+                       "--heatmap", ranks_csv, "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "dataset grid" in events[0]["message"]
+    assert not out.exists()
+
+
 def test_train_multiplace_threshold_selection(capsys, workdir, dataset):
     ranks_csv = workdir / "sel.csv"
     ranks_csv.write_text("y\\x,0,1\n0,95.25,126\n")
@@ -601,6 +648,56 @@ def test_hybrid_threads_determinism(capsys, workdir, hd_dataset):
         assert code == 0
         hashes.append((sha256(discl), sha256(ranks)))
     assert hashes[0] == hashes[1]
+
+
+def test_threads_flag_keeps_positions_in_calling_thread(capsys, workdir,
+                                                        dataset, monkeypatch):
+    """--threads has no effect: with --threads 8, every per-position
+    computation of snr, cpa, evaluate and hybrid runs in the thread that
+    called main, over a dataset of two positions."""
+    callers = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SnrAccumulator, "finalize",
+                        recorded(SnrAccumulator.finalize))
+    monkeypatch.setattr(CpaAccumulator, "finalize",
+                        recorded(CpaAccumulator.finalize))
+    monkeypatch.setattr(evaluation, "classify_attack",
+                        recorded(evaluation.classify_attack))
+    rng = np.random.default_rng(8)
+    classifier = workdir / "threads_clf.emmod"
+    save_model(ProfilingModel(CLASSIFIER_256, rng.normal(size=(256, 12)),
+                              np.zeros(256),
+                              StandardizationParams(np.zeros(12), np.ones(12)),
+                              byte_index=0), classifier)
+    regressor = workdir / "threads_reg.emmod"
+    save_model(ProfilingModel(HD_REGRESSOR_16, rng.normal(size=(16, 12)),
+                              np.zeros(16),
+                              StandardizationParams(np.zeros(12), np.ones(12))),
+               regressor)
+    csv = workdir / "threads_a.csv"
+    other = workdir / "threads_b.csv"
+    commands = {
+        "snr": ["--target", "sbox-output", "--out-heatmap", csv],
+        "cpa": ["--checkpoint", 50, "--out-disclosure", csv,
+                "--out-ranks", other],
+        "evaluate": ["--model", classifier, "--out-heatmap", csv],
+        "hybrid": ["--model", regressor, "--checkpoint", 50,
+                   "--out-disclosure", csv, "--out-ranks", other],
+    }
+    for command, argv in commands.items():
+        callers.clear()
+        code, events = run(capsys, command, "--in", dataset, *argv,
+                           "--threads", 8)
+        assert code == 0, events
+        assert callers and set(callers) == {threading.get_ident()}, command
+        assert [e["position"] for e in events
+                if e["event"] == "position"] == [0, 1]
 
 
 def model_bytes(meta: dict, params: bytes, magic=b"EMMD", version=1) -> bytes:

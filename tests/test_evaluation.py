@@ -1,5 +1,5 @@
 """Grid-sweep evaluation tests: per-position metrics, sentinels for empty
-cells, fixed-key enforcement, and thread-count independence."""
+cells and fixed-key enforcement."""
 
 import math
 
@@ -92,18 +92,6 @@ def test_classifier_grid_consistent_with_classify_attack():
                                          TARGET.byte_index)
         expected, _ = classify_attack(model, sub, labels)
         assert h.values[p] == expected
-
-
-def test_classifier_grid_threads_equal():
-    rng = np.random.default_rng(4)
-    geom = GridGeometry(3, 2, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    arr = build_arrays(600, 5, rng.integers(0, 6, 600))
-    model = ProfilingModel(CLASSIFIER_256, rng.normal(size=(256, 8)),
-                           rng.normal(size=256),
-                           StandardizationParams(np.zeros(8), np.ones(8)))
-    a = evaluate_classifier_grid(model, arr, geom, SPLIT_TEST, TARGET, threads=1)
-    b = evaluate_classifier_grid(model, arr, geom, SPLIT_TEST, TARGET, threads=4)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_classifier_grid_byte_mismatch_rejected():
@@ -229,7 +217,7 @@ def test_cpa_grid_zero_leak_all_infinite():
     arr = build_arrays(n, 23, np.repeat(np.arange(64), per_pos))
     disc, rank = evaluate_cpa_grid(arr, geom, SPLIT_TEST,
                                    LeakageModel(LAST_ROUND_HD, 0),
-                                   checkpoint_interval=400, threads=4)
+                                   checkpoint_interval=400)
     assert np.all(np.isinf(disc.values))
     assert abs(rank.values.mean() - 127.5) < 5
 
@@ -249,25 +237,6 @@ def test_cpa_grid_mixed_keys_rejected():
                       arr.positions, arr.splits)
     with pytest.raises(AnalysisError, match="fixed"):
         evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0))
-
-
-def test_cpa_grid_threads_equal():
-    n = 800
-    positions = np.repeat([0, 1], n // 2)
-    rng = np.random.default_rng(27)
-    arr = build_arrays(n, 26, positions,
-                       samples=rng.normal(size=(n, 16)).astype(np.float32))
-    samples = arr.samples.copy()
-    samples[positions == 0] = true_hds(arr)[positions == 0].astype(np.float32)
-    arr = TraceArrays(samples, arr.keys, arr.plaintexts,
-                      arr.ciphertexts, arr.positions, arr.splits)
-    kwargs = dict(budget=None, checkpoint_interval=200)
-    a = evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0),
-                          threads=1, **kwargs)
-    b = evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0),
-                          threads=8, **kwargs)
-    assert np.array_equal(a[0].values, b[0].values)
-    assert np.array_equal(a[1].values, b[1].values)
 
 
 @pytest.mark.parametrize("budget", [None, 0, 150, 10_000])
@@ -334,17 +303,6 @@ def test_hybrid_grid_constant_regressor_all_infinite():
                                       checkpoint_interval=200)
     assert np.all(np.isinf(disc.values))
     assert rank.values.tolist() == [127.5, 127.5]
-
-
-def test_hybrid_grid_threads_equal():
-    n = 800
-    arr = hd_samples(build_arrays(n, 32, np.repeat([0, 1], n // 2)))
-    a = evaluate_hybrid_grid(oracle_regressor(), arr, G21, SPLIT_TEST,
-                             checkpoint_interval=150, threads=1)
-    b = evaluate_hybrid_grid(oracle_regressor(), arr, G21, SPLIT_TEST,
-                             checkpoint_interval=150, threads=6)
-    assert np.array_equal(a[0].values, b[0].values)
-    assert np.array_equal(a[1].values, b[1].values)
 
 
 def test_progress_callback_reports_each_position():

@@ -207,6 +207,8 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(data_cap=16, batch_size=64)
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=-1)
     # A non-finite rate would train a NaN model whose validation rank reads
     # better than perfect.
     for rate in (math.nan, math.inf):

@@ -438,6 +438,10 @@ def test_config_validation():
         LeakSource((0, 0, 0), (1,), "NotAModel", 0, 1.0)
     with pytest.raises(ConfigError):
         LeakSource((0, 0, 0), (), FIRST_ROUND_SBOX_OUTPUT, 0, 1.0)
+    # A repeated index would leak once without jitter but once per repeat
+    # with it.
+    with pytest.raises(ConfigError, match="repeat"):
+        LeakSource((0, 0, 0), (3, 1, 3), FIRST_ROUND_SBOX_OUTPUT, 0, 1.0)
     with pytest.raises(ConfigError):
         DeviceProfile(adc_bits=10)
     with pytest.raises(ConfigError):
