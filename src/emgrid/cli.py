@@ -131,10 +131,25 @@ def cmd_cpa(args) -> int:
     return 0
 
 
+def _read_heatmap_csv(path):
+    """A heatmap CSV file's (ny, nx) cells; bytes that are not UTF-8 make it
+    a malformed file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not UTF-8 text: {e}") from e
+    return heatmap_from_csv(text)
+
+
 def _selection_values(path, geometry):
-    """A heatmap CSV's cells in position order; it must cover the grid."""
-    with open(path) as f:
-        grid = heatmap_from_csv(f.read())
+    """A heatmap CSV's cells in position order; it must cover the grid, and
+    the grid must have one z layer, as the CSV holds one layer."""
+    if geometry.nz > 1:
+        raise ConfigError(
+            f"--heatmap selects from one (ny x nx) layer; the dataset grid "
+            f"has {geometry.nz} z layers")
+    grid = _read_heatmap_csv(path)
     if grid.shape != (geometry.ny, geometry.nx):
         raise ConfigError(
             f"heatmap {path} is {grid.shape[0]}x{grid.shape[1]} (ny x nx); "
@@ -169,6 +184,7 @@ def _select_positions(args, arrays, geometry):
 
 
 def cmd_train(args) -> int:
+    require_finite("--threshold", args.threshold)
     header, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
     train = arrays.subset(arrays.splits == SPLIT_TRAIN)
     val = arrays.subset(arrays.splits == SPLIT_TEST)
@@ -235,8 +251,7 @@ def cmd_render(args) -> int:
                         ("--mask-threshold", args.mask_threshold)):
         if value is not None:
             require_finite(flag, value)
-    with open(args.csv) as f:
-        grid = heatmap_from_csv(f.read())
+    grid = _read_heatmap_csv(args.csv)
     ny, nx = grid.shape
     geometry = GridGeometry(nx, ny, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
     h = Heatmap(geometry, grid.ravel(), args.metric,

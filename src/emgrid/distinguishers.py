@@ -1,8 +1,8 @@
 """Streaming statistical engines: SNR and CPA accumulators, CPA scores and the
 mid-rank of a key candidate. The traces-to-disclosure loop that drives them
-lives in evaluation._run_cpa_position: it updates every byte's CpaAccumulator
-with each slice of traces, but finalizes only as many bytes as the
-disclosure test needs.
+lives in evaluation._run_cpa_position: one CpaAccumulator per position holds
+all 16 key bytes' 256 hypotheses, is updated once per slice of traces, and
+finalizes only as many bytes as the disclosure test needs.
 
 Both accumulators follow the same contract: update with traces in any order,
 optionally split into shards that merge into one, then finalize. The grid
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AnalysisError
 
 _REL_DEGENERATE = 1e-10  # variance below this relative level counts as zero
+_BLOCK_ROWS = 256  # hypothesis rows per CPA GEMM: one key byte's guesses
 
 
 class SnrAccumulator:
@@ -98,16 +99,19 @@ class SnrAccumulator:
 
 @dataclass
 class CpaResult:
-    corr: np.ndarray                  # (256, m) correlations, zeros where degenerate
-    degenerate_hypotheses: np.ndarray  # (256,) bool, constant hypothesis rows
+    corr: np.ndarray                  # (rows, m) correlations, zeros where degenerate
+    degenerate_hypotheses: np.ndarray  # (rows,) bool, constant hypothesis rows
     degenerate_samples: np.ndarray     # (m,) bool, constant sample columns
 
 
 class CpaAccumulator:
-    """Closed-form streaming Pearson sums for 256 hypotheses over m samples.
-
-    Memory is O(256 * m) regardless of trace count:
+    """Closed-form streaming Pearson sums for num_hypotheses hypotheses over
+    m samples:
         r = (n*Shx - Sh*Sx) / sqrt((n*Sh2 - Sh^2) * (n*Sx2 - Sx^2))
+
+    Memory is O(num_hypotheses * m) regardless of trace count. The disclosure
+    loop keeps one accumulator of 16 * 256 hypotheses per position, byte j in
+    rows 256*j .. 256*j + 255, and scores one byte with finalize(rows).
     """
 
     def __init__(self, m: int, num_hypotheses: int = 256):
@@ -123,18 +127,36 @@ class CpaAccumulator:
         self.sum_hx = np.zeros((num_hypotheses, m), dtype=np.float64)
 
     def update_batch(self, hypotheses: np.ndarray, samples: np.ndarray) -> "CpaAccumulator":
-        """hypotheses (num_hypotheses, b), samples (b, m); one matmul per batch."""
-        H = np.asarray(hypotheses, dtype=np.float64)
+        """hypotheses (num_hypotheses, b), samples (b, m).
+
+        The sample sums are taken once. The hypotheses go through the GEMM in
+        blocks of 256 rows, each cast into one float64 buffer and multiplied
+        into one product buffer that every block of the batch reuses, so a
+        block's sums are bit for bit those of a 256-hypothesis accumulator
+        fed the same rows. The buffers live for one call only: kept between
+        calls they raise a position's peak memory by their size.
+        """
+        H = np.asarray(hypotheses)
         X = np.asarray(samples, dtype=np.float64)
         if H.ndim != 2 or X.ndim != 2 or H.shape[0] != self.num_hypotheses \
                 or H.shape[1] != X.shape[0] or X.shape[1] != self.m:
             raise AnalysisError("batch shapes do not match accumulator")
         self.n += X.shape[0]
-        self.sum_h += H.sum(axis=1)
-        self.sum_h2 += (H * H).sum(axis=1)
         self.sum_x += X.sum(axis=0)
         self.sum_x2 += (X * X).sum(axis=0)
-        self.sum_hx += H @ X
+        block = min(_BLOCK_ROWS, self.num_hypotheses)
+        h_buf = np.empty((block, X.shape[0]), dtype=np.float64)
+        hx_buf = np.empty((block, self.m), dtype=np.float64)
+        for lo in range(0, self.num_hypotheses, _BLOCK_ROWS):
+            rows = slice(lo, min(lo + _BLOCK_ROWS, self.num_hypotheses))
+            h = h_buf[:rows.stop - lo]
+            hx = hx_buf[:rows.stop - lo]
+            np.copyto(h, H[rows], casting="unsafe")
+            self.sum_h[rows] += h.sum(axis=1)
+            np.matmul(h, X, out=hx)
+            self.sum_hx[rows] += hx
+            np.multiply(h, h, out=h)
+            self.sum_h2[rows] += h.sum(axis=1)
         return self
 
     def merge(self, other: "CpaAccumulator") -> "CpaAccumulator":
@@ -148,17 +170,20 @@ class CpaAccumulator:
         self.sum_hx += other.sum_hx
         return self
 
-    def finalize(self) -> CpaResult:
+    def finalize(self, rows: slice = slice(None)) -> CpaResult:
+        """Correlations of the hypotheses in `rows` (all of them by default);
+        each element gets the same arithmetic whichever rows are asked for."""
         if self.n < 2:
             raise AnalysisError(f"correlation undefined for n={self.n} traces")
         n = float(self.n)
-        var_h = n * self.sum_h2 - self.sum_h ** 2
+        sum_h, sum_h2 = self.sum_h[rows], self.sum_h2[rows]
+        var_h = n * sum_h2 - sum_h ** 2
         var_x = n * self.sum_x2 - self.sum_x ** 2
         # Catastrophic cancellation can leave tiny non-zero residue on a
         # constant column; judge degeneracy relative to the raw magnitude.
-        deg_h = var_h <= _REL_DEGENERATE * np.maximum(n * self.sum_h2, 1e-300)
+        deg_h = var_h <= _REL_DEGENERATE * np.maximum(n * sum_h2, 1e-300)
         deg_x = var_x <= _REL_DEGENERATE * np.maximum(n * self.sum_x2, 1e-300)
-        num = n * self.sum_hx - np.outer(self.sum_h, self.sum_x)
+        num = n * self.sum_hx[rows] - np.outer(sum_h, self.sum_x)
         den = np.sqrt(np.outer(np.where(deg_h, 1.0, var_h),
                                np.where(deg_x, 1.0, var_x)))
         corr = num / den

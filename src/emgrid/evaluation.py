@@ -123,10 +123,12 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
                       correct, budget, checkpoint_interval):
     """Streaming 16-byte CPA over one position's first min(n, budget) traces.
 
-    The traces are consumed in slices that end at each checkpoint and at the
-    end of the stream; every slice updates all 16 byte accumulators. Returns
-    the first slice end at which every byte ranks strictly first (ties fail),
-    or inf if none does, and the 16 byte ranks at the last slice.
+    One accumulator holds all 16 bytes' hypotheses, byte j in rows
+    256*j .. 256*j + 255. The traces are consumed in slices that end at each
+    checkpoint and at the end of the stream; every slice is one update of the
+    accumulator. Returns the first slice end at which every byte ranks
+    strictly first (ties fail), or inf if none does, and the 16 byte ranks at
+    the last slice.
 
     A checkpoint discloses only if all 16 bytes rank first, so before the
     last slice the bytes are scored one at a time and scoring stops at the
@@ -137,18 +139,20 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     """
     n, m = samples.shape
     limit = n if budget is None else min(n, budget)
-    accs = [CpaAccumulator(m) for _ in range(16)]
+    acc = CpaAccumulator(m, 16 * 256)
     ranks = np.full(16, 127.5)  # all-equal scores before anything is scored
     order = list(range(16))  # scoring order; a failing byte moves to the front
     for lo in range(0, limit, checkpoint_interval):
         sl = slice(lo, min(lo + checkpoint_interval, limit))
-        X = samples[sl].astype(np.float64)
-        for j, acc in enumerate(accs):
-            acc.update_batch(
-                build_hypothesis_matrix(publics[sl], LeakageModel(kind, j)), X)
-        del X  # free the float64 slice before the finalize temporaries peak
+        hyp = np.empty((16 * 256, sl.stop - sl.start), dtype=np.uint8)
+        for j in range(16):
+            hyp[256 * j:256 * (j + 1)] = build_hypothesis_matrix(
+                publics[sl], LeakageModel(kind, j))
+        acc.update_batch(hyp, samples[sl])
+        del hyp  # free the slice's hypotheses before the finalize temporaries
         for j in order:
-            scores = cpa_scores(accs[j].finalize().corr) if accs[j].n >= 2 \
+            rows = slice(256 * j, 256 * (j + 1))
+            scores = cpa_scores(acc.finalize(rows).corr) if acc.n >= 2 \
                 else np.zeros(256)
             ranks[j] = rank_of(scores, correct[j])
             if ranks[j] != 0.0 and sl.stop < limit:

@@ -457,6 +457,21 @@ def test_train_non_finite_lr_exit_2(capsys, workdir, dataset, rate):
     assert not (workdir / "lr.emmod").exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_train_non_finite_threshold_exit_2(capsys, workdir, dataset, threshold):
+    ranks_csv = workdir / "threshold.csv"
+    ranks_csv.write_text("y\\x,0,1\n0,95,126\n")
+    out = workdir / "threshold.emmod"
+    code, events = run(capsys, "train", "--in", dataset, "--mode", "multiplace",
+                       "--heatmap", ranks_csv, f"--threshold={threshold}",
+                       "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "--threshold" in events[0]["message"]
+    assert not out.exists()
+
+
 def test_train_negative_seed_exit_2(capsys, workdir, dataset):
     code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
                        "--seed", -1, "--out-model", workdir / "seed.emmod")
@@ -498,6 +513,39 @@ def test_train_heatmap_off_grid_exit_2(capsys, workdir, dataset, mode, csv):
     assert [e["event"] for e in events] == ["error"]
     assert events[0]["kind"] == "ConfigError"
     assert "dataset grid" in events[0]["message"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def layered_dataset(workdir):
+    """A 2x1x2 grid (two z layers) with train and test traces everywhere."""
+    rng = np.random.default_rng(5)
+    n = 16
+    header = DatasetHeader(GridGeometry(2, 1, 2, 0.5, 0.5, (0.0, 0.0, 0.0)),
+                           m=3, trace_count=n)
+    chunk = TraceArrays(rng.normal(size=(n, 3)).astype(np.float32),
+                        *rng.integers(0, 256, (3, n, 16), dtype=np.uint8),
+                        np.arange(n, dtype=np.int32) % 4,
+                        (np.arange(n, dtype=np.uint8) // 4) % 2)
+    path = workdir / "layered.emgd"
+    write_dataset(header, [chunk], path)
+    return path
+
+
+@pytest.mark.parametrize("mode", [["multiplace"], ["topn", "--n", 1]])
+def test_train_heatmap_on_layered_grid_exit_2(capsys, workdir, layered_dataset,
+                                              mode):
+    """A heatmap CSV holds one z layer, so it cannot name positions of a grid
+    with two: its cells would always select layer 0."""
+    ranks_csv = workdir / "layer.csv"
+    ranks_csv.write_text("y\\x,0,1\n0,126,95\n")
+    out = workdir / "layer.emmod"
+    code, events = run(capsys, "train", "--in", layered_dataset, "--mode",
+                       *mode, "--heatmap", ranks_csv, "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "2 z layers" in events[0]["message"]
     assert not out.exists()
 
 
@@ -817,13 +865,85 @@ def test_render_svg_masked_and_stable(capsys, workdir):
 
 def test_render_bad_csv_exit_1(capsys, workdir):
     bad = workdir / "bad.csv"
-    for text in ("nonsense", "y\\x,0,1\n0,5,abc\n", "y\\x,0,1\n0,nan,5\n",
-                 "y\\x,0,1\n0,-inf,5\n"):
-        bad.write_text(text)
+    for raw in (b"nonsense", b"y\\x,0,1\n0,5,abc\n", b"y\\x,0,1\n0,nan,5\n",
+                b"y\\x,0,1\n0,-inf,5\n", b"y\\x,0,1\n0,\xff\xfe,5\n"):
+        bad.write_bytes(raw)
         code, events = run(capsys, "render", "--csv", bad,
                            "--svg", workdir / "x.svg")
-        assert code == 1, text
+        assert code == 1, raw
         assert events[-1]["kind"] == "DataFormatError"
+
+
+def csv_text(rows) -> str:
+    """Heatmap CSV text with a y\\x header as wide as the first row."""
+    lines = ["y\\x," + ",".join(str(x) for x in range(len(rows[0])))]
+    lines += [f"{y}," + ",".join(row) for y, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+# A cell float() cannot parse, on one line: no comma, no line break.
+GARBAGE_CELL = st.text(
+    alphabet=st.characters(blacklist_categories=("Cc", "Zl", "Zp"),
+                           blacklist_characters=","),
+    max_size=8).filter(lambda c: not _parses_as_float(c))
+
+
+@st.composite
+def malformed_heatmap_csv(draw) -> bytes:
+    """Bytes of a heatmap CSV file that no reader may accept."""
+    fault = draw(st.sampled_from(["ragged", "nan", "-inf", "garbage", "empty",
+                                  "header-only", "bytes"]))
+    if fault == "bytes":
+        return draw(st.binary(max_size=64))
+    if fault == "empty":
+        return draw(st.sampled_from([b"", b"\n", b"  \n\n"]))
+    ny = draw(st.integers(1, 3))
+    nx = draw(st.integers(1, 3))
+    cell = st.floats(0, 255, allow_nan=False).map(repr) | st.just("inf")
+    rows = [[draw(cell) for _ in range(nx)] for _ in range(ny)]
+    if fault == "header-only":
+        return csv_text(rows).splitlines(keepends=True)[0].encode()
+    y, x = draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))
+    if fault == "ragged":
+        extra = draw(st.integers(-nx, 2).filter(lambda k: k != 0))
+        text = csv_text(rows)
+        lines = text.splitlines()
+        row = rows[y][:nx + extra] if extra < 0 else rows[y] + ["1"] * extra
+        lines[1 + y] = f"{y}," + ",".join(row)
+        return ("\n".join(lines) + "\n").encode()
+    rows[y][x] = draw({"nan": st.sampled_from(["nan", "NaN", "-nan", "+nan"]),
+                       "-inf": st.sampled_from(["-inf", "-Infinity", "-1e999"]),
+                       "garbage": GARBAGE_CELL}[fault])
+    return csv_text(rows).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=malformed_heatmap_csv(), command=st.sampled_from(
+    [["render"], ["train", "multiplace"], ["train", "topn", "--n", "1"]]))
+def test_malformed_heatmap_csv_exit_1_or_2(tmp_path_factory, dataset, raw,
+                                           command):
+    """Every malformed heatmap CSV given to render or to train --heatmap ends
+    in exit 1 or 2 with one JSON error event; exit 4 would mark a defect."""
+    root = tmp_path_factory.mktemp("csv_fault")
+    csv = root / "fault.csv"
+    csv.write_bytes(raw)
+    if command[0] == "render":
+        argv = ["render", "--csv", csv, "--svg", root / "fault.svg"]
+    else:
+        argv = ["train", "--in", dataset, "--mode", *command[1:],
+                "--heatmap", csv, "--out-model", root / "fault.emmod"]
+    code, events = run_quiet(*argv)
+    assert code in (1, 2), (raw, events)
+    assert [e["event"] for e in events] == ["error"]
+    assert not any(p.suffix in (".svg", ".emmod") for p in root.iterdir())
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -3,6 +3,7 @@ batch Pearson oracles, merge laws, rank conventions, and the disclosure loop
 of evaluation._run_cpa_position against an all-16-byte reference loop."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,6 +256,89 @@ def test_cpa_scores_row_scan_oracle():
     assert np.all(cpa_scores(np.zeros((256, 4))) == 0.0)
 
 
+def unblocked_update(acc: CpaAccumulator, hypotheses, samples) -> CpaAccumulator:
+    """update_batch without row blocks or reused buffers: one float64 cast
+    of every hypothesis row and one fresh GEMM. The reference for the
+    stacked, blocked update."""
+    H = np.asarray(hypotheses, dtype=np.float64)
+    X = np.asarray(samples, dtype=np.float64)
+    acc.n += X.shape[0]
+    acc.sum_h += H.sum(axis=1)
+    acc.sum_h2 += (H * H).sum(axis=1)
+    acc.sum_x += X.sum(axis=0)
+    acc.sum_x2 += (X * X).sum(axis=0)
+    acc.sum_hx += H @ X
+    return acc
+
+
+def row_blocks(num_hypotheses):
+    return [slice(lo, min(lo + 256, num_hypotheses))
+            for lo in range(0, num_hypotheses, 256)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_cpa_equals_per_byte_accumulators(data):
+    """One accumulator over many 256-row blocks holds, bit for bit, the sums
+    and per-block correlations of one unblocked accumulator per block: the
+    16 per-byte accumulators the disclosure loop used to keep."""
+    num_h = data.draw(st.sampled_from([16 * 256, 256, 1, 255, 300, 3 * 256 + 7]),
+                      label="num_hypotheses")
+    m = data.draw(st.integers(1, 24), label="m")
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5),
+                      label="batch sizes")  # b changes; the last is ragged
+    split = data.draw(st.integers(0, len(sizes)), label="merge split")
+    floats = data.draw(st.booleans(), label="float hypotheses")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stacked = [CpaAccumulator(m, num_h), CpaAccumulator(m, num_h)]
+    per_byte = [[CpaAccumulator(m, r.stop - r.start) for r in row_blocks(num_h)]
+                for _ in stacked]
+    for i, b in enumerate(sizes):
+        H = rng.normal(size=(num_h, b)) if floats else \
+            rng.integers(0, 256, (num_h, b), dtype=np.uint8)
+        X = rng.normal(size=(b, m)).astype(np.float32)
+        side = int(i >= split)  # later batches go to a second shard
+        stacked[side].update_batch(H, X)
+        for acc, rows in zip(per_byte[side], row_blocks(num_h)):
+            unblocked_update(acc, H[rows], X)
+    got = stacked[0].merge(stacked[1])
+    want = [a.merge(b) for a, b in zip(*per_byte)]
+    assert got.n == sum(sizes)
+    for acc, rows in zip(want, row_blocks(num_h)):
+        assert acc.n == got.n
+        for name in ("sum_x", "sum_x2"):
+            assert np.array_equal(getattr(got, name), getattr(acc, name))
+        for name in ("sum_h", "sum_h2", "sum_hx"):
+            assert np.array_equal(getattr(got, name)[rows], getattr(acc, name))
+        if got.n >= 2:
+            block, oracle = got.finalize(rows), acc.finalize()
+            assert np.array_equal(block.corr, oracle.corr)
+            assert np.array_equal(block.degenerate_hypotheses,
+                                  oracle.degenerate_hypotheses)
+    if got.n >= 2:
+        assert np.array_equal(got.finalize().corr,
+                              np.concatenate([a.finalize().corr for a in want]))
+
+
+def test_stacked_update_allocates_block_buffers_only():
+    """A 16-byte update of 250 traces x 500 samples allocates at most about
+    two blocks' worth of buffers, never a (4096, m) or (4096, b) float64
+    temporary (16 and 8 MB here)."""
+    b, m = 250, 500
+    rng = np.random.default_rng(11)
+    H = rng.integers(0, 9, (16 * 256, b), dtype=np.uint8)
+    X = rng.normal(size=(b, m))
+    acc = CpaAccumulator(m, 16 * 256)
+    block_bytes = 256 * (b + m) * 8  # one hypothesis and one product buffer
+    tracemalloc.start()
+    try:
+        acc.update_batch(H, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block_bytes, peak
+
+
 # ---------------------------------------------------------- scores/ranks
 
 def test_rank_of_examples():
@@ -301,27 +385,30 @@ class Plan:
 
 
 class FakeAccumulator:
-    """Stands in for evaluation.CpaAccumulator. It learns its byte from the
-    hypotheses it is fed (rigged_publics makes them zero only at that
-    byte's index) and counts its traces, so what it finalizes depends on
-    (byte, traces processed), not on the order of calls."""
+    """Stands in for evaluation.CpaAccumulator(m, 16 * 256). It checks that
+    each 256-row block holds its byte's hypotheses (rigged_publics makes
+    block b zero only at row b) and counts its traces, so what
+    finalize(rows) returns depends on (byte, traces processed), not on the
+    order of calls."""
 
-    def __init__(self, plan):
+    def __init__(self, plan, num_hypotheses):
+        assert num_hypotheses == 16 * 256
         self.plan = plan
-        self.byte = None
         self.n = 0
 
     def update_batch(self, H, X):
-        byte = int(np.argmin(H[:, 0]))
-        assert self.byte in (None, byte)
-        self.byte = byte
+        learned = [int(np.argmin(H[256 * b:256 * (b + 1), 0]))
+                   for b in range(16)]
+        assert learned == list(range(16))
         self.n += X.shape[0]
         return self
 
-    def finalize(self):
-        self.plan.finalized.append((self.byte, self.n))
+    def finalize(self, rows):
+        byte, rest = divmod(rows.start, 256)
+        assert rest == 0 and rows.stop == rows.start + 256
+        self.plan.finalized.append((byte, self.n))
         # cpa_scores takes |r|: the (nonnegative) rigged row is the score
-        return SimpleNamespace(corr=self.plan.row(self.byte, self.n)[:, None])
+        return SimpleNamespace(corr=self.plan.row(byte, self.n)[:, None])
 
 
 def rigged_publics(n):
@@ -335,18 +422,19 @@ def reference_run_cpa_position(samples, publics, kind, correct, budget,
     """Disclosure loop that scores all 16 bytes at every checkpoint."""
     n, m = samples.shape
     limit = n if budget is None else min(n, budget)
-    accs = [evaluation.CpaAccumulator(m) for _ in range(16)]
+    acc = evaluation.CpaAccumulator(m, 16 * 256)
     ranks = np.full(16, 127.5)
     for lo in range(0, limit, interval):
         sl = slice(lo, min(lo + interval, limit))
-        X = samples[sl].astype(np.float64)
-        for j, acc in enumerate(accs):
-            acc.update_batch(
-                build_hypothesis_matrix(publics[sl], LeakageModel(kind, j)), X)
+        acc.update_batch(
+            np.concatenate([build_hypothesis_matrix(publics[sl],
+                                                    LeakageModel(kind, j))
+                            for j in range(16)]), samples[sl])
         scores = np.zeros((16, 256))
-        for j, acc in enumerate(accs):
+        for j in range(16):
             if acc.n >= 2:
-                scores[j] = cpa_scores(acc.finalize().corr)
+                scores[j] = cpa_scores(
+                    acc.finalize(slice(256 * j, 256 * (j + 1))).corr)
         ranks = np.array([rank_of(scores[j], correct[j]) for j in range(16)])
         if (ranks == 0.0).all():
             return sl.stop, ranks
@@ -358,7 +446,8 @@ def run_disclosure(mp, entries, n, interval=1000, budget=None,
     """Drive a disclosure loop over n traces with rigged scores; mp is a
     pytest MonkeyPatch. Returns (disclosure, final ranks, finalize log)."""
     plan = Plan(entries)
-    mp.setattr(evaluation, "CpaAccumulator", lambda m: FakeAccumulator(plan))
+    mp.setattr(evaluation, "CpaAccumulator",
+               lambda m, num_hypotheses: FakeAccumulator(plan, num_hypotheses))
     disclosure, ranks = loop(np.zeros((n, 2), np.float32), rigged_publics(n),
                              FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
     return disclosure, ranks, plan.finalized
