@@ -46,7 +46,13 @@ from .profiler import (
     select_top_n_positions,
 )
 from .simulator import load_sim_config, simulate_grid_dataset
-from .traceset import SPLIT_CODES, SPLIT_TEST, SPLIT_TRAIN, read_arrays
+from .traceset import (
+    SPLIT_CODES,
+    SPLIT_TEST,
+    SPLIT_TRAIN,
+    _read_header,
+    read_arrays,
+)
 
 TARGET_KINDS = {
     "sbox-input": FIRST_ROUND_SBOX_INPUT,
@@ -157,7 +163,9 @@ def _selection_values(path, geometry):
     return grid.ravel()
 
 
-def _select_positions(args, arrays, geometry):
+def _select_positions(args, geometry):
+    """The positions --positions or --heatmap select; None for mode all,
+    which trains on every position with training traces."""
     if args.mode == "single":
         if not args.positions or len(args.positions) != 1:
             raise ConfigError("mode single needs exactly one --positions entry")
@@ -179,31 +187,35 @@ def _select_positions(args, arrays, geometry):
             raise ConfigError("mode topn needs --heatmap and --n")
         values = _selection_values(args.heatmap, geometry)
         return select_top_n_positions(values, args.n)
-    # mode all
-    return sorted({int(p) for p in arrays.positions[arrays.splits == SPLIT_TRAIN]})
+    return None
 
 
 def cmd_train(args) -> int:
     require_finite("--threshold", args.threshold)
-    header, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
-    train = arrays.subset(arrays.splits == SPLIT_TRAIN)
-    val = arrays.subset(arrays.splits == SPLIT_TEST)
-    positions = _select_positions(args, arrays, header.geometry)
-    outside = [p for p in positions
-               if not 0 <= p < header.geometry.position_count]
-    if outside:
-        raise ConfigError(f"positions {outside} are outside the "
-                          f"{header.geometry.position_count}-position grid")
-    # train and val are copies; releasing the whole file makes room for the
-    # standardized float64 training matrix.
-    del arrays
-    _log("selected", mode=args.mode, positions=[int(p) for p in positions])
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                          epochs=args.epochs, steps_per_epoch=args.steps,
                          seed=args.seed, data_cap=args.data_cap)
     kind = CLASSIFIER_256 if args.model_kind == "classifier" else HD_REGRESSOR_16
-    result = multiplace_train(train, val, positions, _target(args), config,
-                              kind=kind)
+    target = _target(args)
+    # Check the selection against the header before reading any record.
+    with open(args.dataset, "rb") as f:
+        geometry = _read_header(f, args.dataset).geometry
+    positions = _select_positions(args, geometry)
+    outside = [p for p in positions or ()
+               if not 0 <= p < geometry.position_count]
+    if outside:
+        raise ConfigError(f"positions {outside} are outside the "
+                          f"{geometry.position_count}-position grid")
+    _, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
+    train = arrays.subset(arrays.splits == SPLIT_TRAIN)
+    val = arrays.subset(arrays.splits == SPLIT_TEST)
+    # train and val are copies; releasing the whole file makes room for the
+    # standardized float64 training matrix.
+    del arrays
+    if positions is None:
+        positions = sorted({int(p) for p in train.positions})
+    _log("selected", mode=args.mode, positions=[int(p) for p in positions])
+    result = multiplace_train(train, val, positions, target, config, kind=kind)
     metric_name = "val_mean_rank" if kind == CLASSIFIER_256 else "val_mse"
     for i, v in enumerate(result.val_history):
         _log("epoch", index=i, **{metric_name: v})

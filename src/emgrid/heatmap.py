@@ -172,7 +172,10 @@ def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:
         out.append(f'<text x="{left - 8}" y="{top + y * cell + cell // 2 + 4}" '
                    f'font-size="10" font-family="monospace" '
                    f'text-anchor="end" fill="#333333">{y}</text>')
-    span = vmax - vmin
+    # Halved operands keep the span finite for any finite vmin and vmax and
+    # give the same t wherever the full-size span was finite. A span of zero
+    # (vmin + 1.0 rounds to vmin beyond 2**53) puts every cell at t = 0.
+    half_span = vmax / 2 - vmin / 2
     for y in range(ny):
         for x in range(nx):
             v = grid[y, x]
@@ -186,7 +189,8 @@ def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:
             if math.isinf(v):
                 color = COLOR_RAMP[255]
             else:
-                t = min(max((v - vmin) / span, 0.0), 1.0)
+                t = (v / 2 - vmin / 2) / half_span if half_span > 0 else 0.0
+                t = min(max(t, 0.0), 1.0)
                 color = COLOR_RAMP[round(t * 255)]
             out.append(f'<rect x="{px}" y="{py}" width="{cell}" height="{cell}" '
                        f'fill="{color}"><title>{_format_value(v)}</title></rect>')

@@ -43,6 +43,7 @@ MODEL_MAGIC = b"EMMD"
 MODEL_FORMAT_VERSION = 1
 
 _STD_FLOOR = 1e-12
+_STD_BLOCK = 128  # columns per fit_standardization block
 # data_cap subsampling uses a seed derived from the training seed by one LCG
 # step, so capping never perturbs the training RNG stream itself.
 _LCG_A = 6364136223846793005
@@ -55,16 +56,42 @@ class StandardizationParams:
     std: np.ndarray   # (m,), constant columns guarded to 1
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        return (np.asarray(samples, dtype=np.float64) - self.mean) / self.std
+        """(samples - mean) / std as a new float64 array; samples is never
+        written to."""
+        z = np.array(samples, dtype=np.float64)
+        z -= self.mean
+        z /= self.std
+        return z
+
+
+def _column_blocks(m: int):
+    """(start, stop) pairs of _STD_BLOCK columns covering 0..m. A one-column
+    remainder joins the block before it: numpy reduces one column with
+    pairwise summation but several columns row by row, so a one-column block
+    of a wider matrix would not match the whole-matrix std bit for bit."""
+    bounds = list(range(0, m, _STD_BLOCK)) + [m]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def fit_standardization(samples: np.ndarray) -> StandardizationParams:
-    """Exact per-sample mean and unbiased std over the training split."""
-    x = np.asarray(samples, dtype=np.float64)
+    """Exact per-sample mean and unbiased std over the training split.
+
+    Columns are converted to float64 and reduced one block at a time, so the
+    fit needs one block's float64 copy, not the whole matrix's; every value
+    equals the whole-matrix mean and std(ddof=1) bit for bit."""
+    x = np.asarray(samples)
     if x.ndim != 2 or x.shape[0] == 0:
         raise AnalysisError("cannot standardize an empty training set")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
+    n, m = x.shape
+    mean = np.empty(m)
+    std = np.zeros(m)
+    for a, b in _column_blocks(m):
+        block = x[:, a:b].astype(np.float64)
+        mean[a:b] = block.mean(axis=0)
+        if n > 1:
+            std[a:b] = block.std(axis=0, ddof=1)
     std = np.where(std < _STD_FLOOR, 1.0, std)
     return StandardizationParams(mean, std)
 
@@ -217,6 +244,7 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
                 g = (2.0 / (batch * outputs)) * err
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
+            del Xb  # free this minibatch before the next one is gathered
         history.append(_validate(W, b, Z_val, val_labels, kind))
     return W, b, history
 

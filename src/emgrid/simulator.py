@@ -24,6 +24,11 @@ resets its state to that of a fresh Philox with the trace's key. Plaintext
 and key bytes are the first 2 or 4 raw 64-bit words read little-endian: the
 bytes integers(0, 256, 16, uint8) returns, since it takes them low byte first
 from uint32 draws, each the low and then the high half of one word.
+
+Traces are synthesized and written in chunks of max(1, _CHUNK_BYTES // (8 m))
+traces: a fixed budget of float64 sample bytes, so the memory a chunk needs
+does not grow with the trace length m. The substreams make the file bytes
+independent of the chunk size.
 """
 
 import json
@@ -54,7 +59,7 @@ LAST_ROUND_HD_TRUE = "LastRoundHDTrue"
 SOURCE_TARGETS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD_TRUE)
 
 D_MIN_MM = 0.05   # distance floor: probes never touch the die
-_CHUNK = 4096     # traces synthesized and written per TraceArrays chunk
+_CHUNK_BYTES = 4 << 20  # float64 sample bytes per TraceArrays chunk
 _INDEX_BITS = 40  # trace-index bits of a substream key's second word
 
 
@@ -196,10 +201,11 @@ def _quantize(x: np.ndarray, bits: int, full_scale) -> np.ndarray:
     return lo + q * ((hi - lo) / levels)
 
 
-def _source_true_values(src: LeakSource, pts, cts, s9, key_bytes) -> np.ndarray:
-    """Per-trace emitted value: HW of the true intermediate, or the true HD."""
+def _source_true_values(src: LeakSource, pts, hds, key_bytes) -> np.ndarray:
+    """Per-trace emitted value: HW of the true intermediate, or the true HD
+    (column byte_index of the chunk's true_last_round_hds)."""
     if src.target == LAST_ROUND_HD_TRUE:
-        return true_last_round_hds(cts, s9)[:, src.byte_index].astype(np.float64)
+        return hds[:, src.byte_index].astype(np.float64)
     vals = true_first_round_values(src.target, pts, key_bytes, src.byte_index)
     return HW_TABLE[vals].astype(np.float64)
 
@@ -242,12 +248,13 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     rks = expand_keys_batch(keys) if random_keys else expand_keys(config.fixed_key)
     out = encrypt_blocks(pts, rks, return_round9_state=need_s9)
     cts, s9 = out if need_s9 else (out, None)
+    hds = true_last_round_hds(cts, s9) if need_s9 else None
 
     probe = config.geometry.position_mm(position, flip_y=dev.axis_flip_y)
     samples = np.tile(config.background.waveform(m), (count, 1))
     for src in config.sources:
         w = coupling_weight(src.position_mm, probe)
-        vals = _source_true_values(src, pts, cts, s9, keys if random_keys
+        vals = _source_true_values(src, pts, hds, keys if random_keys
                                    else config.fixed_key)
         idx = np.asarray(src.sample_indices, dtype=np.int64)
         if dev.jitter_max == 0:
@@ -260,7 +267,8 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
             # pair repeats and a plain indexed += adds each leak once
             samples[rows[ok], cols[ok]] += \
                 (w * src.amplitude) * np.broadcast_to(vals[:, None], cols.shape)[ok]
-    samples = dev.offset + dev.gain * samples
+    samples *= dev.gain  # in place: equal, bit for bit, to offset + gain * samples
+    samples += dev.offset
     if noise is not None:
         samples += noise
     if dev.adc_bits:
@@ -272,11 +280,12 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
 
 def _all_chunks(config: SimConfig, progress=None):
     emitted = 0
+    rows = max(1, _CHUNK_BYTES // (8 * config.m))
     for position in range(config.geometry.position_count):
         for split, name in SPLIT_NAMES.items():
             count = int(config.traces_per_position.get(name, 0))
-            for start in range(0, count, _CHUNK):
-                chunk = min(_CHUNK, count - start)
+            for start in range(0, count, rows):
+                chunk = min(rows, count - start)
                 yield _synthesize_chunk(config, position, split, start, chunk)
                 emitted += chunk
                 if progress is not None:

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
 from emgrid.distinguishers import CpaAccumulator, SnrAccumulator
 from emgrid.grid import GridGeometry
-from emgrid.heatmap import heatmap_from_csv
+from emgrid.heatmap import COLOR_RAMP, heatmap_from_csv
 from emgrid.leakage import true_last_round_hds
 from emgrid.profiler import (
     CLASSIFIER_256,
@@ -516,6 +517,32 @@ def test_train_heatmap_off_grid_exit_2(capsys, workdir, dataset, mode, csv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selection,csv", [
+    (["--mode", "multiplace"], b"y\\x,0,1,2\n0,95,100,110\n"),  # off grid
+    (["--mode", "topn", "--n", 1], b"y\\x,0,1\n0,95,abc\n"),
+    (["--mode", "multiplace"], b"y\\x,0,1\n0,\xff,95\n"),  # not UTF-8
+    (["--mode", "multiplace", "--positions", 0, 5], None),
+    (["--mode", "single", "--positions", 0, "--byte", 16], None),
+])
+def test_train_checks_selection_before_reading_records(
+        capsys, monkeypatch, workdir, dataset, selection, csv):
+    """A bad selection fails on the dataset header alone: no record of a
+    possibly large file is read first."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read_arrays called before the selection check")
+
+    monkeypatch.setattr(cli, "read_arrays", no_read)
+    if csv is not None:
+        (workdir / "early.csv").write_bytes(csv)
+        selection = selection + ["--heatmap", workdir / "early.csv"]
+    out = workdir / "early.emmod"
+    code, events = run(capsys, "train", "--in", dataset, *selection,
+                       "--out-model", out)
+    assert code in (1, 2), events
+    assert [e["event"] for e in events] == ["error"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def layered_dataset(workdir):
     """A 2x1x2 grid (two z layers) with train and test traces everywhere."""
@@ -861,6 +888,24 @@ def test_render_svg_masked_and_stable(capsys, workdir):
                   "--metric", "mean_rank", "--mask-threshold", 120)
     assert code == 0
     assert sha256(svg1) == sha256(svg2)
+
+
+@pytest.mark.parametrize("row", ["-1e308,1e308", "1e17,1e17"])
+def test_render_extreme_value_span_exit_0(capsys, workdir, row):
+    """A span beyond the float range, or one where vmin + 1.0 rounds back to
+    vmin, still colours every cell: the lower value takes the first ramp
+    colour."""
+    csv = workdir / "extreme.csv"
+    csv.write_text(f"y\\x,0,1\n0,{row}\n")
+    svg = workdir / "extreme.svg"
+    code, events = run(capsys, "render", "--csv", csv, "--svg", svg)
+    assert code == 0, events
+    root = ET.parse(svg).getroot()
+    fills = [e.get("fill") for e in root.iter() if e.tag.endswith("rect")
+             and e.find("{http://www.w3.org/2000/svg}title") is not None]
+    assert len(fills) == 2
+    assert fills[0] == COLOR_RAMP[0]
+    assert fills[1] == (COLOR_RAMP[255] if row.startswith("-") else COLOR_RAMP[0])
 
 
 def test_render_bad_csv_exit_1(capsys, workdir):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emgrid import profiler
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.errors import AnalysisError, ConfigError, DataFormatError
 from emgrid.evaluation import evaluate_hybrid_grid
@@ -109,6 +110,46 @@ def test_fit_standardization_order_invariant():
 def test_fit_standardization_empty_rejected():
     with pytest.raises(AnalysisError):
         fit_standardization(np.zeros((0, 4)))
+
+
+def whole_matrix_standardization(samples) -> StandardizationParams:
+    """Reference fit: the mean and std(ddof=1) of the whole float64 matrix."""
+    x = np.asarray(samples, dtype=np.float64)
+    std = x.std(axis=0, ddof=1) if len(x) > 1 else np.zeros(x.shape[1])
+    return StandardizationParams(x.mean(axis=0), np.where(std < 1e-12, 1.0, std))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257])
+@pytest.mark.parametrize("extra", [0, 1, 2, 37])
+def test_fit_standardization_blocks_match_whole_matrix(n, extra):
+    """Column blocks give the whole-matrix mean and std bit for bit: on one
+    block, on several, and with a last block of one, two or 37 columns."""
+    block = profiler._STD_BLOCK
+    for m in (extra, block + extra, 3 * block + extra):
+        if m == 0:
+            continue
+        rng = np.random.default_rng(m * 1000 + n)
+        x = (rng.normal(size=(n, m)) * rng.uniform(0.1, 20, m)
+             + rng.uniform(-50, 50, m)).astype(np.float32)
+        x[:, m // 2] = 3.25  # a constant column
+        got = fit_standardization(x)
+        want = whole_matrix_standardization(x)
+        assert got.mean.tobytes() == want.mean.tobytes(), (n, m)
+        assert got.std.tobytes() == want.std.tobytes(), (n, m)
+        assert got.std[m // 2] == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_standardization_apply_leaves_input_unchanged(dtype):
+    rng = np.random.default_rng(3)
+    x = rng.normal(2.0, 3.0, size=(40, 6)).astype(dtype)
+    before = x.copy()
+    p = fit_standardization(x)
+    z = p.apply(x)
+    assert z.dtype == np.float64 and z is not x
+    assert np.array_equal(x, before)
+    want = (x.astype(np.float64) - p.mean) / p.std
+    assert z.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- training toys

@@ -3,6 +3,7 @@ split/key semantics, and batch-vs-single-trace equivalence against a
 per-trace substream oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys
 from emgrid.distinguishers import SnrAccumulator
 from emgrid.errors import ConfigError
 from emgrid.grid import GridGeometry
-from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE
+from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE, true_last_round_hds
 from emgrid.simulator import (
     D_MIN_MM,
     LAST_ROUND_HD_TRUE,
@@ -94,12 +95,13 @@ def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
     need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
     out = encrypt_blocks(pt, expand_keys(key), return_round9_state=need_s9)
     ct, s9 = out if need_s9 else (out, None)
+    hds = true_last_round_hds(ct, s9) if need_s9 else None
 
     probe = config.geometry.position_mm(position_index, flip_y=dev.axis_flip_y)
     samples = config.background.waveform(m)
     for src in config.sources:
         w = coupling_weight(src.position_mm, probe)
-        val = float(_source_true_values(src, pt, ct, s9, key)[0])
+        val = float(_source_true_values(src, pt, hds, key)[0])
         for t in src.sample_indices:
             tj = t + jitter
             if 0 <= tj < m:
@@ -286,15 +288,16 @@ def small_sim_configs(draw):
 def test_every_trace_matches_its_substream_oracle(tmp_path_factory, config):
     root = tmp_path_factory.mktemp("oracle")
     files = {}
-    for chunk in (1, 3, simulator._CHUNK):
+    # chunks of 1 and 3 traces, and of the default byte budget
+    for budget in (8 * config.m, 24 * config.m, simulator._CHUNK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_CHUNK", chunk)
-            files[chunk] = root / f"chunk{chunk}.emgd"
-            simulate_grid_dataset(config, files[chunk])
-    raw = {chunk: path.read_bytes() for chunk, path in files.items()}
-    assert raw[1] == raw[3] == raw[simulator._CHUNK]
+            mp.setattr(simulator, "_CHUNK_BYTES", budget)
+            files[budget] = root / f"chunk{budget}.emgd"
+            simulate_grid_dataset(config, files[budget])
+    raw = [path.read_bytes() for path in files.values()]
+    assert raw[0] == raw[1] == raw[2]
 
-    _, got = read_arrays(files[1])
+    _, got = read_arrays(files[8 * config.m])
     row = 0
     for position in range(config.geometry.position_count):
         for name, split in SPLIT_CODES.items():
@@ -307,6 +310,28 @@ def test_every_trace_matches_its_substream_oracle(tmp_path_factory, config):
                         (position, name, index, field)
                 row += 1
     assert row == len(got)
+
+
+@pytest.mark.parametrize("traces", [400, 1600])
+def test_wide_trace_memory_is_bounded_by_the_chunk_budget(tmp_path, traces):
+    """Chunks are sized by bytes, so simulating wide traces (the C7 and
+    `profile` regressor width, m = 2,816) peaks at a few chunk budgets
+    whatever the trace count."""
+    m = 2816
+    k = m // 16
+    sources = tuple(LeakSource((0.0, 0.0, 0.0), tuple(range(j * k, (j + 1) * k)),
+                               LAST_ROUND_HD_TRUE, j, 4e-3) for j in range(16))
+    config = tiny_config(m=m, sources=sources,
+                         device=DeviceProfile(noise_sigma=1.0),
+                         traces_per_position={"train": traces})
+    assert traces * 8 * m > 2 * simulator._CHUNK_BYTES  # several chunks
+    tracemalloc.start()
+    try:
+        simulate_grid_dataset(config, tmp_path / "wide.emgd")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * simulator._CHUNK_BYTES, peak
 
 
 def test_raw_words_become_little_endian_bytes():
