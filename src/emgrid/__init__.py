@@ -11,7 +11,7 @@ emgrid.distinguishers, ...).
 from .errors import AnalysisError, ConfigError, DataFormatError
 from .evaluation import evaluate_cpa_grid
 from .heatmap import heatmap_to_csv
-from .leakage import FIRST_ROUND_SBOX_OUTPUT, LeakageModel
+from .leakage import FIRST_ROUND_SBOX_OUTPUT
 from .simulator import sim_config_from_dict, simulate_grid_dataset
 from .traceset import SPLIT_HOLDOUT, read_arrays
 

@@ -6,9 +6,15 @@ explicit seeds (config file or --seed), so a fixed command line produces
 byte-identical artifacts. Every subcommand runs in one thread; --threads is
 accepted for compatibility and has no effect.
 
-Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config; 3 analysis
-precondition (e.g. mixed keys where a fixed key is required); 4 any other
-error, which is a defect in emgrid and is logged without a traceback.
+Commands that read a dataset check its header (train's selection, a model's
+trace length) before reading the records of the one split they use; train
+reads train and test.
+
+Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config, including
+argument errors and a split without traces; 3 analysis precondition (e.g.
+mixed keys where a fixed key is required, a model of another trace length,
+diverging training); 4 any other error, which is a defect in emgrid. Every
+error is one JSON error event, never a traceback; --help prints text.
 """
 
 import argparse
@@ -46,13 +52,7 @@ from .profiler import (
     select_top_n_positions,
 )
 from .simulator import load_sim_config, simulate_grid_dataset
-from .traceset import (
-    SPLIT_CODES,
-    SPLIT_TEST,
-    SPLIT_TRAIN,
-    _read_header,
-    read_arrays,
-)
+from .traceset import SPLIT_CODES, read_arrays, read_header
 
 TARGET_KINDS = {
     "sbox-input": FIRST_ROUND_SBOX_INPUT,
@@ -67,32 +67,34 @@ def _log(event: str, **fields):
     print(json.dumps({"event": event, **safe}, sort_keys=True), file=sys.stderr)
 
 
-def _split_code(name: str) -> int:
-    return SPLIT_CODES[name]
-
-
 def _target(args) -> LeakageModel:
     return LeakageModel(TARGET_KINDS[args.target], args.byte)
 
 
 def _write_heatmap_csvs(h: Heatmap, path: str):
     """One CSV per z layer; single-layer grids write exactly `path`."""
-    if h.geometry.nz == 1:
-        layers = [(None, h)]
-    else:
-        layers = [(iz, h.slice_z(iz)) for iz in range(h.geometry.nz)]
-    for iz, layer in layers:
-        if iz is None:
-            target = path
-        else:
-            stem, ext = os.path.splitext(path)
-            target = f"{stem}_z{iz}{ext}"
+    stem, ext = os.path.splitext(path)
+    for iz in range(h.geometry.nz):
+        target = path if h.geometry.nz == 1 else f"{stem}_z{iz}{ext}"
         with open(target, "w") as f:
-            f.write(heatmap_to_csv(layer) + "\n")
+            f.write(heatmap_to_csv(h.slice_z(iz)) + "\n")
         _log("wrote", path=target, metric=h.metric)
 
 
 # ------------------------------------------------------------- subcommands
+
+def _read_in(args, splits, model=None, check=lambda header: header):
+    """Read the --in dataset header first and check it, before any record is
+    read: a model's trace length must match, and check(header) may raise.
+    Returns check's result (the header by default) followed by one
+    TraceArrays per split name, in order."""
+    header = read_header(args.dataset)
+    if model is not None and header.m != model.m:
+        raise AnalysisError(f"trace length {header.m} != model m {model.m}")
+    checked = check(header)
+    _, *arrays = read_arrays(args.dataset, [SPLIT_CODES[s] for s in splits])
+    return (checked, *arrays)
+
 
 def cmd_simulate(args) -> int:
     if not os.path.isfile(args.config):
@@ -100,12 +102,15 @@ def cmd_simulate(args) -> int:
     config = load_sim_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    total = config.total_traces
-    step = max(1, total // 20)
+    step = max(1, config.total_traces // 20)
+    last = 0
 
     def progress(done, total_traces):
-        if done % step == 0 or done == total_traces:
+        # chunks rarely end on a multiple of step: log each one crossed
+        nonlocal last
+        if done // step > last // step or done == total_traces:
             _log("progress", done=done, total=total_traces)
+        last = done
 
     header = simulate_grid_dataset(config, args.out, progress)
     _log("dataset", path=args.out, positions=config.geometry.position_count,
@@ -115,21 +120,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_snr(args) -> int:
-    split = _split_code(args.split)
-    header, arrays = read_arrays(args.dataset, (split,))
-    h = evaluate_snr_grid(arrays, header.geometry, split, _target(args),
+    target = _target(args)
+    header, arrays = _read_in(args, [args.split])
+    h = evaluate_snr_grid(arrays, header.geometry, target,
                           progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
 
 
 def cmd_cpa(args) -> int:
-    split = _split_code(args.split)
-    header, arrays = read_arrays(args.dataset, (split,))
-    # evaluate_cpa_grid attacks all 16 key bytes and ignores the byte index.
-    target = LeakageModel(TARGET_KINDS[args.target], 0)
+    header, arrays = _read_in(args, [args.split])
     disc, rank = evaluate_cpa_grid(
-        arrays, header.geometry, split, target, budget=args.budget,
+        arrays, header.geometry, TARGET_KINDS[args.target], budget=args.budget,
         checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
@@ -164,8 +166,13 @@ def _selection_values(path, geometry):
 
 
 def _select_positions(args, geometry):
-    """The positions --positions or --heatmap select; None for mode all,
-    which trains on every position with training traces."""
+    """The positions --positions (which must lie on the grid) or --heatmap
+    select; None for mode all, which trains on every position with training
+    traces."""
+    count = geometry.position_count
+    outside = [p for p in args.positions or () if not 0 <= p < count]
+    if outside and args.mode in ("single", "multiplace"):
+        raise ConfigError(f"positions {outside} are outside the {count}-position grid")
     if args.mode == "single":
         if not args.positions or len(args.positions) != 1:
             raise ConfigError("mode single needs exactly one --positions entry")
@@ -197,21 +204,9 @@ def cmd_train(args) -> int:
                          seed=args.seed, data_cap=args.data_cap)
     kind = CLASSIFIER_256 if args.model_kind == "classifier" else HD_REGRESSOR_16
     target = _target(args)
-    # Check the selection against the header before reading any record.
-    with open(args.dataset, "rb") as f:
-        geometry = _read_header(f, args.dataset).geometry
-    positions = _select_positions(args, geometry)
-    outside = [p for p in positions or ()
-               if not 0 <= p < geometry.position_count]
-    if outside:
-        raise ConfigError(f"positions {outside} are outside the "
-                          f"{geometry.position_count}-position grid")
-    _, arrays = read_arrays(args.dataset, (SPLIT_TRAIN, SPLIT_TEST))
-    train = arrays.subset(arrays.splits == SPLIT_TRAIN)
-    val = arrays.subset(arrays.splits == SPLIT_TEST)
-    # train and val are copies; releasing the whole file makes room for the
-    # standardized float64 training matrix.
-    del arrays
+    positions, train, val = _read_in(
+        args, ["train", "test"],
+        check=lambda header: _select_positions(args, header.geometry))
     if positions is None:
         positions = sorted({int(p) for p in train.positions})
     _log("selected", mode=args.mode, positions=[int(p) for p in positions])
@@ -233,11 +228,10 @@ def cmd_evaluate(args) -> int:
     if model.kind != CLASSIFIER_256:
         raise ConfigError("evaluate expects a classifier model; "
                           "attack regressors with the hybrid command")
-    split = _split_code(args.split)
-    header, arrays = read_arrays(args.dataset, (split,))
     byte = model.byte_index if args.byte is None else args.byte
     target = LeakageModel(TARGET_KINDS[args.target], byte)
-    h = evaluate_classifier_grid(model, arrays, header.geometry, split, target,
+    header, arrays = _read_in(args, [args.split], model)
+    h = evaluate_classifier_grid(model, arrays, header.geometry, target,
                                  progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
@@ -247,10 +241,9 @@ def cmd_hybrid(args) -> int:
     model = load_model(args.model)
     if model.kind != HD_REGRESSOR_16:
         raise ConfigError("hybrid expects an HD regressor model")
-    split = _split_code(args.split)
-    header, arrays = read_arrays(args.dataset, (split,))
+    header, arrays = _read_in(args, [args.split], model)
     disc, rank = evaluate_hybrid_grid(
-        model, arrays, header.geometry, split, budget=args.budget,
+        model, arrays, header.geometry, budget=args.budget,
         checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
@@ -277,6 +270,11 @@ def cmd_render(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main logs it as one JSON error event
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_threads(p):
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
@@ -291,8 +289,17 @@ def _add_target(p):
     p.add_argument("--byte", type=int, default=0, help="target byte index")
 
 
+def _add_disclosure(p):
+    p.add_argument("--split", choices=sorted(SPLIT_CODES), default="holdout")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--checkpoint", type=int, default=1000)
+    p.add_argument("--out-disclosure", required=True)
+    p.add_argument("--out-ranks", required=True)
+    _add_threads(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emgrid",
         description="grid-annotated EM trace simulation and key-recovery analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,12 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset(p)
     p.add_argument("--target", choices=sorted(TARGET_KINDS),
                    default="last-round-hd", help="all 16 key bytes are attacked")
-    p.add_argument("--split", choices=sorted(SPLIT_CODES), default="holdout")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--checkpoint", type=int, default=1000)
-    p.add_argument("--out-disclosure", required=True)
-    p.add_argument("--out-ranks", required=True)
-    _add_threads(p)
+    _add_disclosure(p)
     p.set_defaults(func=cmd_cpa)
 
     p = sub.add_parser("train", help="fit a profiling model")
@@ -359,12 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hybrid", help="regressor-to-CPA disclosure map")
     p.add_argument("--model", required=True)
     _add_dataset(p)
-    p.add_argument("--split", choices=sorted(SPLIT_CODES), default="holdout")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--checkpoint", type=int, default=1000)
-    p.add_argument("--out-disclosure", required=True)
-    p.add_argument("--out-ranks", required=True)
-    _add_threads(p)
+    _add_disclosure(p)
     p.set_defaults(func=cmd_hybrid)
 
     p = sub.add_parser("render", help="heatmap CSV to SVG")
@@ -380,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DataFormatError, OSError) as e:
         _log("error", kind=type(e).__name__, message=str(e))

@@ -1,6 +1,6 @@
 """Grid-sweep evaluation: one metric value per probe position.
 
-Each sweep filters a dataset to one split, groups traces by grid position,
+Each sweep takes the traces of one split, groups them by grid position,
 runs an independent per-position computation (SNR peak, classifier mean rank,
 CPA or hybrid disclosure) on each position in turn, and assembles a Heatmap.
 Empty positions keep the metric's sentinel (inf for lower-is-better metrics,
@@ -20,25 +20,24 @@ from .leakage import (
     LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
-    true_first_round_values,
 )
-from .profiler import ProfilingModel, classify_attack, predict_hd, true_hds
+from .profiler import (ProfilingModel, classify_attack, first_round_labels,
+                       predict_hd, true_hds)
 from .traceset import TraceArrays
 
 MIXED_KEY_HINT = ("positions mix keys; disclosure metrics need a fixed-key "
                   "split (simulate with a fixed key)")
 
 
-def _split_and_group(arrays: TraceArrays, geometry: GridGeometry, split: int):
-    """Filter one split and return {position: index array}, position-sorted."""
-    sel = np.nonzero(arrays.splits == split)[0]
-    pos = arrays.positions[sel]
-    if len(pos) and (pos.min() < 0 or pos.max() >= geometry.position_count):
+def _group_by_position(arrays: TraceArrays, geometry: GridGeometry):
+    """{position: row index array}, position-sorted; a split without traces
+    has nothing to sweep."""
+    pos = arrays.positions
+    if not len(pos):
+        raise ConfigError("no traces in the requested split")
+    if pos.min() < 0 or pos.max() >= geometry.position_count:
         raise ConfigError("dataset contains positions outside the grid")
-    groups = {}
-    for p in np.unique(pos):
-        groups[int(p)] = sel[pos == p]
-    return groups
+    return {int(p): np.flatnonzero(pos == p) for p in np.unique(pos)}
 
 
 def _map_positions(groups, fn, out: np.ndarray) -> np.ndarray:
@@ -64,21 +63,17 @@ def _correct_bytes(kind: str, key: bytes):
     return list(key)
 
 
-def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
+def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry,
                       target: LeakageModel, progress=None) -> Heatmap:
-    """Peak SNR per position: partition the split's traces by the true value
-    of the target intermediate and take the max SNR over sample indices."""
-    groups = _split_and_group(arrays, geometry, split)
-    if not groups:
-        raise ConfigError("no traces in the requested split")
+    """Peak SNR per position: partition the traces by the true value of the
+    target intermediate and take the max SNR over sample indices."""
+    groups = _group_by_position(arrays, geometry)
     m = arrays.samples.shape[1]
     if target.kind == LAST_ROUND_HD:
         labels_all = true_hds(arrays)[:, target.byte_index].astype(np.int64)
         num_classes = 9
     else:
-        labels_all = true_first_round_values(
-            target.kind, arrays.plaintexts, arrays.keys,
-            target.byte_index).astype(np.int64)
+        labels_all = first_round_labels(target, arrays)
         num_classes = 256
 
     def one(p, idx):
@@ -95,18 +90,16 @@ def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
 
 
 def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
-                             geometry: GridGeometry, split: int,
-                             target: LeakageModel, progress=None) -> Heatmap:
-    """Mean rank of the true class per position; inf where the split has no
+                             geometry: GridGeometry, target: LeakageModel,
+                             progress=None) -> Heatmap:
+    """Mean rank of the true class per position; inf where a position has no
     traces."""
     if model.byte_index is not None and model.byte_index != target.byte_index:
         raise ConfigError(
             f"model profiles byte {model.byte_index}, target asks for "
             f"{target.byte_index}")
-    groups = _split_and_group(arrays, geometry, split)
-    labels_all = true_first_round_values(
-        target.kind, arrays.plaintexts, arrays.keys,
-        target.byte_index).astype(np.int64)
+    groups = _group_by_position(arrays, geometry)
+    labels_all = first_round_labels(target, arrays)
 
     def one(p, idx):
         mean_rank, _ = classify_attack(model, arrays.subset(idx), labels_all[idx])
@@ -165,10 +158,9 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     return math.inf, ranks
 
 
-def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
-                     kind: str, traces_of, budget, checkpoint_interval: int,
-                     progress):
-    """Per-position disclosure attack over a fixed-key split.
+def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
+                     traces_of, budget, checkpoint_interval: int, progress):
+    """Per-position disclosure attack over fixed-key traces.
 
     traces_of(idx) returns the (n, m) traces CPA correlates for one
     position's row indices; it gets only the first `budget` of them, while
@@ -180,7 +172,7 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
         raise ConfigError("checkpoint interval must be >= 1")
     if budget is not None and budget < 0:
         raise ConfigError("budget must be >= 0")
-    groups = _split_and_group(arrays, geometry, split)
+    groups = _group_by_position(arrays, geometry)
     publics_all = arrays.ciphertexts if kind == LAST_ROUND_HD \
         else arrays.plaintexts
 
@@ -202,23 +194,23 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
             Heatmap(geometry, rank_vals, "average_rank"))
 
 
-def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, split: int,
-                      target: LeakageModel, budget=None,
-                      checkpoint_interval: int = 1000, progress=None):
-    """Unprofiled CPA on the raw samples, swept over the grid. Every
-    position's split traces must share one key; target.byte_index is
-    ignored, all 16 key bytes are attacked."""
-    return _disclosure_grid(arrays, geometry, split, target.kind,
+def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
+                      budget=None, checkpoint_interval: int = 1000,
+                      progress=None):
+    """Unprofiled CPA on the raw samples under leakage model `kind`, swept
+    over the grid. Every position's traces must share one key; all 16 key
+    bytes are attacked."""
+    return _disclosure_grid(arrays, geometry, kind,
                             lambda idx: arrays.samples[idx], budget,
                             checkpoint_interval, progress)
 
 
 def evaluate_hybrid_grid(regressor: ProfilingModel, arrays: TraceArrays,
-                         geometry: GridGeometry, split: int, budget=None,
+                         geometry: GridGeometry, budget=None,
                          checkpoint_interval: int = 1000, progress=None):
     """Regressor-then-CPA swept over the grid: each trace becomes the
     regressor's 16 predicted last-round HDs, and last-round CPA runs on
     those pseudo-traces. Same outputs as evaluate_cpa_grid."""
-    return _disclosure_grid(arrays, geometry, split, LAST_ROUND_HD,
+    return _disclosure_grid(arrays, geometry, LAST_ROUND_HD,
                             lambda idx: predict_hd(regressor, arrays.samples[idx]),
                             budget, checkpoint_interval, progress)

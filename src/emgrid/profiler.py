@@ -188,7 +188,8 @@ def _ranks_of_scores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return greater + equal_others / 2.0
 
 
-def _first_round_labels(target: LeakageModel, arrays: TraceArrays) -> np.ndarray:
+def first_round_labels(target: LeakageModel, arrays: TraceArrays) -> np.ndarray:
+    """The target byte's true first-round values, the classifier's labels."""
     return true_first_round_values(target.kind, arrays.plaintexts, arrays.keys,
                                    target.byte_index).astype(np.int64)
 
@@ -208,15 +209,27 @@ def _apply_data_cap(arrays: TraceArrays, config: TrainConfig) -> TraceArrays:
     return arrays.subset(keep)
 
 
-def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainConfig,
-                kind: str, stdz: StandardizationParams):
-    """Shared seeded SGD. Y is int labels (classifier) or (n, 16) targets.
+def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
+           kind: str, byte_index=None) -> TrainResult:
+    """Shared seeded SGD on labels_of(arrays): int labels (classifier) or
+    (n, 16) targets (regressor).
 
     RNG draw order: one normal() for the weight init, then one permutation
-    per epoch plus one per mid-epoch wraparound.
+    per epoch plus one per mid-epoch wraparound. A run whose arithmetic
+    overflows, or whose weights or validation metric stop being finite,
+    raises AnalysisError instead of returning a model.
     """
-    Z = stdz.apply(X)
-    Z_val = stdz.apply(X_val)
+    if len(train) == 0:
+        raise AnalysisError("empty training set")
+    if len(val) == 0:
+        raise AnalysisError("empty validation set")
+    if train.samples.shape[1] != val.samples.shape[1]:
+        raise AnalysisError("train/val sample lengths differ")
+    train = _apply_data_cap(train, config)
+    stdz = fit_standardization(train.samples)
+    Y, val_labels = labels_of(train), labels_of(val)
+    Z = stdz.apply(train.samples)
+    Z_val = stdz.apply(val.samples)
     n, m = Z.shape
     outputs = _MODEL_OUTPUTS[kind]
     rng = np.random.default_rng(config.seed)
@@ -225,45 +238,44 @@ def _train_loop(X: np.ndarray, Y, X_val: np.ndarray, val_labels, config: TrainCo
     lr = config.learning_rate
     batch = min(config.batch_size, n)
     history = []
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        cursor = 0
-        for _ in range(config.steps_per_epoch):
-            if cursor + batch > n:
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(config.epochs):
                 perm = rng.permutation(n)
                 cursor = 0
-            idx = perm[cursor:cursor + batch]
-            cursor += batch
-            Xb = Z[idx]
-            if kind == CLASSIFIER_256:
-                p = _softmax(Xb @ W.T + b)
-                p[np.arange(batch), Y[idx]] -= 1.0
-                g = p / batch
-            else:
-                err = (Xb @ W.T + b) - Y[idx]
-                g = (2.0 / (batch * outputs)) * err
-            W -= lr * (g.T @ Xb)
-            b -= lr * g.sum(axis=0)
-            del Xb  # free this minibatch before the next one is gathered
-        history.append(_validate(W, b, Z_val, val_labels, kind))
-    return W, b, history
-
-
-def _validate(W, b, Z_val, val_labels, kind) -> float:
-    out = Z_val @ W.T + b
-    if kind == CLASSIFIER_256:
-        probs = _softmax(out)
-        return float(_ranks_of_scores(probs, val_labels).mean())
-    return float(np.mean((out - val_labels) ** 2))
-
-
-def _check_train_inputs(train: TraceArrays, val: TraceArrays):
-    if len(train) == 0:
-        raise AnalysisError("empty training set")
-    if len(val) == 0:
-        raise AnalysisError("empty validation set")
-    if train.samples.shape[1] != val.samples.shape[1]:
-        raise AnalysisError("train/val sample lengths differ")
+                for _ in range(config.steps_per_epoch):
+                    if cursor + batch > n:
+                        perm = rng.permutation(n)
+                        cursor = 0
+                    idx = perm[cursor:cursor + batch]
+                    cursor += batch
+                    Xb = Z[idx]
+                    if kind == CLASSIFIER_256:
+                        p = _softmax(Xb @ W.T + b)
+                        p[np.arange(batch), Y[idx]] -= 1.0
+                        g = p / batch
+                    else:
+                        err = (Xb @ W.T + b) - Y[idx]
+                        g = (2.0 / (batch * outputs)) * err
+                    W -= lr * (g.T @ Xb)
+                    b -= lr * g.sum(axis=0)
+                    del Xb  # free this minibatch before the next is gathered
+                out = Z_val @ W.T + b
+                if kind == CLASSIFIER_256:
+                    metric = _ranks_of_scores(_softmax(out), val_labels).mean()
+                else:
+                    metric = np.mean((out - val_labels) ** 2)
+                history.append(float(metric))
+                if not (math.isfinite(history[-1]) and np.isfinite(W).all()
+                        and np.isfinite(b).all()):
+                    raise FloatingPointError("non-finite weights or metric")
+    except FloatingPointError as e:
+        raise AnalysisError(f"training diverged ({e}); lower the learning "
+                            f"rate") from e
+    model = ProfilingModel(kind, W, b, stdz, byte_index=byte_index,
+                           positions=tuple(sorted(set(train.positions.tolist()))),
+                           seed=config.seed)
+    return TrainResult(model, history, len(train))
 
 
 def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
@@ -272,32 +284,14 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
     model plus per-epoch validation mean ranks (the selection metric)."""
     if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
         raise ConfigError("classifier targets a first-round byte value model")
-    _check_train_inputs(train, val)
-    train = _apply_data_cap(train, config)
-    stdz = fit_standardization(train.samples)
-    y = _first_round_labels(target, train)
-    y_val = _first_round_labels(target, val)
-    W, b, history = _train_loop(train.samples, y, val.samples, y_val, config,
-                                CLASSIFIER_256, stdz)
-    model = ProfilingModel(CLASSIFIER_256, W, b, stdz,
-                           byte_index=target.byte_index,
-                           positions=tuple(sorted(set(train.positions.tolist()))),
-                           seed=config.seed)
-    return TrainResult(model, history, len(train))
+    return _train(train, val, lambda a: first_round_labels(target, a), config,
+                  CLASSIFIER_256, target.byte_index)
 
 
 def train_hd_regressor(train: TraceArrays, val: TraceArrays,
                        config: TrainConfig) -> TrainResult:
     """Fit the 16-output HD regressor; history is per-epoch validation MSE."""
-    _check_train_inputs(train, val)
-    train = _apply_data_cap(train, config)
-    stdz = fit_standardization(train.samples)
-    W, b, history = _train_loop(train.samples, true_hds(train), val.samples,
-                                true_hds(val), config, HD_REGRESSOR_16, stdz)
-    model = ProfilingModel(HD_REGRESSOR_16, W, b, stdz, byte_index=None,
-                           positions=tuple(sorted(set(train.positions.tolist()))),
-                           seed=config.seed)
-    return TrainResult(model, history, len(train))
+    return _train(train, val, true_hds, config, HD_REGRESSOR_16)
 
 
 # ------------------------------------------------------- position selection

@@ -9,9 +9,9 @@ File layout (all little-endian):
                 origin_mm}, m, trace_count, description, adc_bits}
     ...         trace_count packed records of record_dtype(m)
 
-Files are written in TraceArrays chunks and read whole into TraceArrays;
-both directions reject records whose position lies outside the grid or whose
-split code is unknown, and reading also rejects non-finite samples.
+Files are written in TraceArrays chunks and read into one TraceArrays per
+split; both directions reject records whose position lies outside the grid
+or whose split code is unknown, and reading also rejects non-finite samples.
 """
 
 import json
@@ -176,9 +176,16 @@ class TraceArrays:
                            self.positions[idx], self.splits[idx])
 
 
-def read_arrays(path, splits=None) -> tuple:
-    """Read a whole dataset into (header, TraceArrays), keeping the records
-    whose split code is in `splits` (all records when None), in file order.
+def read_header(path) -> DatasetHeader:
+    """The header of a dataset file; no record is read."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)
+
+
+def read_arrays(path, splits) -> tuple:
+    """Read a dataset's records split by split: returns the header followed
+    by one TraceArrays per split code in `splits`, in the order asked, each
+    holding that split's records in file order.
 
     The file size is checked against the header before any record is read:
     a short file fails at the byte offset of its first incomplete record,
@@ -186,11 +193,13 @@ def read_arrays(path, splits=None) -> tuple:
     position or an unknown split code, a NaN or infinite sample in any record,
     kept or not, rejects the file.
 
-    Records are read in blocks of about _READ_BLOCK_BYTES and copied field by
-    field into arrays sized for every record, which are then shrunk in place
-    to the kept ones, so reading needs about the file's size plus one block.
+    Records are read in blocks of about _READ_BLOCK_BYTES. A first pass
+    counts each split's records; the second checks every record and copies
+    the kept ones field by field into arrays of exactly their split's size,
+    so reading needs about the kept records' size plus one block.
     """
-    codes = list(SPLIT_NAMES) if splits is None else list(splits)
+    if not set(splits) <= set(SPLIT_NAMES):
+        raise ConfigError(f"unknown split codes in {tuple(splits)}")
     with open(path, "rb") as f:
         header = _read_header(f, path)
         offset = f.tell()
@@ -205,27 +214,32 @@ def read_arrays(path, splits=None) -> tuple:
             raise DataFormatError(
                 f"{path}: {size - end} trailing bytes after the last record "
                 f"at byte offset {end}")
-        arrays = TraceArrays(np.empty((n, header.m), np.float32),
-                             np.empty((n, 16), np.uint8), np.empty((n, 16), np.uint8),
-                             np.empty((n, 16), np.uint8), np.empty(n, np.int32),
-                             np.empty(n, np.uint8))
         step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
-        kept = 0
-        for start in range(0, n, step):
-            rec = np.fromfile(f, dtype=dtype, count=min(step, n - start))
+
+        def blocks():
+            f.seek(offset)
+            for start in range(0, n, step):
+                yield start, np.fromfile(f, dtype=dtype, count=min(step, n - start))
+
+        counts = sum((np.bincount(rec["split"], minlength=256)
+                      for _, rec in blocks()), np.zeros(256, np.int64))
+        out = {c: TraceArrays(np.empty((counts[c], header.m), np.float32),
+                              *(np.empty((counts[c], 16), np.uint8) for _ in range(3)),
+                              np.empty(counts[c], np.int32),
+                              np.empty(counts[c], np.uint8))
+               for c in splits}
+        filled = dict.fromkeys(out, 0)
+        for start, rec in blocks():
             _check_rows(rec["position"], rec["split"], header, start)
             finite = np.isfinite(rec["samples"]).all(axis=1)
             if not finite.all():
                 i = start + np.flatnonzero(~finite)[0]
                 raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
-            keep = np.isin(rec["split"], codes)
-            rows = slice(kept, kept + int(np.count_nonzero(keep)))
-            for name, field in _FIELDS:
-                getattr(arrays, name)[rows] = rec[field] if keep.all() \
-                    else rec[field][keep]
-            kept = rows.stop
-    if kept < n:
-        for name, _ in _FIELDS:
-            arr = getattr(arrays, name)
-            arr.resize((kept,) + arr.shape[1:], refcheck=False)
-    return header, arrays
+            for code, arrays in out.items():
+                keep = rec["split"] == code
+                rows = slice(filled[code], filled[code] + int(np.count_nonzero(keep)))
+                for name, field in _FIELDS:
+                    getattr(arrays, name)[rows] = rec[field] if keep.all() \
+                        else rec[field][keep]
+                filled[code] = rows.stop
+    return (header, *(out[code] for code in splits))

@@ -28,7 +28,7 @@ from emgrid.heatmap import heatmap_from_csv
 from emgrid.profiler import (CLASSIFIER_256, ProfilingModel,
                              StandardizationParams, classify_attack,
                              load_model)
-from emgrid.traceset import TraceArrays, read_arrays
+from emgrid.traceset import SPLIT_TRAIN, TraceArrays, read_arrays
 
 FIXED_KEY = "2b7e151628aed2a6abf7158809cf4f3c"
 
@@ -412,8 +412,9 @@ def test_criterion_07_hybrid_amplifier(pipeline):
 
 def test_criterion_08_inverse_square_law(pipeline):
     root = pipeline["root"]
-    _, near = read_arrays(root / "c8_near.emgd")
-    _, far = read_arrays(root / "c8_far.emgd")
+    # c8 files hold train traces only
+    _, near = read_arrays(root / "c8_near.emgd", (SPLIT_TRAIN,))
+    _, far = read_arrays(root / "c8_far.emgd", (SPLIT_TRAIN,))
     same_inputs = bool((near.plaintexts == far.plaintexts).all())
     ratio = near.samples[:, 3].astype(np.float64) / far.samples[:, 3].astype(np.float64)
     elapsed = pipeline["times"]["c8"]

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -37,7 +38,7 @@ from emgrid.traceset import (
     SPLIT_HOLDOUT,
     DatasetHeader,
     TraceArrays,
-    _read_header,
+    read_header,
     record_dtype,
     write_dataset,
 )
@@ -47,11 +48,6 @@ KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def read_header(path) -> DatasetHeader:
-    with open(path, "rb") as f:
-        return _read_header(f, path)
 
 
 def run(capsys, *argv):
@@ -139,6 +135,26 @@ def test_simulate_missing_config_exit_2(capsys, workdir):
     assert code == 2
     assert events[-1]["event"] == "error"
     assert "not found" in events[-1]["message"]
+
+
+def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
+    """Wide traces come in chunks of 186 (m = 2816), which never end on a
+    multiple of the 30-trace logging step; every chunk that crosses one logs
+    an event."""
+    cfg = {"geometry": {"nx": 1, "ny": 1, "nz": 1, "step_mm": 0.5,
+                        "z_step_mm": 0.5, "origin_mm": [0.0, 0.0, 0.2]},
+           "m": 2816, "seed": 3, "traces_per_position": {"train": 600},
+           "sources": [{"position_mm": [0.0, 0.0, 0.0], "sample_indices": [5],
+                        "target": "FirstRoundSboxOutput", "byte_index": 0,
+                        "amplitude": 0.05}]}
+    config = workdir / "wide.json"
+    config.write_text(json.dumps(cfg))
+    code, events = run(capsys, "simulate", "--config", config,
+                       "--out", workdir / "wide.emgd")
+    assert code == 0
+    done = [e["done"] for e in events if e["event"] == "progress"]
+    assert done == [186, 372, 558, 600]
+    assert all(e["total"] == 600 for e in events if e["event"] == "progress")
 
 
 def test_simulate_bad_config_exit_2(capsys, workdir):
@@ -473,6 +489,25 @@ def test_train_non_finite_threshold_exit_2(capsys, workdir, dataset, threshold):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["classifier", "hd-regressor"])
+def test_train_divergence_exit_3_without_model(workdir, dataset, kind):
+    """A learning rate that overflows the weights ends in one AnalysisError
+    event, with no numpy warning text on stderr and no model file. Run as a
+    process: pytest would otherwise capture the warnings stderr shows."""
+    out = workdir / f"diverged_{kind}.emmod"
+    proc = subprocess.run(
+        [sys.executable, "-m", "emgrid", "train", "--in", str(dataset),
+         "--mode", "single", "--positions", "0", "--model-kind", kind,
+         "--lr", "1e308", "--epochs", "2", "--steps", "20",
+         "--out-model", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    events = [json.loads(line) for line in proc.stderr.splitlines()]
+    errors = [e for e in events if e["event"] == "error"]
+    assert len(errors) == 1 and errors[0]["kind"] == "AnalysisError"
+    assert "diverged" in errors[0]["message"]
+    assert not out.exists()
+
+
 def test_train_negative_seed_exit_2(capsys, workdir, dataset):
     code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
                        "--seed", -1, "--out-model", workdir / "seed.emmod")
@@ -697,6 +732,62 @@ def test_hybrid_oracle_discloses(capsys, workdir, hd_dataset):
     assert code == 0
     assert heatmap_from_csv(discl.read_text())[0, 0] == 350
     assert heatmap_from_csv(ranks.read_text())[0, 0] == 0
+
+
+def uniform_classifier_file(path, m):
+    save_model(ProfilingModel(CLASSIFIER_256, np.zeros((256, m)), np.zeros(256),
+                              StandardizationParams(np.zeros(m), np.ones(m)),
+                              byte_index=0), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["snr", "cpa", "evaluate", "hybrid"])
+def test_empty_split_exit_2(capsys, workdir, hd_dataset, command):
+    """hd.emgd holds holdout traces only: every sweep of its test split ends
+    the same way, with one ConfigError, and writes no map."""
+    model = {"snr": [], "cpa": [],
+             "evaluate": ["--model", uniform_classifier_file(
+                 workdir / "uniform16.emmod", 16)],
+             "hybrid": ["--model", identity_regressor(workdir / "id4.emmod")]}
+    outs = (["--out-heatmap", workdir / "empty_h.csv"]
+            if command in ("snr", "evaluate")
+            else ["--out-disclosure", workdir / "empty_d.csv",
+                  "--out-ranks", workdir / "empty_r.csv"])
+    code, events = run(capsys, command, *model[command], "--in", hd_dataset,
+                       "--split", "test", *outs)
+    assert code == 2, events
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "no traces" in events[0]["message"]
+    assert not any(p.exists() for p in outs[1::2])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "hybrid"])
+@pytest.mark.parametrize("split", ["test", "holdout"])
+def test_model_length_mismatch_exit_3_before_reading(
+        capsys, monkeypatch, workdir, hd_dataset, command, split):
+    """A model whose m differs from the dataset header's fails before any
+    record is read, on an empty split (test) as on a full one (holdout)."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read_arrays called before the model check")
+
+    monkeypatch.setattr(cli, "read_arrays", no_read)
+    if command == "evaluate":
+        model = uniform_classifier_file(workdir / "uniform12.emmod", 12)
+        outs = ["--out-heatmap", workdir / "mm_h.csv"]
+    else:
+        model = workdir / "reg12.emmod"
+        save_model(ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 12)),
+                                  np.zeros(16), StandardizationParams(
+                                      np.zeros(12), np.ones(12))), model)
+        outs = ["--out-disclosure", workdir / "mm_d.csv",
+                "--out-ranks", workdir / "mm_r.csv"]
+    code, events = run(capsys, command, "--model", model, "--in", hd_dataset,
+                       "--split", split, *outs)
+    assert code == 3, events
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "AnalysisError"
+    assert events[0]["message"] == "trace length 16 != model m 12"
 
 
 def test_hybrid_rejects_classifier_model(capsys, workdir, hd_dataset):
@@ -1021,11 +1112,41 @@ def test_module_entry_point_and_usage_exit_2(workdir):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "--byte" in proc.stderr
+    events = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert len(events) == 1 and events[0]["event"] == "error"
+    assert events[0]["kind"] == "ConfigError"
+    assert "--byte" in events[0]["message"]
     proc = subprocess.run([sys.executable, "-m", "emgrid", "render", "--csv",
                            str(workdir / "absent.csv"), "--svg",
                            str(workdir / "x.svg")],
                           capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["cpa", "--in", "x.emgd", "--budget", "abc", "--out-disclosure", "d.csv",
+      "--out-ranks", "r.csv"], "invalid int value: 'abc'"),
+    (["snr", "--in", "x.emgd"], "required: --out-heatmap"),
+    (["snr", "--in", "x.emgd", "--split", "nope", "--out-heatmap", "h.csv"],
+     "invalid choice: 'nope'"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+    ([], "required: command"),
+])
+def test_argument_errors_are_one_json_event(capsys, argv, says):
+    """In-process calls, as the benchmark makes them, get exit 2 and one
+    ConfigError event naming argparse's message, not SystemExit."""
+    code, events = run(capsys, *argv)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert says in events[0]["message"]
+
+
+def test_help_stays_text_exit_0():
+    proc = subprocess.run([sys.executable, "-m", "emgrid", "cpa", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "--budget" in proc.stdout and proc.stderr == ""
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys, workdir):
@@ -1054,3 +1175,101 @@ def test_stderr_is_json_lines(capsys, workdir, sim_config):
     for line in err.splitlines():
         if line.strip():
             json.loads(line)  # every line parses
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+def strict_json(line: str) -> dict:
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
+FUZZ_VALUES = {
+    "--byte": [-1, 0, 15, 16],
+    "--budget": [-1, 0, 1, 10**12],
+    "--checkpoint": [0, 1, 10**18],
+    "--n": [0, 1, 2, 3],
+    "--lr": ["1e-300", "0.5", "1e308", "inf", "nan", "-1"],
+    "--seed": [-1, 0, 2**64 - 1, 2**64, 2**80],
+    "--split": ["train", "test", "holdout"],
+    "--threads": [-1, 0, 1, 8],
+    "--data-cap": [0, 1, 64, 10**9],
+    "--batch-size": [0, 1, 10**6],
+    "--threshold": ["-1", "0", "1e308", "nan"],
+    "--positions": [[0], [1], [0, 1], [2], [-1]],
+    "--target": sorted(cli.TARGET_KINDS),
+    "--model-kind": ["classifier", "hd-regressor"],
+    "--vmin": ["-1e308", "0", "1e308", "inf"],
+    "--vmax": ["-1e308", "0", "1e308", "inf"],
+    "--mask-threshold": ["-1e308", "0", "1e308", "nan"],
+}
+FUZZ_FLAGS = {
+    "simulate": ["--seed", "--threads"],
+    "snr": ["--byte", "--split", "--target", "--threads"],
+    "cpa": ["--budget", "--checkpoint", "--split", "--target", "--threads"],
+    "train": ["--positions", "--n", "--threshold", "--model-kind", "--byte",
+              "--target", "--lr", "--seed", "--data-cap", "--batch-size"],
+    "evaluate": ["--byte", "--split", "--target", "--threads"],
+    "hybrid": ["--budget", "--checkpoint", "--split", "--threads"],
+    "render": ["--vmin", "--vmax", "--mask-threshold"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(workdir, dataset, hd_dataset):
+    """Models of both kinds and a heatmap CSV over the 2x1 dataset grid."""
+    root = workdir / "fuzz"
+    root.mkdir()
+    clf = uniform_classifier_file(root / "clf12.emmod", 12)
+    reg = identity_regressor(root / "reg16.emmod")
+    ranks = root / "ranks.csv"
+    ranks.write_text("y\\x,0,1\n0,95,127.5\n")
+    return {"root": root, "models": [clf, reg], "datasets": [dataset, hd_dataset],
+            "ranks": ranks}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_ends_in_a_documented_exit(sim_config, fuzz_files, data):
+    """Flag edges across every subcommand end with exit 0-3, at most one
+    error event and nothing on stderr but strict JSON lines; numpy warnings
+    would print text, so none may be raised."""
+    root = fuzz_files["root"]
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    in_file = ["--in", data.draw(st.sampled_from(fuzz_files["datasets"]))]
+    model = ["--model", data.draw(st.sampled_from(fuzz_files["models"]))]
+    argv = {
+        "simulate": ["--config", sim_config, "--out", root / "sim.emgd"],
+        "snr": in_file + ["--out-heatmap", root / "snr.csv"],
+        "cpa": in_file + ["--out-disclosure", root / "d.csv",
+                          "--out-ranks", root / "r.csv"],
+        "train": in_file + [
+            "--mode", data.draw(st.sampled_from(["single", "multiplace",
+                                                 "topn", "all"])),
+            "--epochs", data.draw(st.integers(0, 2)),
+            "--steps", data.draw(st.integers(1, 3)),
+            "--out-model", root / "fuzz.emmod"],
+        "evaluate": model + in_file + ["--out-heatmap", root / "e.csv"],
+        "hybrid": model + in_file + ["--out-disclosure", root / "d.csv",
+                                     "--out-ranks", root / "r.csv"],
+        "render": ["--csv", fuzz_files["ranks"], "--svg", root / "r.svg"],
+    }[command]
+    if command == "train" and data.draw(st.booleans()):
+        argv += ["--heatmap", fuzz_files["ranks"]]
+    for flag in FUZZ_FLAGS[command]:  # each flag in about one run of three
+        if data.draw(st.integers(0, 2)) == 0:
+            value = data.draw(st.sampled_from(FUZZ_VALUES[flag]))
+            # --flag=value keeps a leading minus from reading as an option
+            argv += [flag, *value] if isinstance(value, list) \
+                else [f"{flag}={value}"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, *map(str, argv)])
+    events = [strict_json(line) for line in err.getvalue().splitlines()]
+    assert code in (0, 1, 2, 3), (argv, events)
+    assert sum(e["event"] == "error" for e in events) <= 1, (argv, events)
+    assert not caught, (argv, [str(w.message) for w in caught])

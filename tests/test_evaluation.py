@@ -72,8 +72,7 @@ def hd_samples(arr):
 
 def test_classifier_grid_uniform_model_and_empty_cell():
     arr = build_arrays(200, 1, np.repeat([0], 200))
-    h = evaluate_classifier_grid(uniform_classifier(8), arr, G21, SPLIT_TEST,
-                                 TARGET)
+    h = evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET)
     assert h.metric == "mean_rank"
     assert h.values[0] == 127.5
     assert h.values[1] == math.inf  # no traces at position 1
@@ -85,7 +84,7 @@ def test_classifier_grid_consistent_with_classify_attack():
     model = ProfilingModel(CLASSIFIER_256, rng.normal(size=(256, 8)),
                            rng.normal(size=256),
                            StandardizationParams(np.zeros(8), np.ones(8)))
-    h = evaluate_classifier_grid(model, arr, G21, SPLIT_TEST, TARGET)
+    h = evaluate_classifier_grid(model, arr, G21, TARGET)
     for p in (0, 1):
         sub = arr.subset(arr.positions == p)
         labels = true_first_round_values(TARGET.kind, sub.plaintexts, sub.keys,
@@ -99,14 +98,13 @@ def test_classifier_grid_byte_mismatch_rejected():
     model = uniform_classifier(8)
     model.byte_index = 11
     with pytest.raises(ConfigError):
-        evaluate_classifier_grid(model, arr, G21, SPLIT_TEST, TARGET)
+        evaluate_classifier_grid(model, arr, G21, TARGET)
 
 
 def test_grid_position_outside_geometry_rejected():
     arr = build_arrays(10, 7, np.full(10, 5))
     with pytest.raises(ConfigError):
-        evaluate_classifier_grid(uniform_classifier(8), arr, G21, SPLIT_TEST,
-                                 TARGET)
+        evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET)
 
 
 # ------------------------------------------------------------------ SNR map
@@ -124,17 +122,30 @@ def test_snr_grid_peaks_at_leaky_position():
     samples[leaky, 3] += 0.5 * HW_TABLE[labels[leaky]].astype(np.float32)
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
-    h = evaluate_snr_grid(arr, G21, SPLIT_TEST,
-                          LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0))
+    h = evaluate_snr_grid(arr, G21, LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0))
     assert h.metric == "peak_snr"
     assert h.values[0] > 0.3  # Var(0.5 HW) / 1 = 0.5 up to estimation error
     assert h.values[1] < 0.05  # pure noise stays near zero
 
 
 def test_snr_grid_empty_split_rejected():
-    arr = build_arrays(10, 12, np.zeros(10), split=0)
+    arr = build_arrays(10, 12, np.zeros(10), split=0).subset(slice(0, 0))
     with pytest.raises(ConfigError):
-        evaluate_snr_grid(arr, G21, SPLIT_TEST, TARGET)
+        evaluate_snr_grid(arr, G21, TARGET)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda a: evaluate_snr_grid(a, G21, TARGET),
+    lambda a: evaluate_classifier_grid(uniform_classifier(8), a, G21, TARGET),
+    lambda a: evaluate_cpa_grid(a, G21, LAST_ROUND_HD),
+    lambda a: evaluate_hybrid_grid(oracle_regressor(), a, G21),
+], ids=["snr", "classifier", "cpa", "hybrid"])
+def test_every_sweep_rejects_no_traces(sweep):
+    """An empty split ends every sweep the same way, not in all-sentinel
+    maps."""
+    empty = build_arrays(10, 35, np.zeros(10)).subset(slice(0, 0))
+    with pytest.raises(ConfigError, match="no traces"):
+        sweep(empty)
 
 
 def test_snr_grid_last_round_hd_classes():
@@ -147,7 +158,7 @@ def test_snr_grid_last_round_hd_classes():
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    h = evaluate_snr_grid(arr, geom, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 5))
+    h = evaluate_snr_grid(arr, geom, LeakageModel(LAST_ROUND_HD, 5))
     assert h.values[0] > 0.5
 
 
@@ -163,8 +174,7 @@ def test_cpa_grid_last_round_discloses_at_leaky_position_only():
     samples[leaky] = true_hds(arr)[leaky].astype(np.float32)
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
-    disc, rank = evaluate_cpa_grid(arr, G21, SPLIT_TEST,
-                                   LeakageModel(LAST_ROUND_HD, 0),
+    disc, rank = evaluate_cpa_grid(arr, G21, LAST_ROUND_HD,
                                    checkpoint_interval=200)
     assert disc.metric == "traces_to_disclosure"
     assert disc.values[0] == 200
@@ -183,8 +193,7 @@ def test_cpa_grid_first_round_target():
     arr = TraceArrays(sbox_hw, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    disc, rank = evaluate_cpa_grid(arr, geom, SPLIT_TEST,
-                                   LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0),
+    disc, rank = evaluate_cpa_grid(arr, geom, FIRST_ROUND_SBOX_OUTPUT,
                                    checkpoint_interval=300)
     assert disc.values[0] == 300
     assert rank.values[0] == 0.0
@@ -201,8 +210,7 @@ def test_cpa_grid_first_round_correlates_hamming_weights():
     arr = TraceArrays(leak, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    disc, rank = evaluate_cpa_grid(arr, geom, SPLIT_TEST,
-                                   LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0),
+    disc, rank = evaluate_cpa_grid(arr, geom, FIRST_ROUND_SBOX_OUTPUT,
                                    checkpoint_interval=50)
     assert disc.values[0] == 50
     assert rank.values[0] == 0.0
@@ -215,8 +223,7 @@ def test_cpa_grid_zero_leak_all_infinite():
     per_pos = 400
     n = 64 * per_pos
     arr = build_arrays(n, 23, np.repeat(np.arange(64), per_pos))
-    disc, rank = evaluate_cpa_grid(arr, geom, SPLIT_TEST,
-                                   LeakageModel(LAST_ROUND_HD, 0),
+    disc, rank = evaluate_cpa_grid(arr, geom, LAST_ROUND_HD,
                                    checkpoint_interval=400)
     assert np.all(np.isinf(disc.values))
     assert abs(rank.values.mean() - 127.5) < 5
@@ -224,8 +231,7 @@ def test_cpa_grid_zero_leak_all_infinite():
 
 def test_cpa_grid_budget_zero_all_infinite():
     arr = build_arrays(400, 24, np.zeros(400))
-    disc, _ = evaluate_cpa_grid(arr, G21, SPLIT_TEST,
-                                LeakageModel(LAST_ROUND_HD, 0), budget=0)
+    disc, _ = evaluate_cpa_grid(arr, G21, LAST_ROUND_HD, budget=0)
     assert np.all(np.isinf(disc.values))
 
 
@@ -236,7 +242,7 @@ def test_cpa_grid_mixed_keys_rejected():
     arr = TraceArrays(arr.samples, keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     with pytest.raises(AnalysisError, match="fixed"):
-        evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0))
+        evaluate_cpa_grid(arr, G21, LAST_ROUND_HD)
 
 
 @pytest.mark.parametrize("budget", [None, 0, 150, 10_000])
@@ -264,10 +270,10 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
     monkeypatch.setattr(evaluation, "predict_hd", counting_predict)
     events = []
     if hybrid:
-        evaluate_hybrid_grid(oracle_regressor(), arr, G21, SPLIT_TEST,
-                             budget=budget, progress=events.append)
+        evaluate_hybrid_grid(oracle_regressor(), arr, G21, budget=budget,
+                             progress=events.append)
     else:
-        evaluate_cpa_grid(arr, G21, SPLIT_TEST, LeakageModel(LAST_ROUND_HD, 0),
+        evaluate_cpa_grid(arr, G21, LAST_ROUND_HD,
                           budget=budget, progress=events.append)
     want = [n if budget is None else min(n, budget) for n in (300, 120)]
     assert fetched == want
@@ -279,8 +285,7 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
     mixed = TraceArrays(arr.samples, keys, arr.plaintexts, arr.ciphertexts,
                         arr.positions, arr.splits)
     with pytest.raises(AnalysisError, match="fixed"):
-        evaluate_cpa_grid(mixed, G21, SPLIT_TEST,
-                          LeakageModel(LAST_ROUND_HD, 0), budget=budget)
+        evaluate_cpa_grid(mixed, G21, LAST_ROUND_HD, budget=budget)
 
 
 # --------------------------------------------------------------- hybrid map
@@ -288,7 +293,7 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
 def test_hybrid_grid_oracle_regressor_everywhere():
     n = 1000
     arr = hd_samples(build_arrays(n, 30, np.repeat([0, 1], n // 2)))
-    disc, rank = evaluate_hybrid_grid(oracle_regressor(), arr, G21, SPLIT_TEST,
+    disc, rank = evaluate_hybrid_grid(oracle_regressor(), arr, G21,
                                       checkpoint_interval=250)
     assert disc.values.tolist() == [250.0, 250.0]
     assert rank.values.tolist() == [0.0, 0.0]
@@ -299,8 +304,7 @@ def test_hybrid_grid_constant_regressor_all_infinite():
     arr = hd_samples(build_arrays(n, 31, np.repeat([0, 1], n // 2)))
     const = ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 16)), np.zeros(16),
                            StandardizationParams(np.zeros(16), np.ones(16)))
-    disc, rank = evaluate_hybrid_grid(const, arr, G21, SPLIT_TEST,
-                                      checkpoint_interval=200)
+    disc, rank = evaluate_hybrid_grid(const, arr, G21, checkpoint_interval=200)
     assert np.all(np.isinf(disc.values))
     assert rank.values.tolist() == [127.5, 127.5]
 
@@ -309,7 +313,7 @@ def test_progress_callback_reports_each_position():
     n = 200
     arr = build_arrays(n, 33, np.repeat([0, 1], n // 2))
     seen = []
-    evaluate_classifier_grid(uniform_classifier(8), arr, G21, SPLIT_TEST,
-                             TARGET, progress=seen.append)
+    evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET,
+                             progress=seen.append)
     assert sorted(e["position"] for e in seen) == [0, 1]
     assert all(e["traces"] == 100 for e in seen)

@@ -40,7 +40,7 @@ from emgrid.profiler import (
     train_classifier,
     train_hd_regressor,
 )
-from emgrid.traceset import SPLIT_TRAIN, TraceArrays
+from emgrid.traceset import TraceArrays
 
 KEY = bytes(range(16))
 TARGET = LeakageModel(FIRST_ROUND_SBOX_INPUT, 0)
@@ -618,8 +618,7 @@ def hd_attack_arrays(n, seed):
 
 def hybrid(regressor, attack, **kwargs):
     """One-cell hybrid attack: (traces to disclosure, average final rank)."""
-    disc, rank = evaluate_hybrid_grid(regressor, attack, G11, SPLIT_TRAIN,
-                                      **kwargs)
+    disc, rank = evaluate_hybrid_grid(regressor, attack, G11, **kwargs)
     return disc.values[0], rank.values[0]
 
 

@@ -51,6 +51,15 @@ def tiny_config(**kw):
     return SimConfig(**defaults)
 
 
+def read_all(path) -> TraceArrays:
+    """Every record of a dataset: the train, test and holdout arrays, in
+    that order, joined into one."""
+    _, *parts = read_arrays(path, tuple(SPLIT_NAMES))
+    return TraceArrays(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("samples", "keys", "plaintexts",
+                                   "ciphertexts", "positions", "splits")))
+
+
 def trace_rng(seed: int, position: int, split: int, trace_index: int):
     """The substream of one trace, as the reproducibility contract defines
     it: a fresh Generator on Philox keyed by (seed, position, split, index)."""
@@ -142,7 +151,7 @@ def test_counts_and_positions(tmp_path):
     path = tmp_path / "grid.emgd"
     header = simulate_grid_dataset(config, path)
     assert header.trace_count == 9 * 10
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     counts = np.bincount(arrays.positions, minlength=9)
     assert np.array_equal(counts, np.full(9, 10))
     split_counts = np.bincount(arrays.splits, minlength=3)
@@ -153,7 +162,7 @@ def test_label_consistency(tmp_path):
     config = tiny_config()
     path = tmp_path / "lbl.emgd"
     simulate_grid_dataset(config, path)
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     for pt, key, ct in zip(arrays.plaintexts, arrays.keys, arrays.ciphertexts):
         assert ct.tobytes() == aes128_encrypt(pt.tobytes(), key.tobytes())
 
@@ -163,7 +172,7 @@ def test_fixed_key_applies_to_all_splits(tmp_path):
     config = tiny_config(fixed_key=fixed)
     path = tmp_path / "fk.emgd"
     simulate_grid_dataset(config, path)
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     assert (arrays.keys == np.frombuffer(fixed, np.uint8)).all()
 
 
@@ -171,7 +180,7 @@ def test_random_keys_differ_per_trace(tmp_path):
     config = tiny_config()
     path = tmp_path / "rk.emgd"
     simulate_grid_dataset(config, path)
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     assert len({k.tobytes() for k in arrays.keys}) == len(arrays)
 
 
@@ -224,7 +233,7 @@ def test_quantization_levels(tmp_path):
     path = tmp_path / "q.emgd"
     header = simulate_grid_dataset(config, path)
     assert header.adc_bits == 8
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     lo, hi = -2.0, 2.0
     step = (hi - lo) / 255
     codes = (arrays.samples - lo) / step
@@ -241,7 +250,7 @@ def test_batch_generation_matches_single_trace_path(tmp_path):
     ))
     path = tmp_path / "eq.emgd"
     simulate_grid_dataset(config, path)
-    _, arrays = read_arrays(path)
+    arrays = read_all(path)
     # Reconstruct the first and last trace of each split from its substream.
     offset = 0
     for split_name, count in (("train", 8), ("test", 4), ("holdout", 6)):
@@ -297,19 +306,20 @@ def test_every_trace_matches_its_substream_oracle(tmp_path_factory, config):
     raw = [path.read_bytes() for path in files.values()]
     assert raw[0] == raw[1] == raw[2]
 
-    _, got = read_arrays(files[8 * config.m])
-    row = 0
+    # one array per split code, each in file order: position-major
+    _, *got = read_arrays(files[8 * config.m], tuple(SPLIT_NAMES))
+    rows = [0] * len(got)
     for position in range(config.geometry.position_count):
         for name, split in SPLIT_CODES.items():
             for index in range(config.traces_per_position[name]):
                 want = oracle_trace(config, position, split, index)
                 for field in ("samples", "keys", "plaintexts", "ciphertexts",
                               "positions", "splits"):
-                    assert np.array_equal(getattr(got, field)[row],
+                    assert np.array_equal(getattr(got[split], field)[rows[split]],
                                           getattr(want, field)[0]), \
                         (position, name, index, field)
-                row += 1
-    assert row == len(got)
+                rows[split] += 1
+    assert rows == [len(a) for a in got]
 
 
 @pytest.mark.parametrize("traces", [400, 1600])
@@ -353,7 +363,7 @@ def test_snr_decreases_with_distance(tmp_path):
                            traces_per_position={"train": 10_000})
         path = tmp_path / f"snr_{x}.emgd"
         simulate_grid_dataset(config, path)
-        _, arrays = read_arrays(path)
+        _, arrays = read_arrays(path, (SPLIT_CODES["train"],))
         labels = HW_TABLE[true_first_round_values(
             FIRST_ROUND_SBOX_OUTPUT, arrays.plaintexts, arrays.keys, 0)]
         acc = SnrAccumulator(num_classes=9, m=4)

@@ -37,12 +37,23 @@ def make_arrays(rng, header):
     )
 
 
+ALL = (SPLIT_TRAIN, SPLIT_TEST, SPLIT_HOLDOUT)
+
+
 def assert_arrays_equal(got, want):
     for name in ("samples", "keys", "plaintexts", "ciphertexts", "positions",
                  "splits"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def assert_splits_equal(got, want, splits=ALL):
+    """got holds one array per split code in `splits`: want's rows of that
+    split, in file order."""
+    assert len(got) == len(splits)
+    for arrays, code in zip(got, splits):
+        assert_arrays_equal(arrays, want.subset(want.splits == code))
 
 
 def coords_to_index(geometry: GridGeometry, ix: int, iy: int, iz: int = 0) -> int:
@@ -84,18 +95,18 @@ def test_round_trip_single_record(tmp_path):
     want = make_arrays(rng, header)
     path = tmp_path / "one.emgd"
     write_dataset(header, [want], path)
-    got_header, got = read_arrays(path)
+    got_header, *got = read_arrays(path, ALL)
     assert got_header == header
-    assert_arrays_equal(got, want)
+    assert_splits_equal(got, want)
 
 
 def test_empty_dataset_round_trip(tmp_path):
     header = DatasetHeader(GEOM, m=7, trace_count=0)
     path = tmp_path / "empty.emgd"
     write_dataset(header, [], path)
-    got_header, got = read_arrays(path)
+    got_header, *got = read_arrays(path, ALL)
     assert got_header.trace_count == 0
-    assert got.samples.shape == (0, 7)
+    assert [a.samples.shape for a in got] == [(0, 7)] * 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -113,16 +124,16 @@ def test_round_trip_property(tmp_path_factory, data):
     write_dataset(header, [want.subset(slice(0, cut)), want.subset(slice(cut, n))],
                   root / "two.emgd")
     assert (root / "two.emgd").read_bytes() == (root / "one.emgd").read_bytes()
-    got_header, got = read_arrays(root / "two.emgd")
+    got_header, *got = read_arrays(root / "two.emgd", ALL)
     assert got_header == header
-    assert_arrays_equal(got, want)
+    assert_splits_equal(got, want)
 
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.emgd"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(DataFormatError, match="magic"):
-        read_arrays(path)
+        read_arrays(path, ALL)
 
 
 def test_unsupported_version(tmp_path):
@@ -133,7 +144,7 @@ def test_unsupported_version(tmp_path):
     raw[4] = 9
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="version"):
-        read_arrays(path)
+        read_arrays(path, ALL)
 
 
 def test_truncation_names_offset(tmp_path):
@@ -150,7 +161,7 @@ def test_truncation_names_offset(tmp_path):
     trunc = tmp_path / "trunc.emgd"
     trunc.write_bytes(raw[:cut])
     with pytest.raises(DataFormatError, match=f"byte offset {data_start + rec_size}"):
-        read_arrays(trunc)
+        read_arrays(trunc, ALL)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -162,7 +173,7 @@ def test_trailing_bytes_rejected(tmp_path):
     padded = tmp_path / "padded.emgd"
     padded.write_bytes(raw + b"\x00" * 5)
     with pytest.raises(DataFormatError, match=f"5 trailing bytes .* offset {len(raw)}"):
-        read_arrays(padded)
+        read_arrays(padded, ALL)
 
 
 def test_write_mismatched_record_reports_index(tmp_path):
@@ -196,15 +207,17 @@ def test_read_arrays(tmp_path):
     want = make_arrays(rng, header)
     path = tmp_path / "arr.emgd"
     write_dataset(header, [want], path)
-    _, arrays = read_arrays(path)
-    assert arrays.samples.shape == (40, 5)
-    assert arrays.samples.flags.c_contiguous
-    assert_arrays_equal(arrays, want)
+    _, *arrays = read_arrays(path, ALL)
+    assert sum(len(a) for a in arrays) == 40
+    assert all(a.samples.shape[1] == 5 for a in arrays)
+    assert all(a.samples.flags.c_contiguous for a in arrays)
+    assert_splits_equal(arrays, want)
 
     _, train_only = read_arrays(path, (SPLIT_TRAIN,))
     assert_arrays_equal(train_only, want.subset(want.splits == SPLIT_TRAIN))
-    _, attack = read_arrays(path, (SPLIT_TEST, SPLIT_HOLDOUT))
-    assert_arrays_equal(attack, want.subset(want.splits != SPLIT_TRAIN))
+    # splits come back in the order asked
+    _, *attack = read_arrays(path, (SPLIT_HOLDOUT, SPLIT_TEST))
+    assert_splits_equal(attack, want, (SPLIT_HOLDOUT, SPLIT_TEST))
 
 
 def test_block_reads_match_and_name_global_indices(tmp_path, monkeypatch):
@@ -216,11 +229,10 @@ def test_block_reads_match_and_name_global_indices(tmp_path, monkeypatch):
     raw = path.read_bytes()
     dtype = traceset.record_dtype(5)
     monkeypatch.setattr(traceset, "_READ_BLOCK_BYTES", 3 * dtype.itemsize)
-    for splits in (None, (SPLIT_TEST,), (SPLIT_TRAIN, SPLIT_HOLDOUT)):
-        _, got = read_arrays(path, splits)
-        keep = np.isin(want.splits, [0, 1, 2] if splits is None else splits)
-        assert_arrays_equal(got, want.subset(keep))
-        assert got.samples.flags.c_contiguous
+    for splits in (ALL, (SPLIT_TEST,), (SPLIT_TRAIN, SPLIT_HOLDOUT)):
+        _, *got = read_arrays(path, splits)
+        assert_splits_equal(got, want, splits)
+        assert all(a.samples.flags.c_contiguous for a in got)
 
     # Record 31 sits in the eleventh three-record block.
     at = len(raw) - 40 * dtype.itemsize + 31 * dtype.itemsize
@@ -228,7 +240,7 @@ def test_block_reads_match_and_name_global_indices(tmp_path, monkeypatch):
     bad[at + dtype.fields["split"][1]] = 9
     path.write_bytes(bytes(bad))
     with pytest.raises(DataFormatError, match="at index 31: bad split 9"):
-        read_arrays(path)
+        read_arrays(path, ALL)
     bad = bytearray(raw)
     first_sample = at + dtype.fields["samples"][1]
     bad[first_sample:first_sample + 4] = np.float32(np.nan).tobytes()
@@ -243,10 +255,10 @@ def test_read_peak_memory_near_file_size(tmp_path):
     path = tmp_path / "big.emgd"
     write_dataset(header, [make_arrays(rng, header)], path)
     size = path.stat().st_size
-    for splits in (None, (SPLIT_TRAIN,)):
+    for splits in (ALL, (SPLIT_TRAIN,)):
         tracemalloc.start()
         try:
-            _, arrays = read_arrays(path, splits)
+            _, *arrays = read_arrays(path, splits)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
