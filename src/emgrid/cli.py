@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from dataclasses import replace
@@ -271,6 +272,14 @@ def cmd_render(args) -> int:
 # ------------------------------------------------------------------ parser
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e308" as an option, not a value; accept every
+        # float literal, exponent included. Sub-parsers are built from this
+        # class, so they inherit it.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # main logs it as one JSON error event
         raise ConfigError(f"{self.prog}: {message}")
 

@@ -8,6 +8,11 @@ self-contained) and train with plain seeded mini-batch gradient descent;
 training is a pure function of (data, config, seed). Standardization is
 fitted once per training run and applied once to the training and once to
 the validation matrix; the SGD steps index rows of the standardized matrix.
+The regressor trains in float32: its standardized matrices, weights, bias
+and targets are float32, so each SGD step moves half the bytes, and its
+matrices are filled 256 rows at a time from float64 blocks. The classifier,
+whose steps are bound by Python overhead rather than memory, trains in
+float64. Either model is returned with float64 weights and bias.
 
 The hybrid attack (evaluation.evaluate_hybrid_grid) runs the regressor over
 every attack trace and feeds the 16-float outputs into last-round CPA as
@@ -44,6 +49,7 @@ MODEL_FORMAT_VERSION = 1
 
 _STD_FLOOR = 1e-12
 _STD_BLOCK = 128  # columns per fit_standardization block
+_APPLY_ROWS = 256  # rows per StandardizationParams.apply block
 # data_cap subsampling uses a seed derived from the training seed by one LCG
 # step, so capping never perturbs the training RNG stream itself.
 _LCG_A = 6364136223846793005
@@ -55,12 +61,22 @@ class StandardizationParams:
     mean: np.ndarray  # (m,)
     std: np.ndarray   # (m,), constant columns guarded to 1
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """(samples - mean) / std as a new float64 array; samples is never
-        written to."""
-        z = np.array(samples, dtype=np.float64)
-        z -= self.mean
-        z /= self.std
+    def apply(self, samples: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """(samples - mean) / std as a new array of the given dtype; samples
+        is never written to.
+
+        Rows are standardized _APPLY_ROWS at a time: each block is converted
+        to float64, shifted and scaled, then rounded to dtype, so every
+        element is the float64 result rounded once and no float64 copy of
+        the whole matrix is made."""
+        x = np.asarray(samples)
+        z = np.empty(x.shape, dtype=dtype)
+        rows, out = np.atleast_2d(x), np.atleast_2d(z)
+        for a in range(0, len(rows), _APPLY_ROWS):
+            block = rows[a:a + _APPLY_ROWS].astype(np.float64)
+            block -= self.mean
+            block /= self.std
+            out[a:a + _APPLY_ROWS] = block
         return z
 
 
@@ -171,7 +187,7 @@ def predict_hd(model: ProfilingModel, traces: np.ndarray) -> np.ndarray:
 
 
 def _affine(model: ProfilingModel, traces: np.ndarray) -> np.ndarray:
-    x = np.asarray(traces, dtype=np.float64)
+    x = np.asarray(traces)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[1] != model.m:
@@ -226,15 +242,18 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
     if train.samples.shape[1] != val.samples.shape[1]:
         raise AnalysisError("train/val sample lengths differ")
     train = _apply_data_cap(train, config)
+    dtype = np.float64 if kind == CLASSIFIER_256 else np.float32
     stdz = fit_standardization(train.samples)
     Y, val_labels = labels_of(train), labels_of(val)
-    Z = stdz.apply(train.samples)
-    Z_val = stdz.apply(val.samples)
+    if kind == HD_REGRESSOR_16:
+        Y, val_labels = Y.astype(dtype), val_labels.astype(dtype)
+    Z = stdz.apply(train.samples, dtype)
+    Z_val = stdz.apply(val.samples, dtype)
     n, m = Z.shape
     outputs = _MODEL_OUTPUTS[kind]
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (outputs, m))
-    b = np.zeros(outputs)
+    W = rng.normal(0.0, 0.01, (outputs, m)).astype(dtype)
+    b = np.zeros(outputs, dtype=dtype)
     lr = config.learning_rate
     batch = min(config.batch_size, n)
     history = []
@@ -264,7 +283,7 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
                 if kind == CLASSIFIER_256:
                     metric = _ranks_of_scores(_softmax(out), val_labels).mean()
                 else:
-                    metric = np.mean((out - val_labels) ** 2)
+                    metric = np.mean((out - val_labels) ** 2, dtype=np.float64)
                 history.append(float(metric))
                 if not (math.isfinite(history[-1]) and np.isfinite(W).all()
                         and np.isfinite(b).all()):
@@ -272,7 +291,9 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
     except FloatingPointError as e:
         raise AnalysisError(f"training diverged ({e}); lower the learning "
                             f"rate") from e
-    model = ProfilingModel(kind, W, b, stdz, byte_index=byte_index,
+    model = ProfilingModel(kind, W.astype(np.float64, copy=False),
+                           b.astype(np.float64, copy=False),
+                           stdz, byte_index=byte_index,
                            positions=tuple(sorted(set(train.positions.tolist()))),
                            seed=config.seed)
     return TrainResult(model, history, len(train))

@@ -999,6 +999,30 @@ def test_render_extreme_value_span_exit_0(capsys, workdir, row):
     assert fills[1] == (COLOR_RAMP[255] if row.startswith("-") else COLOR_RAMP[0])
 
 
+@pytest.mark.parametrize("value", ["-1e308", "-1.5E+3", "-.5e-2", "-1."])
+def test_negative_exponent_flag_value_parses(capsys, workdir, value):
+    """A negative float literal given as its own argument, exponent or not,
+    is a flag value, not an option."""
+    csv = workdir / "negative_flag.csv"
+    csv.write_text("y\\x,0,1\n0,100,127.5\n")
+    svg = workdir / "negative_flag.svg"
+    code, events = run(capsys, "render", "--csv", csv, "--svg", svg,
+                       "--vmin", value)
+    assert code == 0, events
+    assert svg.exists()
+
+
+def test_negative_exponent_lr_is_a_config_error(capsys, workdir, dataset):
+    out = workdir / "negative_lr.emmod"
+    code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
+                       "--lr", "-1e-3", "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "hyperparameters must be positive" in events[0]["message"]
+    assert not out.exists()
+
+
 def test_render_bad_csv_exit_1(capsys, workdir):
     bad = workdir / "bad.csv"
     for raw in (b"nonsense", b"y\\x,0,1\n0,5,abc\n", b"y\\x,0,1\n0,nan,5\n",
@@ -1025,9 +1049,11 @@ def _parses_as_float(cell: str) -> bool:
     return True
 
 
-# A cell float() cannot parse, on one line: no comma, no line break.
+# A cell float() cannot parse, on one line: no comma, no line break. Lone
+# surrogates are left out because they have no UTF-8 encoding; undecodable
+# bytes come from the "bytes" fault.
 GARBAGE_CELL = st.text(
-    alphabet=st.characters(blacklist_categories=("Cc", "Zl", "Zp"),
+    alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
                            blacklist_characters=","),
     max_size=8).filter(lambda c: not _parses_as_float(c))
 

@@ -2,6 +2,7 @@
 prediction oracles, position selection, the hybrid attack, model files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ def test_standardization_apply_leaves_input_unchanged(dtype):
     assert z.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 600])
+def test_standardization_apply_blocks_match_whole_matrix(n):
+    """apply fills its output 256 rows at a time; every element is the
+    whole-matrix float64 value, rounded once when the output is float32."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(2.0, 3.0, size=(n, 7)).astype(np.float32)
+    p = StandardizationParams(rng.normal(size=7), rng.uniform(0.5, 2.0, 7))
+    want = (x.astype(np.float64) - p.mean) / p.std
+    assert p.apply(x).tobytes() == want.tobytes()
+    z32 = p.apply(x, np.float32)
+    assert z32.dtype == np.float32
+    assert z32.tobytes() == want.astype(np.float32).tobytes()
+    if n:
+        assert p.apply(x[0]).tobytes() == want[0].tobytes()
+
+
 # ----------------------------------------------------------- training toys
 
 def test_classifier_separable_toy_reaches_near_zero_rank():
@@ -270,12 +287,18 @@ def test_second_half_mean():
 def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
     """Seeded SGD that standardizes every minibatch and the validation matrix
     anew at each use. Standardizing once per run must match it bit for bit:
-    each element goes through the same float32 -> float64, subtract, divide."""
+    each element goes through the same float32 -> float64, subtract, divide,
+    then one rounding to the working dtype. The classifier works in float64,
+    the regressor in float32 (weights, bias, targets and standardized rows);
+    the regressor's validation MSE is summed in float64."""
     n, m = X.shape
     outputs = 256 if kind == CLASSIFIER_256 else 16
+    dtype = np.float64 if kind == CLASSIFIER_256 else np.float32
+    if kind != CLASSIFIER_256:
+        Y, val_labels = Y.astype(dtype), val_labels.astype(dtype)
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (outputs, m))
-    b = np.zeros(outputs)
+    W = rng.normal(0.0, 0.01, (outputs, m)).astype(dtype)
+    b = np.zeros(outputs, dtype=dtype)
     lr = config.learning_rate
     batch = min(config.batch_size, n)
     history = []
@@ -288,7 +311,7 @@ def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
                 cursor = 0
             idx = perm[cursor:cursor + batch]
             cursor += batch
-            Xb = stdz.apply(X[idx])
+            Xb = stdz.apply(X[idx], dtype)
             if kind == CLASSIFIER_256:
                 p = _softmax(Xb @ W.T + b)
                 p[np.arange(batch), Y[idx]] -= 1.0
@@ -298,12 +321,13 @@ def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
                 g = (2.0 / (batch * outputs)) * err
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
-        out = stdz.apply(X_val) @ W.T + b
+        out = stdz.apply(X_val, dtype) @ W.T + b
         if kind == CLASSIFIER_256:
             history.append(float(_ranks_of_scores(_softmax(out), val_labels).mean()))
         else:
-            history.append(float(np.mean((out - val_labels) ** 2)))
-    return W, b, history
+            history.append(float(np.mean((out - val_labels) ** 2,
+                                         dtype=np.float64)))
+    return W.astype(np.float64), b.astype(np.float64), history
 
 
 def reference_train(kind, train, val, config):
@@ -367,9 +391,9 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
     calls = []
     apply = StandardizationParams.apply
 
-    def counted(self, samples):
+    def counted(self, samples, *args):
         calls.append(len(samples))
-        return apply(self, samples)
+        return apply(self, samples, *args)
 
     monkeypatch.setattr(StandardizationParams, "apply", counted)
     train = offset_noise_arrays(100, 8, seed=96)
@@ -378,6 +402,31 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
                       seed=99)
     train_kind(kind, train, val, cfg)
     assert calls == [len(train), len(val)]
+
+
+def test_regressor_training_peak_memory_near_sample_size(tmp_path):
+    """The regressor's standardized matrix is float32 and filled in row
+    blocks, so training needs about one more copy of the float32 samples;
+    a float64 matrix would need two. Its model is still float64, and a
+    model file round-trips it unchanged."""
+    train = offset_noise_arrays(4096, 1024, seed=100)
+    val = offset_noise_arrays(256, 1024, seed=102)
+    size = train.samples.nbytes
+    cfg = TrainConfig(batch_size=64, epochs=1, steps_per_epoch=5, seed=104)
+    tracemalloc.start()
+    try:
+        res = train_hd_regressor(train, val, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * size, (peak, size)
+    model = res.model
+    assert model.weights.dtype == np.float64 and model.bias.dtype == np.float64
+    path = tmp_path / "reg.emmod"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert loaded.bias.tobytes() == model.bias.tobytes()
 
 
 # -------------------------------------------------------------- prediction
