@@ -166,13 +166,27 @@ def _selection_values(path, geometry):
     return grid.ravel()
 
 
+# the selection flags each train mode reads
+_SELECTION_FLAGS = {"single": ("--positions",),
+                    "multiplace": ("--positions", "--heatmap"),
+                    "topn": ("--heatmap", "--n"), "all": ()}
+
+
 def _select_positions(args, geometry):
     """The positions --positions (which must lie on the grid) or --heatmap
     select; None for mode all, which trains on every position with training
-    traces."""
+    traces. A selection flag that the mode would ignore is rejected."""
+    given = [flag for flag, value in (("--positions", args.positions),
+                                      ("--heatmap", args.heatmap),
+                                      ("--n", args.n)) if value is not None]
+    unused = [flag for flag in given if flag not in _SELECTION_FLAGS[args.mode]]
+    if unused:
+        raise ConfigError(f"mode {args.mode} does not take {' or '.join(unused)}")
+    if len(given) > 1 and args.mode == "multiplace":
+        raise ConfigError("mode multiplace takes --positions or --heatmap, not both")
     count = geometry.position_count
     outside = [p for p in args.positions or () if not 0 <= p < count]
-    if outside and args.mode in ("single", "multiplace"):
+    if outside:
         raise ConfigError(f"positions {outside} are outside the {count}-position grid")
     if args.mode == "single":
         if not args.positions or len(args.positions) != 1:

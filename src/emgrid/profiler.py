@@ -10,9 +10,12 @@ fitted once per training run and applied once to the training and once to
 the validation matrix; the SGD steps index rows of the standardized matrix.
 The regressor trains in float32: its standardized matrices, weights, bias
 and targets are float32, so each SGD step moves half the bytes, and its
-matrices are filled 256 rows at a time from float64 blocks. The classifier,
-whose steps are bound by Python overhead rather than memory, trains in
-float64. Either model is returned with float64 weights and bias.
+matrices are filled 256 rows at a time from float64 blocks. Where training
+owns the float32 training samples (a data_cap copy, or samples that
+multiplace_train consumes), the regressor writes its standardized matrix
+over them in place instead of next to them. The classifier, whose steps are
+bound by Python overhead rather than memory, trains in float64 on a new
+matrix. Either model is returned with float64 weights and bias.
 
 The hybrid attack (evaluation.evaluate_hybrid_grid) runs the regressor over
 every attack trace and feeds the 16-float outputs into last-round CPA as
@@ -48,7 +51,7 @@ MODEL_MAGIC = b"EMMD"
 MODEL_FORMAT_VERSION = 1
 
 _STD_FLOOR = 1e-12
-_STD_BLOCK = 128  # columns per fit_standardization block
+_STD_BLOCK = 64  # columns per fit_standardization block
 _APPLY_ROWS = 256  # rows per StandardizationParams.apply block
 # data_cap subsampling uses a seed derived from the training seed by one LCG
 # step, so capping never perturbs the training RNG stream itself.
@@ -61,23 +64,33 @@ class StandardizationParams:
     mean: np.ndarray  # (m,)
     std: np.ndarray   # (m,), constant columns guarded to 1
 
-    def apply(self, samples: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """(samples - mean) / std as a new array of the given dtype; samples
-        is never written to.
+    def apply(self, samples: np.ndarray, dtype=np.float64,
+              out: np.ndarray = None) -> np.ndarray:
+        """(samples - mean) / std as an array of the given dtype.
+
+        Without out the result is a new array and samples is never written
+        to. Otherwise the result is written into out, which must have
+        samples' shape and the given dtype and may be samples itself, and
+        out is returned.
 
         Rows are standardized _APPLY_ROWS at a time: each block is converted
         to float64, shifted and scaled, then rounded to dtype, so every
         element is the float64 result rounded once and no float64 copy of
-        the whole matrix is made."""
+        the whole matrix is made. A block is copied before its rows are
+        written, so out=samples gives the same values as a new array."""
         x = np.asarray(samples)
-        z = np.empty(x.shape, dtype=dtype)
-        rows, out = np.atleast_2d(x), np.atleast_2d(z)
+        if out is None:
+            out = np.empty(x.shape, dtype=dtype)
+        elif out.shape != x.shape or out.dtype != dtype:
+            raise ValueError(f"out is {out.dtype}{out.shape}, "
+                             f"want {np.dtype(dtype)}{x.shape}")
+        rows, dest = np.atleast_2d(x), np.atleast_2d(out)
         for a in range(0, len(rows), _APPLY_ROWS):
             block = rows[a:a + _APPLY_ROWS].astype(np.float64)
             block -= self.mean
             block /= self.std
-            out[a:a + _APPLY_ROWS] = block
-        return z
+            dest[a:a + _APPLY_ROWS] = block
+        return out
 
 
 def _column_blocks(m: int):
@@ -226,9 +239,15 @@ def _apply_data_cap(arrays: TraceArrays, config: TrainConfig) -> TraceArrays:
 
 
 def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
-           kind: str, byte_index=None) -> TrainResult:
+           kind: str, byte_index=None, owns_train=False) -> TrainResult:
     """Shared seeded SGD on labels_of(arrays): int labels (classifier) or
     (n, 16) targets (regressor).
+
+    The training samples are overwritten with their standardized values when
+    this run owns them (owns_train, or the data_cap copy), they already have
+    the working dtype and they are writeable, and val.samples does not share
+    their memory; otherwise the standardized matrix is a new array. Either
+    way its values are the same.
 
     RNG draw order: one normal() for the weight init, then one permutation
     per epoch plus one per mid-epoch wraparound. A run whose arithmetic
@@ -241,13 +260,19 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
         raise AnalysisError("empty validation set")
     if train.samples.shape[1] != val.samples.shape[1]:
         raise AnalysisError("train/val sample lengths differ")
-    train = _apply_data_cap(train, config)
+    capped = _apply_data_cap(train, config)
+    owns_train = owns_train or capped is not train
+    train = capped
     dtype = np.float64 if kind == CLASSIFIER_256 else np.float32
     stdz = fit_standardization(train.samples)
     Y, val_labels = labels_of(train), labels_of(val)
     if kind == HD_REGRESSOR_16:
         Y, val_labels = Y.astype(dtype), val_labels.astype(dtype)
-    Z = stdz.apply(train.samples, dtype)
+    in_place = (owns_train and train.samples.dtype == dtype
+                and train.samples.flags.writeable
+                and not np.may_share_memory(train.samples, val.samples))
+    Z = stdz.apply(train.samples, dtype,
+                   out=train.samples if in_place else None)
     Z_val = stdz.apply(val.samples, dtype)
     n, m = Z.shape
     outputs = _MODEL_OUTPUTS[kind]
@@ -302,7 +327,8 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
 def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
                      config: TrainConfig) -> TrainResult:
     """Fit the 256-class model on an intermediate byte value; returns the
-    model plus per-epoch validation mean ranks (the selection metric)."""
+    model plus per-epoch validation mean ranks (the selection metric).
+    Neither train nor val is written to."""
     if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
         raise ConfigError("classifier targets a first-round byte value model")
     return _train(train, val, lambda a: first_round_labels(target, a), config,
@@ -311,7 +337,8 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
 
 def train_hd_regressor(train: TraceArrays, val: TraceArrays,
                        config: TrainConfig) -> TrainResult:
-    """Fit the 16-output HD regressor; history is per-epoch validation MSE."""
+    """Fit the 16-output HD regressor; history is per-epoch validation MSE.
+    Neither train nor val is written to."""
     return _train(train, val, true_hds, config, HD_REGRESSOR_16)
 
 
@@ -348,6 +375,13 @@ def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
     A singleton set reduces bit-for-bit to single-position training. data_cap
     (in config) subsamples the union uniformly with the derived seed; a cap
     at or above the union size changes nothing.
+
+    An HD regressor consumes its float32 training samples: train.samples is
+    overwritten with the standardized matrix, so the regressor needs no
+    second copy of it, unless dropped positions or data_cap make training
+    work on a copy. A caller that reads train.samples afterwards passes a
+    copy. The classifier, val, and training samples that val.samples shares
+    memory with are never written to.
     """
     positions = sorted({int(p) for p in positions})
     if not positions:
@@ -359,7 +393,8 @@ def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
     if kind == CLASSIFIER_256:
         return train_classifier(sub_train, sub_val, target, config)
     if kind == HD_REGRESSOR_16:
-        return train_hd_regressor(sub_train, sub_val, config)
+        return _train(sub_train, sub_val, true_hds, config, HD_REGRESSOR_16,
+                      owns_train=True)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 

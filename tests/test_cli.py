@@ -578,6 +578,42 @@ def test_train_checks_selection_before_reading_records(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selection,flag", [
+    (["--mode", "all", "--positions", 99], "--positions"),
+    (["--mode", "all", "--positions", 0], "--positions"),
+    (["--mode", "all", "--heatmap", "ranks"], "--heatmap"),
+    (["--mode", "topn", "--positions", 0], "--positions"),
+    (["--mode", "topn", "--heatmap", "ranks", "--n", 1, "--positions", 0],
+     "--positions"),
+    (["--mode", "single", "--positions", 0, "--heatmap", "missing"],
+     "--heatmap"),
+    (["--mode", "single", "--positions", 0, "--n", 1], "--n"),
+    (["--mode", "multiplace", "--positions", 0, "--heatmap", "ranks"],
+     "--heatmap"),
+    (["--mode", "multiplace", "--positions", 0, "--heatmap", "missing"],
+     "--heatmap"),
+])
+def test_train_rejects_selection_flags_its_mode_ignores(
+        capsys, monkeypatch, workdir, dataset, selection, flag):
+    """A selection flag the mode would not read is a usage error found from
+    the header, before any record is read or the --heatmap file opened."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read_arrays called before the selection check")
+
+    monkeypatch.setattr(cli, "read_arrays", no_read)
+    (workdir / "ignored.csv").write_text("y\\x,0,1\n0,95,126\n")
+    paths = {"ranks": workdir / "ignored.csv", "missing": workdir / "absent.csv"}
+    selection = [paths.get(arg, arg) for arg in selection]
+    out = workdir / "ignored.emmod"
+    code, events = run(capsys, "train", "--in", dataset, *selection,
+                       "--out-model", out)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert flag in events[0]["message"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def layered_dataset(workdir):
     """A 2x1x2 grid (two z layers) with train and test traces everywhere."""

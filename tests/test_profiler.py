@@ -156,7 +156,8 @@ def test_standardization_apply_leaves_input_unchanged(dtype):
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 600])
 def test_standardization_apply_blocks_match_whole_matrix(n):
     """apply fills its output 256 rows at a time; every element is the
-    whole-matrix float64 value, rounded once when the output is float32."""
+    whole-matrix float64 value, rounded once when the output is float32,
+    also when the float32 output is the input itself (out=samples)."""
     rng = np.random.default_rng(4)
     x = rng.normal(2.0, 3.0, size=(n, 7)).astype(np.float32)
     p = StandardizationParams(rng.normal(size=7), rng.uniform(0.5, 2.0, 7))
@@ -166,7 +167,21 @@ def test_standardization_apply_blocks_match_whole_matrix(n):
     assert z32.dtype == np.float32
     assert z32.tobytes() == want.astype(np.float32).tobytes()
     if n:
-        assert p.apply(x[0]).tobytes() == want[0].tobytes()
+        row = x[0].copy()
+        assert p.apply(row).tobytes() == want[0].tobytes()
+        assert p.apply(row, np.float32, out=row) is row
+        assert row.tobytes() == z32[0].tobytes()
+    assert p.apply(x, np.float32, out=x) is x
+    assert x.tobytes() == z32.tobytes()
+
+
+def test_standardization_apply_rejects_mismatched_out():
+    p = StandardizationParams(np.zeros(3), np.ones(3))
+    x = np.ones((4, 3), dtype=np.float32)
+    with pytest.raises(ValueError):
+        p.apply(x, np.float64, out=x)
+    with pytest.raises(ValueError):
+        p.apply(x, np.float32, out=np.empty((3, 3), dtype=np.float32))
 
 
 # ----------------------------------------------------------- training toys
@@ -348,6 +363,11 @@ def train_kind(kind, train, val, config):
     return train_hd_regressor(train, val, config)
 
 
+def copied(arrays):
+    """A TraceArrays whose fields are copies, sharing no memory."""
+    return arrays.subset(np.arange(len(arrays)))
+
+
 def offset_noise_arrays(n, m, seed):
     """Gaussian samples with per-column offsets and scales, so that
     standardization changes every column."""
@@ -382,6 +402,17 @@ def test_training_matches_per_minibatch_oracle(kind, case):
     assert np.array_equal(res.model.bias, b)
     assert res.val_history == history
     assert len(history) == cfg.epochs
+    if kind == HD_REGRESSOR_16:
+        # multiplace_train consumes its training samples: the regressor
+        # standardizes them in place (or the data_cap copy) to the same bits
+        owned = copied(train)
+        res = multiplace_train(owned, val, [0], TARGET, cfg, kind=kind)
+        assert np.array_equal(res.model.weights, W)
+        assert np.array_equal(res.model.bias, b)
+        assert res.val_history == history
+        if cfg.data_cap is None:
+            assert owned.samples.tobytes() == res.model.standardization.apply(
+                train.samples, np.float32).tobytes()
 
 
 @pytest.mark.parametrize("epochs, steps", [(0, 1), (1, 1), (4, 7)])
@@ -391,9 +422,9 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
     calls = []
     apply = StandardizationParams.apply
 
-    def counted(self, samples, *args):
+    def counted(self, samples, *args, **kwargs):
         calls.append(len(samples))
-        return apply(self, samples, *args)
+        return apply(self, samples, *args, **kwargs)
 
     monkeypatch.setattr(StandardizationParams, "apply", counted)
     train = offset_noise_arrays(100, 8, seed=96)
@@ -427,6 +458,56 @@ def test_regressor_training_peak_memory_near_sample_size(tmp_path):
     loaded = load_model(path)
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.bias.tobytes() == model.bias.tobytes()
+
+
+def test_multiplace_regressor_standardizes_owned_samples_in_place():
+    """multiplace_train consumes a regressor's float32 training samples, so
+    its standardized matrix takes no memory beside them: the traced peak is
+    the fit's column blocks and small arrays, well under one more copy."""
+    train = offset_noise_arrays(4096, 1024, seed=100)
+    val = offset_noise_arrays(256, 1024, seed=102)
+    size = train.samples.nbytes
+    cfg = TrainConfig(batch_size=64, epochs=1, steps_per_epoch=5, seed=104)
+    tracemalloc.start()
+    try:
+        multiplace_train(train, val, [0], TARGET, cfg, kind=HD_REGRESSOR_16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
+def test_training_leaves_callers_samples_unchanged(kind):
+    """train_classifier and train_hd_regressor never write to their inputs,
+    nor does multiplace_train when a dropped position makes it copy."""
+    train = offset_noise_arrays(200, 12, seed=106)
+    train.positions[100:] = 1
+    val = offset_noise_arrays(60, 12, seed=108)
+    before = train.samples.tobytes(), val.samples.tobytes()
+    cfg = TrainConfig(batch_size=16, epochs=2, steps_per_epoch=5, seed=110)
+    train_kind(kind, train, val, cfg)
+    assert (train.samples.tobytes(), val.samples.tobytes()) == before
+    res = multiplace_train(train, val, [0], TARGET, cfg, kind=kind)
+    assert res.n_train == 100
+    assert (train.samples.tobytes(), val.samples.tobytes()) == before
+
+
+def test_multiplace_regressor_with_val_aliasing_train():
+    """Validation samples that are the training samples are not overwritten
+    before they are read: the model and its history match a run on
+    separate copies, and the caller's samples are unchanged."""
+    train = offset_noise_arrays(300, 16, seed=112)
+    before = train.samples.tobytes()
+    cfg = TrainConfig(batch_size=32, epochs=3, steps_per_epoch=6, seed=114)
+    shared = multiplace_train(train, train, [0], TARGET, cfg,
+                              kind=HD_REGRESSOR_16)
+    apart = multiplace_train(copied(train), copied(train), [0], TARGET, cfg,
+                             kind=HD_REGRESSOR_16)
+    assert np.array_equal(shared.model.weights, apart.model.weights)
+    assert np.array_equal(shared.model.bias, apart.model.bias)
+    assert shared.val_history == apart.val_history
+    assert train.samples.tobytes() == before
 
 
 # -------------------------------------------------------------- prediction
