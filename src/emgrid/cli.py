@@ -44,6 +44,7 @@ from .leakage import (
 from .profiler import (
     CLASSIFIER_256,
     HD_REGRESSOR_16,
+    LEAKY_MEAN_RANK,
     TrainConfig,
     load_model,
     multiplace_train,
@@ -168,7 +169,7 @@ def _selection_values(path, geometry):
 
 # the selection flags each train mode reads
 _SELECTION_FLAGS = {"single": ("--positions",),
-                    "multiplace": ("--positions", "--heatmap"),
+                    "multiplace": ("--positions", "--heatmap", "--threshold"),
                     "topn": ("--heatmap", "--n"), "all": ()}
 
 
@@ -178,12 +179,15 @@ def _select_positions(args, geometry):
     traces. A selection flag that the mode would ignore is rejected."""
     given = [flag for flag, value in (("--positions", args.positions),
                                       ("--heatmap", args.heatmap),
+                                      ("--threshold", args.threshold),
                                       ("--n", args.n)) if value is not None]
     unused = [flag for flag in given if flag not in _SELECTION_FLAGS[args.mode]]
     if unused:
         raise ConfigError(f"mode {args.mode} does not take {' or '.join(unused)}")
-    if len(given) > 1 and args.mode == "multiplace":
-        raise ConfigError("mode multiplace takes --positions or --heatmap, not both")
+    if args.mode == "multiplace" and args.positions is not None and len(given) > 1:
+        # given[0] is --positions, which selects on its own
+        raise ConfigError("mode multiplace with --positions does not take "
+                          + " or ".join(given[1:]))
     count = geometry.position_count
     outside = [p for p in args.positions or () if not 0 <= p < count]
     if outside:
@@ -198,11 +202,11 @@ def _select_positions(args, geometry):
         if args.heatmap is None:
             raise ConfigError(
                 "mode multiplace needs --positions or --heatmap to select from")
+        threshold = LEAKY_MEAN_RANK if args.threshold is None else args.threshold
         values = _selection_values(args.heatmap, geometry)
-        selected = sorted(select_leaky_positions(values, args.threshold))
+        selected = sorted(select_leaky_positions(values, threshold))
         if not selected:
-            raise AnalysisError(
-                f"no position has mean rank <= {args.threshold}")
+            raise AnalysisError(f"no position has mean rank <= {threshold}")
         return selected
     if args.mode == "topn":
         if args.heatmap is None or args.n is None:
@@ -269,8 +273,7 @@ def cmd_hybrid(args) -> int:
 def cmd_render(args) -> int:
     for flag, value in (("--vmin", args.vmin), ("--vmax", args.vmax),
                         ("--mask-threshold", args.mask_threshold)):
-        if value is not None:
-            require_finite(flag, value)
+        require_finite(flag, value)
     grid = _read_heatmap_csv(args.csv)
     ny, nx = grid.shape
     geometry = GridGeometry(nx, ny, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
@@ -356,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", type=int, nargs="+", default=None)
     p.add_argument("--heatmap", default=None,
                    help="mean-rank CSV to select positions from")
-    p.add_argument("--threshold", type=float, default=120.0)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="with --mode multiplace --heatmap: train on cells whose "
+                        f"mean rank is at or below this (default {LEAKY_MEAN_RANK:g})")
     p.add_argument("--n", type=int, default=None, help="top-n position count")
     p.add_argument("--model-kind", choices=["classifier", "hd-regressor"],
                    default="classifier")

@@ -10,6 +10,11 @@ sweep feeds one accumulator per position in order and never merges;
 finalization is pure. All running sums are float64;
 hypothesis values stay small integers so the closed-form Pearson sums remain
 exactly representable.
+
+The SNR accumulator sums each class's rows in row order, looping in Python
+over the rank of a row within its class (or over the classes, when there
+are fewer of them) rather than over every class, and merges all classes of
+a batch or shard in one vectorized pairwise update.
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,15 @@ class SnrAccumulator:
     SNR_t = Var_c(mu_{c,t}) / mean_c(sigma^2_{c,t}): population variance of
     the class means over the mean unbiased within-class variance. Classes
     with fewer than 2 traces are excluded from both statistics.
+
+    A batch's per-class sums run over each class's rows in row order, the
+    order numpy's axis-0 sum takes. Python loops over whichever is shorter:
+    the batch's classes, or the rows of its largest class, each step
+    vectorized across the classes. All of the batch's classes then join the
+    running statistics in one vectorized pairwise update (Chan, Golub and
+    LeVeque 1979), which merge uses too. Counts, means and M2 are bit for
+    bit those of numpy's mean and sum of squared deviations per class
+    followed by one pairwise update per class.
     """
 
     def __init__(self, num_classes: int, m: int):
@@ -41,43 +55,67 @@ class SnrAccumulator:
 
     def update_batch(self, class_labels: np.ndarray, samples: np.ndarray) -> "SnrAccumulator":
         """Consume a (b,) labels / (b, m) samples batch, grouped per class;
-        equal, up to float tolerance, to b single-trace Welford updates."""
+        equal, up to float tolerance, to b single-trace Welford updates.
+
+        float32 samples (what .emgd files hold) are widened to float64 one
+        loop step's rows at a time, which gives the same float64 values as
+        widening them all first; samples of any other dtype are converted
+        to float64 once. Beyond those, the transients are the per-class
+        statistics and one step's rows."""
         labels = np.asarray(class_labels)
-        x = np.asarray(samples, dtype=np.float64)
+        x = np.asarray(samples)
+        if x.dtype != np.float32:
+            x = x.astype(np.float64, copy=False)
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.num_classes:
             raise AnalysisError("class label out of range")
         if x.ndim != 2 or x.shape != (len(labels), self.m):
             raise AnalysisError("samples must be (len(labels), m)")
+        if not len(labels):
+            return self
+        labels = labels.astype(np.intp, copy=False)
+        per_class = np.bincount(labels, minlength=self.num_classes)
+        classes = np.flatnonzero(per_class)
+        counts = per_class[classes]
+        # order[starts[k]:starts[k] + counts[k]]: class k's rows, in row order
         order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        classes, starts = np.unique(sorted_labels, return_index=True)
-        bounds = np.append(starts, len(sorted_labels))
-        for idx, c in enumerate(classes):
-            rows = x[order[bounds[idx]:bounds[idx + 1]]]
-            nb = rows.shape[0]
-            mb = rows.mean(axis=0)
-            m2b = ((rows - mb) ** 2).sum(axis=0)
-            self._merge_class(int(c), nb, mb, m2b)
+        starts = np.cumsum(counts) - counts
+        if self.m == 1 or len(classes) <= counts.max():
+            mean, m2 = _class_stats_by_class(x, order, starts, counts)
+        else:
+            # Largest class first, so the classes still holding a row r
+            # are a prefix of this order.
+            by_size = np.argsort(-counts, kind="stable")
+            classes, starts, counts = classes[by_size], starts[by_size], counts[by_size]
+            mean, m2 = _class_stats_by_row(x, order, starts, counts)
+        self._merge(classes, counts, mean, m2)
         return self
 
-    def _merge_class(self, c: int, nb: int, mb: np.ndarray, m2b: np.ndarray):
-        na = int(self.counts[c])
-        if na == 0:
-            self.counts[c] = nb
-            self.mean[c] = mb
-            self.m2[c] = m2b
+    def _merge(self, classes, nb, mb, m2b):
+        """Pairwise update of the (distinct) classes with count nb, mean mb
+        and M2 m2b: copied where a class is still empty, else Chan's update,
+        bit for bit the scalar arithmetic of one class at a time while
+        na * nb < 2**53."""
+        na = self.counts[classes]
+        fresh = na == 0
+        c = classes[fresh]
+        self.counts[c] = nb[fresh]
+        self.mean[c] = mb[fresh]
+        self.m2[c] = m2b[fresh]
+        old = ~fresh
+        if not old.any():  # a sweep's one batch per position ends here
             return
+        c, na, nb = classes[old], na[old], nb[old]
         tot = na + nb
-        delta = mb - self.mean[c]
-        self.mean[c] += delta * (nb / tot)
-        self.m2[c] += m2b + delta * delta * (na * nb / tot)
+        delta = mb[old] - self.mean[c]
+        self.mean[c] += delta * (nb / tot)[:, None]
+        self.m2[c] += m2b[old] + delta * delta * (na * nb / tot)[:, None]
         self.counts[c] = tot
 
     def merge(self, other: "SnrAccumulator") -> "SnrAccumulator":
         if (other.num_classes, other.m) != (self.num_classes, self.m):
             raise AnalysisError("cannot merge accumulators of different shapes")
-        for c in np.nonzero(other.counts)[0]:
-            self._merge_class(int(c), int(other.counts[c]), other.mean[c], other.m2[c])
+        c = np.flatnonzero(other.counts)
+        self._merge(c, other.counts[c], other.mean[c], other.m2[c])
         return self
 
     def finalize(self) -> np.ndarray:
@@ -95,6 +133,43 @@ class SnrAccumulator:
         snr[ok] = between[ok] / within[ok]
         snr[~ok & (between > 0)] = np.inf
         return snr
+
+
+def _class_stats_by_class(x, order, starts, counts):
+    """Mean and M2 of each class's rows x[order[start:start + count]], one
+    class at a time; the path for few classes, and for m == 1, where numpy
+    sums a single column pairwise rather than in row order."""
+    mean = np.empty((len(starts), x.shape[1]))
+    m2 = np.empty_like(mean)
+    for k, (lo, n) in enumerate(zip(starts.tolist(), counts.tolist())):
+        rows = x[order[lo:lo + n]].astype(np.float64, copy=False)
+        mb = rows.sum(axis=0, out=mean[k])
+        mb /= n
+        rows -= mb
+        rows *= rows
+        rows.sum(axis=0, out=m2[k])
+    return mean, m2
+
+
+def _class_stats_by_row(x, order, starts, counts):
+    """The same statistics for counts sorted largest first and m >= 2, one
+    row rank r at a time across every class holding an r-th row. Each sum
+    starts at 0.0 and adds the class's rows in order, as numpy's axis-0 sum
+    and mean do."""
+    # live[r]: how many classes hold a row r (counts are non-increasing);
+    # picks[r]: those rows, one per class
+    live = np.searchsorted(-counts, -np.arange(counts[0]), side="left").tolist()
+    picks = [order[starts[:k] + r] for r, k in enumerate(live)]
+    mean = np.zeros((len(counts), x.shape[1]))
+    for k, pick in zip(live, picks):
+        mean[:k] += x[pick]
+    mean /= counts[:, None]
+    m2 = np.zeros_like(mean)
+    for k, pick in zip(live, picks):
+        dev = np.subtract(x[pick], mean[:k])  # float64, whatever x holds
+        dev *= dev
+        m2[:k] += dev
+    return mean, m2
 
 
 @dataclass

@@ -78,7 +78,7 @@ def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry,
 
     def one(p, idx):
         acc = SnrAccumulator(num_classes, m)
-        acc.update_batch(labels_all[idx], arrays.samples[idx].astype(np.float64))
+        acc.update_batch(labels_all[idx], arrays.samples[idx])
         snr = acc.finalize()
         peak = float(np.max(snr))
         if progress is not None:

@@ -16,7 +16,8 @@ from .errors import ConfigError
 
 
 def require_finite(what: str, *values):
-    if not all(math.isfinite(v) for v in values):
+    """ConfigError unless every value is finite; None (not given) passes."""
+    if not all(v is None or math.isfinite(v) for v in values):
         raise ConfigError(f"{what} must be finite")
 
 

@@ -344,7 +344,10 @@ def train_hd_regressor(train: TraceArrays, val: TraceArrays,
 
 # ------------------------------------------------------- position selection
 
-def select_leaky_positions(heatmap, threshold: float = 120.0) -> set:
+LEAKY_MEAN_RANK = 120.0  # the default limit of a leaky position's mean rank
+
+
+def select_leaky_positions(heatmap, threshold: float = LEAKY_MEAN_RANK) -> set:
     """Positions whose mean rank is at or below the threshold (127.5 would be
     random guessing)."""
     values = np.asarray(getattr(heatmap, "values", heatmap), dtype=np.float64)

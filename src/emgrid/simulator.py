@@ -215,16 +215,13 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     """Generate `count` consecutive traces for one (position, split)."""
     dev = config.device
     m = config.m
-    pts = np.empty((count, 16), dtype=np.uint8)
-    keys = np.empty((count, 16), dtype=np.uint8)
     jitters = np.zeros(count, dtype=np.int64)
     noise = None
     if dev.noise_sigma > 0:
         noise = np.empty((count, m), dtype=np.float64)
     random_keys = config.fixed_key is None
-    if not random_keys:
-        keys[:] = np.frombuffer(config.fixed_key, dtype=np.uint8)
     words = 4 if random_keys else 2
+    raw = np.empty((count, words), dtype=np.uint64)
     bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bg)
     key = np.array([config.seed, 0], dtype=np.uint64)
@@ -235,14 +232,21 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     for i in range(count):
         key[1] = sub | (start + i)
         bg.state = fresh
-        raw = _le_bytes(bg.random_raw(words))
-        pts[i] = raw[:16]
-        if random_keys:
-            keys[i] = raw[16:]
+        raw[i] = bg.random_raw(words)
         if dev.jitter_max > 0:
             jitters[i] = rng.integers(-dev.jitter_max, dev.jitter_max + 1)
         if noise is not None:
-            noise[i] = rng.normal(0.0, dev.noise_sigma, m)
+            rng.standard_normal(m, out=noise[i])
+    if noise is not None:
+        # normal(0.0, sigma) is 0.0 + sigma * z; the + 0.0 turns -0.0 into 0.0
+        noise *= dev.noise_sigma
+        noise += 0.0
+    raw = _le_bytes(raw)  # a trace's plaintext bytes, then its key bytes
+    pts = raw[:, :16]
+    if random_keys:
+        keys = raw[:, 16:]
+    else:
+        keys = np.tile(np.frombuffer(config.fixed_key, dtype=np.uint8), (count, 1))
 
     need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
     rks = expand_keys_batch(keys) if random_keys else expand_keys(config.fixed_key)

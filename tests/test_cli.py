@@ -592,6 +592,12 @@ def test_train_checks_selection_before_reading_records(
      "--heatmap"),
     (["--mode", "multiplace", "--positions", 0, "--heatmap", "missing"],
      "--heatmap"),
+    (["--mode", "single", "--positions", 0, "--threshold", 5], "--threshold"),
+    (["--mode", "all", "--threshold", 120], "--threshold"),
+    (["--mode", "topn", "--heatmap", "ranks", "--n", 1, "--threshold", 5],
+     "--threshold"),
+    (["--mode", "multiplace", "--positions", 0, "--threshold", 5],
+     "--threshold"),
 ])
 def test_train_rejects_selection_flags_its_mode_ignores(
         capsys, monkeypatch, workdir, dataset, selection, flag):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgrid import evaluation
+from emgrid import distinguishers, evaluation
+from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.distinguishers import (
     CpaAccumulator,
     SnrAccumulator,
@@ -19,11 +20,15 @@ from emgrid.distinguishers import (
     rank_of,
 )
 from emgrid.errors import AnalysisError
+from emgrid.grid import GridGeometry
 from emgrid.leakage import (
     FIRST_ROUND_SBOX_INPUT,
+    LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
 )
+from emgrid.profiler import first_round_labels, true_hds
+from emgrid.traceset import TraceArrays
 
 
 # ---------------------------------------------------------------- SNR
@@ -124,6 +129,142 @@ def test_snr_merge_law_three_way():
         shard = SnrAccumulator(5, 6).update_batch(labels[lo:hi], xs[lo:hi])
         merged.merge(shard)
     np.testing.assert_allclose(merged.finalize(), single.finalize(), rtol=1e-12)
+
+
+def oracle_merge_class(acc, c, nb, mb, m2b):
+    """One class's pairwise (Chan, Golub and LeVeque) update."""
+    na = int(acc.counts[c])
+    if na == 0:
+        acc.counts[c] = nb
+        acc.mean[c] = mb
+        acc.m2[c] = m2b
+        return
+    tot = na + nb
+    delta = mb - acc.mean[c]
+    acc.mean[c] += delta * (nb / tot)
+    acc.m2[c] += m2b + delta * delta * (na * nb / tot)
+    acc.counts[c] = tot
+
+
+def per_class_update(acc: SnrAccumulator, labels, samples) -> SnrAccumulator:
+    """update_batch as a Python loop over classes: numpy's mean and sum of
+    squared deviations per class, then one pairwise update per class. The
+    bit-for-bit reference for the vectorized update."""
+    labels = np.asarray(labels)
+    x = np.asarray(samples, dtype=np.float64)
+    order = np.argsort(labels, kind="stable")
+    classes, starts = np.unique(labels[order], return_index=True)
+    bounds = np.append(starts, len(labels))
+    for k, c in enumerate(classes):
+        rows = x[order[bounds[k]:bounds[k + 1]]]
+        mb = rows.mean(axis=0)
+        oracle_merge_class(acc, int(c), rows.shape[0], mb,
+                           ((rows - mb) ** 2).sum(axis=0))
+    return acc
+
+
+def per_class_merge(acc: SnrAccumulator, other: SnrAccumulator) -> SnrAccumulator:
+    for c in np.nonzero(other.counts)[0]:
+        oracle_merge_class(acc, int(c), int(other.counts[c]), other.mean[c],
+                           other.m2[c])
+    return acc
+
+
+def assert_same_bits(got: SnrAccumulator, want: SnrAccumulator):
+    for name in ("counts", "mean", "m2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name  # signed zeros too
+
+
+def snr_batch(rng, num_classes, b, m, skewed, dtype=np.float32):
+    """Labels, uniform or piled onto a few classes, and float32-valued
+    samples of the given dtype with some exact zeros of either sign."""
+    if skewed:
+        labels = np.minimum(rng.geometric(0.3, b) - 1, num_classes - 1)
+    else:
+        labels = rng.integers(0, num_classes, b)
+    x = rng.normal(size=(b, m)).astype(np.float32).astype(dtype)
+    x[rng.random((b, m)) < 0.05] = -0.0
+    x[rng.random((b, m)) < 0.05] = 0.0
+    return labels, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_snr_update_and_merge_match_per_class_oracle(data):
+    """update_batch and merge keep counts, means and M2 bit for bit equal to
+    the per-class loop, over batches that take either loop direction:
+    uniform labels over many classes (few rows per class) and skewed labels
+    (one large class), empty batches, and repeated batches into one
+    accumulator, with float32 (as .emgd files hold) or float64 samples."""
+    m = data.draw(st.sampled_from([1, 2, 3, 32]), label="m")
+    num_classes = data.draw(st.sampled_from([2, 9, 256]), label="classes")
+    sizes = data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+                      label="batch sizes")
+    split = data.draw(st.integers(0, len(sizes)), label="merge split")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    got = [SnrAccumulator(num_classes, m), SnrAccumulator(num_classes, m)]
+    want = [SnrAccumulator(num_classes, m), SnrAccumulator(num_classes, m)]
+    for i, b in enumerate(sizes):
+        skewed = data.draw(st.booleans(), label="skewed")
+        labels, x = snr_batch(rng, num_classes, b, m, skewed, dtype)
+        side = int(i >= split)  # later batches go to a second shard
+        got[side].update_batch(labels, x)
+        per_class_update(want[side], labels, x)
+        assert_same_bits(got[side], want[side])
+    assert_same_bits(got[0].merge(got[1]), per_class_merge(want[0], want[1]))
+
+
+@pytest.mark.parametrize("num_classes,b,m,skewed,by_row", [
+    (256, 600, 5, False, True),    # many classes, a few rows each
+    (9, 600, 5, False, False),     # few classes, many rows each
+    (256, 600, 5, True, False),    # one large class
+    (256, 4000, 1, False, False),  # one column: numpy sums it pairwise
+])
+def test_snr_update_takes_the_shorter_loop(monkeypatch, num_classes, b, m,
+                                           skewed, by_row):
+    """A batch loops over its classes or over the rows of its largest class,
+    whichever is shorter, and always over its classes when m == 1; either
+    way it gives the oracle's statistics."""
+    calls = []
+    row_stats = distinguishers._class_stats_by_row
+    monkeypatch.setattr(distinguishers, "_class_stats_by_row",
+                        lambda *a: calls.append(a) or row_stats(*a))
+    labels, x = snr_batch(np.random.default_rng(b), num_classes, b, m, skewed)
+    got = SnrAccumulator(num_classes, m).update_batch(labels, x)
+    assert len(calls) == int(by_row)
+    assert_same_bits(got, per_class_update(SnrAccumulator(num_classes, m),
+                                           labels, x))
+
+
+@pytest.mark.parametrize("target", [LeakageModel(FIRST_ROUND_SBOX_INPUT, 3),
+                                    LeakageModel(LAST_ROUND_HD, 5)])
+def test_snr_grid_matches_per_class_oracle(target):
+    """evaluate_snr_grid's heatmap equals, bit for bit, one per-class-loop
+    accumulator per position."""
+    rng = np.random.default_rng(21)
+    geometry = GridGeometry(2, 2, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
+    n, m = 2400, 6
+    pts = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    keys = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    cts = encrypt_blocks(pts, expand_keys_batch(keys))
+    positions = rng.integers(0, 3, n).astype(np.int32)  # position 3 stays empty
+    arrays = TraceArrays(rng.normal(size=(n, m)).astype(np.float32), keys, pts,
+                         cts, positions, np.zeros(n, dtype=np.uint8))
+    if target.kind == LAST_ROUND_HD:
+        labels, num_classes = true_hds(arrays)[:, 5].astype(np.int64), 9
+    else:
+        labels, num_classes = first_round_labels(target, arrays), 256
+    want = np.zeros(4)
+    for p in range(3):
+        idx = np.flatnonzero(positions == p)
+        acc = per_class_update(SnrAccumulator(num_classes, m), labels[idx],
+                               arrays.samples[idx])
+        want[p] = np.max(acc.finalize())
+    got = evaluation.evaluate_snr_grid(arrays, geometry, target).values
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- CPA
