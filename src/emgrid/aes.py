@@ -4,6 +4,12 @@ Everything here operates on flat 16-byte states in standard AES order:
 byte b of a block sits at state-matrix row b % 4, column b // 4. Batch
 functions take uint8 arrays of shape (n, 16) and never loop over n.
 
+Rounds 1-9 of encrypt_blocks use a T-table: SubBytes, ShiftRows and
+MixColumns are one gather from T_TABLE, whose entry [r, x] is the
+MixColumns output column (a little-endian uint32 word) of S-box output
+SBOX[x] standing alone in row r, so each output column is the XOR of four
+entries. The key schedule likewise works on little-endian uint32 words.
+
 The simulator needs the state entering the final round (for Hamming-distance
 leakage), so encrypt_blocks can return it alongside the ciphertexts.
 """
@@ -51,21 +57,33 @@ def _xtime(v: np.ndarray) -> np.ndarray:
     return ((v << 1) ^ ((v >> 7) * 0x1B)).astype(np.uint8)
 
 
+def _t_table() -> np.ndarray:
+    s = SBOX
+    s2 = _xtime(s)
+    # MixColumns of the column (s, 0, 0, 0): bytes 2s, s, s, 3s; a byte in
+    # row r gives the same bytes rotated down by r
+    column = np.stack([s2, s, s, s2 ^ s], axis=1)
+    return np.stack([np.roll(column, r, axis=1) for r in range(4)]) \
+        .view("<u4").reshape(4, 256)
+
+
+T_TABLE = _t_table()
+
+# Offsets into the flattened T_TABLE, which np.take reads, for the ShiftRows
+# output: its byte j sits in row j % 4, so it looks up entry
+# 256 * (j % 4) + state[SHIFT_ROWS_SELECT[j]].
+# uint16 indices keep the gather's index array small: np.take runs about
+# twice as fast on 16,384 blocks as with intp indices.
+_T_ROW_OFFSET = np.arange(16, dtype=np.uint16) % 4 * 256
+
+
 def expand_keys(key) -> np.ndarray:
     """AES-128 key schedule: 16-byte key -> (11, 16) uint8 round keys."""
     key = np.asarray(bytearray(key) if isinstance(key, (bytes, bytearray)) else key,
                      dtype=np.uint8)
     if key.shape != (16,):
         raise ValueError("key must be 16 bytes")
-    w = np.zeros((44, 4), dtype=np.uint8)
-    w[:4] = key.reshape(4, 4)
-    for i in range(4, 44):
-        t = w[i - 1].copy()
-        if i % 4 == 0:
-            t = SBOX[np.roll(t, -1)]
-            t[0] ^= RCON[i // 4 - 1]
-        w[i] = w[i - 4] ^ t
-    return w.reshape(11, 16)
+    return expand_keys_batch(key.reshape(1, 16))[0]
 
 
 def expand_keys_batch(keys: np.ndarray) -> np.ndarray:
@@ -74,30 +92,21 @@ def expand_keys_batch(keys: np.ndarray) -> np.ndarray:
     if keys.ndim != 2 or keys.shape[1] != 16:
         raise ValueError("keys must have shape (n, 16)")
     n = keys.shape[0]
-    w = np.zeros((n, 44, 4), dtype=np.uint8)
-    w[:, :4] = keys.reshape(n, 4, 4)
+    # w[i] holds schedule word i of every key, byte 0 in the low bits
+    w = np.empty((44, n), dtype="<u4")
+    w[:4] = np.ascontiguousarray(keys).view("<u4").T
     for i in range(4, 44):
-        t = w[:, i - 1].copy()
+        t = w[i - 1]
         if i % 4 == 0:
-            t = SBOX[np.roll(t, -1, axis=1)]
-            t[:, 0] ^= RCON[i // 4 - 1]
-        w[:, i] = w[:, i - 4] ^ t
-    return w.reshape(n, 11, 16)
+            t = SBOX[t.view(np.uint8)].view("<u4")  # SubWord
+            t = (t >> 8 | t << 24) ^ RCON[i // 4 - 1]  # RotWord, Rcon into byte 0
+        w[i] = w[i - 4] ^ t
+    return np.ascontiguousarray(w.T).view(np.uint8).reshape(n, 11, 16)
 
 
 def round10_key(key) -> bytes:
     """Final-round key of the schedule; the guess domain of last-round attacks."""
     return expand_keys(key)[10].tobytes()
-
-
-def _mix_columns(state: np.ndarray) -> np.ndarray:
-    a = state.reshape(-1, 4, 4)
-    rot1 = np.roll(a, -1, axis=2)
-    rot2 = np.roll(a, -2, axis=2)
-    rot3 = np.roll(a, -3, axis=2)
-    # out[r] = 2*a[r] ^ 3*a[r+1] ^ a[r+2] ^ a[r+3], row indices mod 4
-    out = _xtime(a) ^ (_xtime(rot1) ^ rot1) ^ rot2 ^ rot3
-    return out.reshape(state.shape)
 
 
 def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
@@ -127,22 +136,22 @@ def encrypt_blocks(plaintexts: np.ndarray, round_keys: np.ndarray,
     pts = np.atleast_2d(np.asarray(plaintexts, dtype=np.uint8))
     if pts.ndim != 2 or pts.shape[1] != 16:
         raise ValueError("plaintexts must have shape (n, 16)")
-    if round_keys.ndim == 3:
-        if round_keys.shape != (pts.shape[0], 11, 16):
-            raise ValueError("per-block round keys must have shape (n, 11, 16)")
-        rk = lambda r: round_keys[:, r]
-    else:
-        rk = lambda r: round_keys[r]
-    state = pts ^ rk(0)
+    n = pts.shape[0]
+    if round_keys.ndim == 3 and round_keys.shape != (n, 11, 16):
+        raise ValueError("per-block round keys must have shape (n, 11, 16)")
+    rk_words = np.ascontiguousarray(round_keys).view("<u4")
+    state = pts ^ round_keys[..., 0, :]
     for r in range(1, 10):
-        state = SBOX[state]
-        state = state[:, SHIFT_ROWS_SELECT]
-        state = _mix_columns(state)
-        state ^= rk(r)
-    state9 = state.copy() if return_round9_state else None
-    state = SBOX[state]
-    state = state[:, SHIFT_ROWS_SELECT]
-    state ^= rk(10)
+        t = np.take(T_TABLE, state[:, SHIFT_ROWS_SELECT] + _T_ROW_OFFSET)
+        t = t.reshape(n, 4, 4)  # [block, output column, source row]
+        words = t[:, :, 0] ^ t[:, :, 1]
+        words ^= t[:, :, 2]
+        words ^= t[:, :, 3]
+        words ^= rk_words[..., r, :]
+        state = words.astype("<u4", copy=False).view(np.uint8)
+    state9 = state if return_round9_state else None
+    state = SBOX[state[:, SHIFT_ROWS_SELECT]]
+    state ^= round_keys[..., 10, :]
     if return_round9_state:
         return state, state9
     return state

@@ -18,12 +18,21 @@ A trace's stream is that of a fresh numpy Generator on
 Philox(key=[seed, position << 48 | split << 40 | trace_index]) drawing
 integers(0, 256, 16, uint8) for the plaintext and for a random key,
 integers(-jitter_max, jitter_max + 1) for the jitter and
-normal(0, noise_sigma, m) for the noise. A new Generator costs more than the
-rest of the trace, so each chunk builds one Philox and, before every trace,
-resets its state to that of a fresh Philox with the trace's key. Plaintext
-and key bytes are the first 2 or 4 raw 64-bit words read little-endian: the
-bytes integers(0, 256, 16, uint8) returns, since it takes them low byte first
-from uint32 draws, each the low and then the high half of one word.
+normal(0, noise_sigma, m) for the noise. Plaintext and key bytes are the
+first 2 or 4 raw 64-bit words read little-endian: the bytes
+integers(0, 256, 16, uint8) returns, since it takes them low byte first
+from uint32 draws, each the low and then the high half of one word. A fresh
+Philox's first four words are one Philox4x64-10 block at counter
+(1, 0, 0, 0) under the trace's key, so _philox_first_blocks computes that
+block for every trace of a chunk at once in numpy.
+
+The per-trace loop draws only the jitter and the noise, from a numpy
+Generator: ziggurat normals consume a varying number of words, so they are
+not computed in bulk. A new Generator costs more than the rest of the
+trace, so each chunk builds one Philox and, before every trace, sets its
+state to the one the trace's fresh Philox holds after its plaintext and key
+words: counter (1, 0, 0, 0), the trace's block in the buffer and 2 or 4 of
+its words used. Without jitter and noise the loop does not run.
 
 Traces are synthesized and written in chunks of max(1, _CHUNK_BYTES // (8 m))
 traces: a fixed budget of float64 sample bytes, so the memory a chunk needs
@@ -61,6 +70,15 @@ SOURCE_TARGETS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD
 D_MIN_MM = 0.05   # distance floor: probes never touch the die
 _CHUNK_BYTES = 4 << 20  # float64 sample bytes per TraceArrays chunk
 _INDEX_BITS = 40  # trace-index bits of a substream key's second word
+
+# Philox4x64 round multipliers (for counter words 0 and 2) and key
+# increments, one row each, and the multipliers' 32-bit halves.
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_MUL_LO = _PHILOX_MUL & _LO32
+_PHILOX_MUL_HI = _PHILOX_MUL >> _SHIFT32
 
 
 @dataclass(frozen=True)
@@ -189,6 +207,52 @@ def coupling_weight(source_mm, probe_mm) -> float:
     return 1.0 / max(d, D_MIN_MM) ** 2
 
 
+def _mulhi(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of each a[j] * _PHILOX_MUL[j], from 32-bit halves:
+    every partial product and sum fits in 64 bits."""
+    a_lo = a & _LO32
+    a_hi = a >> _SHIFT32
+    lo_hi = a_lo * _PHILOX_MUL_HI
+    hi_lo = a_hi * _PHILOX_MUL_LO
+    mid = ((a_lo * _PHILOX_MUL_LO) >> _SHIFT32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    return (a_hi * _PHILOX_MUL_HI + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32)
+            + (mid >> _SHIFT32))
+
+
+def _philox_first_blocks(seed: int, subkeys: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64: row i is the first four random_raw words of a fresh
+    Philox(key=[seed, subkeys[i]]), its Philox4x64-10 block at counter
+    (1, 0, 0, 0). uint64 array arithmetic wraps mod 2**64 without warnings."""
+    n = len(subkeys)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0] = seed
+    key[1] = subkeys
+    # A round maps counter (c0, c1, c2, c3) under key (k0, k1) to
+    # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
+    a = np.zeros((2, n), dtype=np.uint64)  # c0 and c2
+    a[0] = 1
+    b = np.zeros((2, n), dtype=np.uint64)  # c1 and c3
+    for r in range(10):
+        if r:
+            key += _PHILOX_BUMP
+        a, b = _mulhi(a)[::-1] ^ b ^ key, (a * _PHILOX_MUL)[::-1]
+    out = np.empty((n, 4), dtype=np.uint64)
+    out[:, 0::2] = a.T
+    out[:, 1::2] = b.T
+    return out
+
+
+def _philox_state(seed: int, words: int) -> dict:
+    """The state of a fresh Philox(key=[seed, k]) after random_raw(words)
+    returned the first words of its block b, once the caller sets
+    state["state"]["key"][1] = k and state["buffer"] = b (a list of four
+    ints). Plain ints and lists: the state setter converts them fastest."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [1, 0, 0, 0], "key": [seed, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": words,
+            "has_uint32": 0, "uinteger": 0}
+
+
 def _le_bytes(words: np.ndarray) -> np.ndarray:
     """The bytes of 64-bit words, each word low byte first on any host."""
     return words.astype("<u8", copy=False).view(np.uint8)
@@ -220,28 +284,28 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     if dev.noise_sigma > 0:
         noise = np.empty((count, m), dtype=np.float64)
     random_keys = config.fixed_key is None
-    words = 4 if random_keys else 2
-    raw = np.empty((count, words), dtype=np.uint64)
-    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bg)
-    key = np.array([config.seed, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    sub = (position << 48) | (split << _INDEX_BITS)
-    for i in range(count):
-        key[1] = sub | (start + i)
-        bg.state = fresh
-        raw[i] = bg.random_raw(words)
-        if dev.jitter_max > 0:
-            jitters[i] = rng.integers(-dev.jitter_max, dev.jitter_max + 1)
-        if noise is not None:
-            rng.standard_normal(m, out=noise[i])
+    # second substream key word of trace `start`; trace start + i adds i
+    first = (position << 48) | (split << _INDEX_BITS) | start
+    blocks = _philox_first_blocks(
+        config.seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
+    if dev.jitter_max > 0 or noise is not None:
+        bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        rng = np.random.Generator(bg)
+        state = _philox_state(config.seed, 4 if random_keys else 2)
+        key = state["state"]["key"]
+        for i, block in enumerate(blocks):
+            key[1] = first + i
+            state["buffer"] = block.tolist()
+            bg.state = state
+            if dev.jitter_max > 0:
+                jitters[i] = rng.integers(-dev.jitter_max, dev.jitter_max + 1)
+            if noise is not None:
+                rng.standard_normal(out=noise[i])  # passing m too checks shapes slowly
     if noise is not None:
         # normal(0.0, sigma) is 0.0 + sigma * z; the + 0.0 turns -0.0 into 0.0
         noise *= dev.noise_sigma
         noise += 0.0
-    raw = _le_bytes(raw)  # a trace's plaintext bytes, then its key bytes
+    raw = _le_bytes(blocks)  # a trace's plaintext bytes, then its key bytes
     pts = raw[:, :16]
     if random_keys:
         keys = raw[:, 16:]

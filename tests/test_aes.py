@@ -11,11 +11,13 @@ from emgrid.aes import (
     SBOX,
     SHIFT_MAP,
     SHIFT_ROWS_SELECT,
+    T_TABLE,
     aes128_decrypt,
     aes128_encrypt,
     decrypt_blocks,
     encrypt_blocks,
     expand_keys,
+    expand_keys_batch,
     round10_key,
 )
 
@@ -90,6 +92,29 @@ def test_batch_matches_reference_library():
     cts = encrypt_blocks(pts, rk)
     assert cts.tobytes() == reference_ecb_encrypt(key, pts.tobytes())
     assert np.array_equal(decrypt_blocks(cts, rk), pts)
+
+
+@pytest.mark.parametrize("n", [1, 7, 257])
+def test_per_block_keys_match_reference_library(n):
+    rng = np.random.default_rng(5 + n)
+    keys = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    pts = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    rks = expand_keys_batch(keys)
+    assert rks.shape == (n, 11, 16)
+    cts, s9 = encrypt_blocks(pts, rks, return_round9_state=True)
+    for key, pt, ct, rk in zip(keys, pts, cts, rks):
+        assert ct.tobytes() == reference_ecb_encrypt(key.tobytes(), pt.tobytes())
+        assert np.array_equal(rk, expand_keys(key.tobytes()))
+    # the state entering the final round, as in the shared-key case
+    assert np.array_equal(SBOX[s9][:, SHIFT_ROWS_SELECT] ^ rks[:, 10], cts)
+
+
+def test_t_table_column_matches_fips_mixcolumns_example():
+    # FIPS-197 MixColumns example: column db 13 53 45 becomes 8e 4d a1 bc.
+    # T_TABLE[r] looks up the S-box input, so invert the S-box first.
+    column = INV_SBOX[np.frombuffer(bytes.fromhex("db135345"), dtype=np.uint8)]
+    word = np.bitwise_xor.reduce(T_TABLE[np.arange(4), column])
+    assert np.array([word], dtype="<u4").tobytes() == bytes.fromhex("8e4da1bc")
 
 
 def test_key_schedule_known_expansion():

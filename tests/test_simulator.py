@@ -4,6 +4,7 @@ per-trace substream oracle."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from emgrid.simulator import (
     sim_config_from_dict,
     simulate_grid_dataset,
     _le_bytes,
+    _philox_first_blocks,
+    _philox_state,
     _quantize,
     _source_true_values,
 )
@@ -349,6 +352,57 @@ def test_raw_words_become_little_endian_bytes():
     want = list(range(1, 17))
     for dtype in ("<u8", ">u8"):  # a big-endian host's words, too
         assert _le_bytes(np.array(words, dtype=dtype)).tolist() == want
+
+
+substream_keys = (st.sampled_from([0, 1, 2**64 - 1])
+                  | st.integers(0, 2**64 - 1)
+                  | st.builds(lambda p, s, i: p << 48 | s << 40 | i,
+                              st.integers(0, 2**16 - 1), st.integers(0, 2),
+                              st.integers(0, 2**40 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       keys=st.lists(substream_keys, min_size=1, max_size=5))
+def test_vectorized_philox_block_matches_random_raw(seed, keys):
+    got = _philox_first_blocks(seed, np.array(keys, dtype=np.uint64))
+    for row, k in zip(got, keys):
+        fresh = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+        assert np.array_equal(row, fresh.random_raw(4)), (seed, k)
+
+
+@pytest.mark.parametrize("words", [2, 4])
+def test_state_reset_continues_like_random_raw(words):
+    seed, k = 2**64 - 1, (3 << 48) | (1 << 40) | 12345
+    key = np.array([seed, k], dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    fresh.bit_generator.random_raw(words)
+
+    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    reset = np.random.Generator(bg)
+    reset.standard_normal(3)  # leave state behind that the reset must clear
+    state = _philox_state(seed, words)
+    state["state"]["key"][1] = k
+    state["buffer"] = _philox_first_blocks(seed, key[1:]).tolist()[0]
+    bg.state = state
+    want = (fresh.integers(-3, 4), fresh.standard_normal(5))
+    got = (reset.integers(-3, 4), reset.standard_normal(5))
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_largest_seed_simulates_without_warnings(tmp_path):
+    """uint64 substream-key arithmetic wraps by design and must not print
+    numpy overflow warnings to stderr, which carries only JSON events."""
+    for fixed_key in (None, bytes(range(16))):
+        config = tiny_config(seed=2**64 - 1, fixed_key=fixed_key,
+                             device=DeviceProfile(noise_sigma=0.1, jitter_max=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_grid_dataset(config, tmp_path / "max_seed.emgd")
+        arrays = read_all(tmp_path / "max_seed.emgd")
+        want = oracle_trace(config, 0, SPLIT_CODES["holdout"], 5)
+        assert np.array_equal(arrays.samples[-1], want.samples[0])
 
 
 def test_snr_decreases_with_distance(tmp_path):
