@@ -8,7 +8,8 @@ accepted for compatibility and has no effect.
 
 Commands that read a dataset check its header (train's selection, a model's
 trace length) before reading the records of the one split they use; train
-reads train and test.
+reads train and test. Its SGD flags (--lr, --batch-size, --epochs, --steps)
+configure the classifier; the HD regressor is fitted by least squares.
 
 Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config, including
 argument errors and a split without traces; 3 analysis precondition (e.g.
@@ -238,6 +239,8 @@ def cmd_train(args) -> int:
                "traces": result.n_train, "positions": len(positions)}
     if result.val_history:
         summary["second_half_mean"] = second_half_mean(result.val_history)
+    if result.iterations is not None:
+        summary["iterations"] = result.iterations
     _log("model", **summary)
     return 0
 
@@ -367,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="classifier")
     _add_target(p)
     p.add_argument("--data-cap", type=int, default=None)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--steps", type=int, default=400)
+    sgd = "configures the classifier's SGD only; hd-regressor ignores it"
+    p.add_argument("--lr", type=float, default=0.01, help=sgd)
+    p.add_argument("--batch-size", type=int, default=64, help=sgd)
+    p.add_argument("--epochs", type=int, default=50, help=sgd)
+    p.add_argument("--steps", type=int, default=400, help=sgd)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_train)

@@ -1,26 +1,16 @@
 """Trainable profiling models and the attacks built on them.
 
 Two shallow linear models cover the profiled attacks: a 256-class softmax
-classifier over an intermediate byte value, and a 16-output regressor
-predicting the true last-round Hamming distances. Both standardize samples
-per-index (parameters stored in the model, so attack-time preprocessing is
-self-contained) and train with plain seeded mini-batch gradient descent;
-training is a pure function of (data, config, seed). Standardization is
-fitted once per training run and applied once to the training and once to
-the validation matrix; the SGD steps index rows of the standardized matrix.
-The regressor trains in float32: its standardized matrices, weights, bias
-and targets are float32, so each SGD step moves half the bytes, and its
-matrices are filled 256 rows at a time from float64 blocks. Where training
-owns the float32 training samples (a data_cap copy, or samples that
-multiplace_train consumes), the regressor writes its standardized matrix
-over them in place instead of next to them. The classifier, whose steps are
-bound by Python overhead rather than memory, trains in float64 on a new
-matrix. Either model is returned with float64 weights and bias.
-
-The hybrid attack (evaluation.evaluate_hybrid_grid) runs the regressor over
-every attack trace and feeds the 16-float outputs into last-round CPA as
-pseudo-traces, turning a model that merely compresses leakage into a signal
-amplifier for an unprofiled attack.
+classifier over an intermediate byte value, trained by seeded mini-batch
+SGD, and a 16-output regressor of the true last-round Hamming distances,
+fitted by least squares (linear-regression profiling as in Schindler,
+Lemke and Paar, CHES 2005), whose outputs the hybrid attack
+(evaluation.evaluate_hybrid_grid) feeds into last-round CPA as
+pseudo-traces. Both standardize samples per index, with the parameters
+stored in the model; training is a pure function of (data, config, seed)
+and never writes to the caller's arrays. The regressor never forms the
+standardized samples Z: its products Z P = X (P/σ) − μ·(P/σ) and
+Zᵀ R = (Xᵀ R − μ ⊗ ΣR)/σ only read the float32 samples X.
 """
 
 import json
@@ -52,7 +42,9 @@ MODEL_FORMAT_VERSION = 1
 
 _STD_FLOOR = 1e-12
 _STD_BLOCK = 64  # columns per fit_standardization block
-_APPLY_ROWS = 256  # rows per StandardizationParams.apply block
+_CG_TOL = 1e-3  # an output stops once ‖ZᵀR‖ is this fraction of its start
+_CG_MAX_ITER = 2000  # n ≈ m converges slowly: 800 iterations at n = m = 512
+_PRODUCT_ROWS = 4096  # rows of X per product: BLAS packs them in one buffer
 # data_cap subsampling uses a seed derived from the training seed by one LCG
 # step, so capping never perturbs the training RNG stream itself.
 _LCG_A = 6364136223846793005
@@ -63,34 +55,15 @@ _LCG_C = 1442695040888963407
 class StandardizationParams:
     mean: np.ndarray  # (m,)
     std: np.ndarray   # (m,), constant columns guarded to 1
+    constant: np.ndarray = None  # (m,) bool, the guarded columns, if fitted
 
-    def apply(self, samples: np.ndarray, dtype=np.float64,
-              out: np.ndarray = None) -> np.ndarray:
-        """(samples - mean) / std as an array of the given dtype.
-
-        Without out the result is a new array and samples is never written
-        to. Otherwise the result is written into out, which must have
-        samples' shape and the given dtype and may be samples itself, and
-        out is returned.
-
-        Rows are standardized _APPLY_ROWS at a time: each block is converted
-        to float64, shifted and scaled, then rounded to dtype, so every
-        element is the float64 result rounded once and no float64 copy of
-        the whole matrix is made. A block is copied before its rows are
-        written, so out=samples gives the same values as a new array."""
-        x = np.asarray(samples)
-        if out is None:
-            out = np.empty(x.shape, dtype=dtype)
-        elif out.shape != x.shape or out.dtype != dtype:
-            raise ValueError(f"out is {out.dtype}{out.shape}, "
-                             f"want {np.dtype(dtype)}{x.shape}")
-        rows, dest = np.atleast_2d(x), np.atleast_2d(out)
-        for a in range(0, len(rows), _APPLY_ROWS):
-            block = rows[a:a + _APPLY_ROWS].astype(np.float64)
-            block -= self.mean
-            block /= self.std
-            dest[a:a + _APPLY_ROWS] = block
-        return out
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        """(samples - mean) / std as a new float64 array; samples is never
+        written to."""
+        z = np.array(samples, dtype=np.float64)
+        z -= self.mean
+        z /= self.std
+        return z
 
 
 def _column_blocks(m: int):
@@ -121,8 +94,8 @@ def fit_standardization(samples: np.ndarray) -> StandardizationParams:
         mean[a:b] = block.mean(axis=0)
         if n > 1:
             std[a:b] = block.std(axis=0, ddof=1)
-    std = np.where(std < _STD_FLOOR, 1.0, std)
-    return StandardizationParams(mean, std)
+    constant = std < _STD_FLOOR
+    return StandardizationParams(mean, np.where(constant, 1.0, std), constant)
 
 
 @dataclass
@@ -167,8 +140,9 @@ class ProfilingModel:
 @dataclass
 class TrainResult:
     model: ProfilingModel
-    val_history: list  # per-epoch validation mean rank (classifier) or MSE
+    val_history: list  # per-epoch validation mean rank, or the one MSE
     n_train: int = 0   # training traces actually used (after any data_cap)
+    iterations: int = None  # the regressor's CGLS iterations
 
 
 def second_half_mean(history) -> float:
@@ -238,47 +212,40 @@ def _apply_data_cap(arrays: TraceArrays, config: TrainConfig) -> TraceArrays:
     return arrays.subset(keep)
 
 
-def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
-           kind: str, byte_index=None, owns_train=False) -> TrainResult:
-    """Shared seeded SGD on labels_of(arrays): int labels (classifier) or
-    (n, 16) targets (regressor).
-
-    The training samples are overwritten with their standardized values when
-    this run owns them (owns_train, or the data_cap copy), they already have
-    the working dtype and they are writeable, and val.samples does not share
-    their memory; otherwise the standardized matrix is a new array. Either
-    way its values are the same.
-
-    RNG draw order: one normal() for the weight init, then one permutation
-    per epoch plus one per mid-epoch wraparound. A run whose arithmetic
-    overflows, or whose weights or validation metric stop being finite,
-    raises AnalysisError instead of returning a model.
-    """
+def _prepared(train: TraceArrays, val: TraceArrays, config: TrainConfig):
+    """The training split after any data_cap, its standardization and the
+    positions it covers."""
     if len(train) == 0:
         raise AnalysisError("empty training set")
     if len(val) == 0:
         raise AnalysisError("empty validation set")
     if train.samples.shape[1] != val.samples.shape[1]:
         raise AnalysisError("train/val sample lengths differ")
-    capped = _apply_data_cap(train, config)
-    owns_train = owns_train or capped is not train
-    train = capped
-    dtype = np.float64 if kind == CLASSIFIER_256 else np.float32
-    stdz = fit_standardization(train.samples)
-    Y, val_labels = labels_of(train), labels_of(val)
-    if kind == HD_REGRESSOR_16:
-        Y, val_labels = Y.astype(dtype), val_labels.astype(dtype)
-    in_place = (owns_train and train.samples.dtype == dtype
-                and train.samples.flags.writeable
-                and not np.may_share_memory(train.samples, val.samples))
-    Z = stdz.apply(train.samples, dtype,
-                   out=train.samples if in_place else None)
-    Z_val = stdz.apply(val.samples, dtype)
+    train = _apply_data_cap(train, config)
+    positions = tuple(sorted(set(train.positions.tolist())))
+    return train, fit_standardization(train.samples), positions
+
+
+def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
+                     config: TrainConfig) -> TrainResult:
+    """Fit the 256-class model on an intermediate byte value by seeded SGD;
+    returns the model plus per-epoch validation mean ranks (the selection
+    metric).
+
+    RNG draw order: one normal() for the weight init, then one permutation
+    per epoch plus one per mid-epoch wraparound. A run whose arithmetic
+    overflows, or whose weights or validation metric stop being finite,
+    raises AnalysisError instead of returning a model.
+    """
+    if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
+        raise ConfigError("classifier targets a first-round byte value model")
+    train, stdz, positions = _prepared(train, val, config)
+    Y, val_labels = (first_round_labels(target, a) for a in (train, val))
+    Z, Z_val = stdz.apply(train.samples), stdz.apply(val.samples)
     n, m = Z.shape
-    outputs = _MODEL_OUTPUTS[kind]
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (outputs, m)).astype(dtype)
-    b = np.zeros(outputs, dtype=dtype)
+    W = rng.normal(0.0, 0.01, (256, m))
+    b = np.zeros(256)
     lr = config.learning_rate
     batch = min(config.batch_size, n)
     history = []
@@ -294,52 +261,83 @@ def _train(train: TraceArrays, val: TraceArrays, labels_of, config: TrainConfig,
                     idx = perm[cursor:cursor + batch]
                     cursor += batch
                     Xb = Z[idx]
-                    if kind == CLASSIFIER_256:
-                        p = _softmax(Xb @ W.T + b)
-                        p[np.arange(batch), Y[idx]] -= 1.0
-                        g = p / batch
-                    else:
-                        err = (Xb @ W.T + b) - Y[idx]
-                        g = (2.0 / (batch * outputs)) * err
+                    p = _softmax(Xb @ W.T + b)
+                    p[np.arange(batch), Y[idx]] -= 1.0
+                    g = p / batch
                     W -= lr * (g.T @ Xb)
                     b -= lr * g.sum(axis=0)
-                    del Xb  # free this minibatch before the next is gathered
-                out = Z_val @ W.T + b
-                if kind == CLASSIFIER_256:
-                    metric = _ranks_of_scores(_softmax(out), val_labels).mean()
-                else:
-                    metric = np.mean((out - val_labels) ** 2, dtype=np.float64)
-                history.append(float(metric))
+                out = _softmax(Z_val @ W.T + b)
+                history.append(float(_ranks_of_scores(out, val_labels).mean()))
                 if not (math.isfinite(history[-1]) and np.isfinite(W).all()
                         and np.isfinite(b).all()):
                     raise FloatingPointError("non-finite weights or metric")
     except FloatingPointError as e:
         raise AnalysisError(f"training diverged ({e}); lower the learning "
                             f"rate") from e
-    model = ProfilingModel(kind, W.astype(np.float64, copy=False),
-                           b.astype(np.float64, copy=False),
-                           stdz, byte_index=byte_index,
-                           positions=tuple(sorted(set(train.positions.tolist()))),
-                           seed=config.seed)
+    model = ProfilingModel(CLASSIFIER_256, W, b, stdz, target.byte_index,
+                           positions, config.seed)
     return TrainResult(model, history, len(train))
 
 
-def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
-                     config: TrainConfig) -> TrainResult:
-    """Fit the 256-class model on an intermediate byte value; returns the
-    model plus per-epoch validation mean ranks (the selection metric).
-    Neither train nor val is written to."""
-    if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
-        raise ConfigError("classifier targets a first-round byte value model")
-    return _train(train, val, lambda a: first_round_labels(target, a), config,
-                  CLASSIFIER_256, target.byte_index)
+def _z_times(x, mean, scale, P):
+    """Z @ P for Z = (x - mean) * scale, never formed: the float32 product
+    x @ (scale P), _PRODUCT_ROWS rows at a time, minus mean @ (scale P)."""
+    Ps = scale[:, None] * P
+    P32 = Ps.astype(np.float32)
+    rows = range(0, len(x), _PRODUCT_ROWS)
+    return np.concatenate([x[a:a + _PRODUCT_ROWS] @ P32 for a in rows]) \
+        - mean @ Ps
+
+
+def _zt_times(x, mean, scale, R):
+    """Zᵀ @ R, never forming Z: scale (xᵀ R - mean ⊗ ΣR), the product in
+    float32 and ΣR summed from the same float32 R."""
+    R32 = R.astype(np.float32)
+    sums = R32.sum(axis=0, dtype=np.float64)
+    return scale[:, None] * (x.T @ R32 - np.outer(mean, sums))
 
 
 def train_hd_regressor(train: TraceArrays, val: TraceArrays,
                        config: TrainConfig) -> TrainResult:
-    """Fit the 16-output HD regressor; history is per-epoch validation MSE.
-    Neither train nor val is written to."""
-    return _train(train, val, true_hds, config, HD_REGRESSOR_16)
+    """Fit the 16-output HD regressor by CGLS, one per output, in lockstep
+    from 0 (the minimum-norm fit when traces are fewer than samples); history
+    is its one validation MSE, and of config only data_cap and seed act. A
+    fit whose arithmetic overflows raises AnalysisError."""
+    train, stdz, positions = _prepared(train, val, config)
+    x, mean = train.samples, stdz.mean
+    # scaling constant columns by 0, not 1/1, keeps rounding out of them
+    scale = np.where(stdz.constant, 0.0, 1.0 / stdz.std)
+    Y = true_hds(train)
+    b = Y.mean(axis=0)
+    W = np.zeros((x.shape[1], 16))
+    R = Y - b
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            D = S = _zt_times(x, mean, scale, R)
+            gamma = np.einsum("ij,ij->j", S, S)
+            stop = _CG_TOL ** 2 * gamma
+            active = gamma > stop
+            iterations = 0
+            while active.any() and iterations < _CG_MAX_ITER:
+                Q = _z_times(x, mean, scale, D)
+                qq = np.einsum("ij,ij->j", Q, Q)
+                alpha = np.divide(gamma, qq, out=np.zeros(16), where=active)
+                W += alpha * D
+                R -= alpha * Q
+                S = _zt_times(x, mean, scale, R)
+                new = np.einsum("ij,ij->j", S, S)
+                beta = np.divide(new, gamma, out=np.zeros(16), where=active)
+                D = S + beta * D
+                gamma = new
+                active &= new > stop
+                iterations += 1
+            pred = _z_times(val.samples, mean, scale, W) + b
+            mse = float(np.mean((pred - true_hds(val)) ** 2))
+    except FloatingPointError as e:
+        raise AnalysisError(f"regressor fit overflowed ({e})") from e
+    model = ProfilingModel(HD_REGRESSOR_16, W.T.copy(), b, stdz, None,
+                           positions, config.seed)
+    return TrainResult(model, [mse], len(train), iterations)
 
 
 # ------------------------------------------------------- position selection
@@ -378,13 +376,6 @@ def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
     A singleton set reduces bit-for-bit to single-position training. data_cap
     (in config) subsamples the union uniformly with the derived seed; a cap
     at or above the union size changes nothing.
-
-    An HD regressor consumes its float32 training samples: train.samples is
-    overwritten with the standardized matrix, so the regressor needs no
-    second copy of it, unless dropped positions or data_cap make training
-    work on a copy. A caller that reads train.samples afterwards passes a
-    copy. The classifier, val, and training samples that val.samples shares
-    memory with are never written to.
     """
     positions = sorted({int(p) for p in positions})
     if not positions:
@@ -396,8 +387,7 @@ def multiplace_train(train: TraceArrays, val: TraceArrays, positions,
     if kind == CLASSIFIER_256:
         return train_classifier(sub_train, sub_val, target, config)
     if kind == HD_REGRESSOR_16:
-        return _train(sub_train, sub_val, true_hds, config, HD_REGRESSOR_16,
-                      owns_train=True)
+        return train_hd_regressor(sub_train, sub_val, config)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 

@@ -34,10 +34,10 @@ state to the one the trace's fresh Philox holds after its plaintext and key
 words: counter (1, 0, 0, 0), the trace's block in the buffer and 2 or 4 of
 its words used. Without jitter and noise the loop does not run.
 
-Traces are synthesized and written in chunks of max(1, _CHUNK_BYTES // (8 m))
-traces: a fixed budget of float64 sample bytes, so the memory a chunk needs
-does not grow with the trace length m. The substreams make the file bytes
-independent of the chunk size.
+Traces are synthesized and written in chunks of at most _CHUNK_ROWS and
+max(1, _CHUNK_BYTES // (8 m)) traces, so a chunk's memory grows with
+neither the trace length m nor the trace count. The substreams make the
+file bytes independent of the chunk size.
 """
 
 import json
@@ -57,6 +57,7 @@ from .leakage import (
     true_last_round_hds,
 )
 from .traceset import (
+    MAX_M,
     SPLIT_CODES,
     SPLIT_NAMES,
     DatasetHeader,
@@ -69,6 +70,7 @@ SOURCE_TARGETS = (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT, LAST_ROUND_HD
 
 D_MIN_MM = 0.05   # distance floor: probes never touch the die
 _CHUNK_BYTES = 4 << 20  # float64 sample bytes per TraceArrays chunk
+_CHUNK_ROWS = 4096  # traces per TraceArrays chunk at most
 _INDEX_BITS = 40  # trace-index bits of a substream key's second word
 
 # Philox4x64 round multipliers (for counter words 0 and 2) and key
@@ -173,8 +175,9 @@ class SimConfig:
     description: str = ""
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ConfigError("m must be > 0")
+        if not 0 < self.m <= MAX_M:
+            raise ConfigError(
+                f"m must be in 1..{MAX_M}, the samples one .emgd record holds")
         if self.geometry.position_count > 1 << 16:
             raise ConfigError(
                 f"grid has {self.geometry.position_count} positions; the .emgd "
@@ -348,7 +351,7 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
 
 def _all_chunks(config: SimConfig, progress=None):
     emitted = 0
-    rows = max(1, _CHUNK_BYTES // (8 * config.m))
+    rows = min(_CHUNK_ROWS, max(1, _CHUNK_BYTES // (8 * config.m)))
     for position in range(config.geometry.position_count):
         for split, name in SPLIT_NAMES.items():
             count = int(config.traces_per_position.get(name, 0))

@@ -47,6 +47,10 @@ def record_dtype(m: int) -> np.dtype:
                      ("ciphertext", "u1", (16,)), ("samples", "<f4", (m,))])
 
 
+# numpy sizes a dtype by a C int, so one record holds at most MAX_M samples
+MAX_M = ((1 << 31) - 1 - record_dtype(0).itemsize) // 4
+
+
 @dataclass
 class DatasetHeader:
     geometry: GridGeometry
@@ -56,11 +60,8 @@ class DatasetHeader:
     adc_bits: int = 0  # 0 = no simulated quantization
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise DataFormatError("header m must be > 0")
-        # numpy caps a dtype's size at a C int; check before building one.
-        if record_dtype(0).itemsize + 4 * self.m >= 1 << 31:
-            raise DataFormatError(f"header m {self.m} is too large for one record")
+        if not 0 < self.m <= MAX_M:
+            raise DataFormatError(f"header m {self.m} is not in 1..{MAX_M}")
         if self.trace_count < 0:
             raise DataFormatError("header trace_count must be >= 0")
 

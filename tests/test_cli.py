@@ -35,6 +35,7 @@ from emgrid.profiler import (
     select_leaky_positions,
 )
 from emgrid.traceset import (
+    MAX_M,
     SPLIT_HOLDOUT,
     DatasetHeader,
     TraceArrays,
@@ -177,6 +178,8 @@ NAN = float("nan")
 
 BAD_CONFIGS = {
     "m-1e999": {"m": 1e999},
+    # one sample past the .emgd record limit: rejected before any allocation
+    "m-past-record-limit": {"m": MAX_M + 1},
     "full-scale-one-value": {"device": {"full_scale": [1]}},
     "origin-shift-not-a-triple": {"perturbation": {"probe_origin_shift_mm": 5}},
     "perturbation-not-an-object": {"perturbation": 5},
@@ -489,7 +492,7 @@ def test_train_non_finite_threshold_exit_2(capsys, workdir, dataset, threshold):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["classifier", "hd-regressor"])
+@pytest.mark.parametrize("kind", ["classifier"])
 def test_train_divergence_exit_3_without_model(workdir, dataset, kind):
     """A learning rate that overflows the weights ends in one AnalysisError
     event, with no numpy warning text on stderr and no model file. Run as a
@@ -692,13 +695,25 @@ def test_train_topn_and_data_cap(capsys, workdir, dataset):
 
 
 def test_train_hd_regressor_kind(capsys, workdir, dataset):
-    out = workdir / "reg.emmod"
+    """The regressor's least-squares fit logs one epoch event, its validation
+    MSE, and its iteration count; the SGD flags do not change its model."""
+    out, other = workdir / "reg.emmod", workdir / "reg_other.emmod"
     code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
                        "--model-kind", "hd-regressor", "--epochs", 2,
                        "--steps", 10, "--out-model", out)
     assert code == 0
     assert load_model(out).kind == HD_REGRESSOR_16
-    assert all("val_mse" in e for e in events if e["event"] == "epoch")
+    epochs = [e for e in events if e["event"] == "epoch"]
+    assert len(epochs) == 1 and epochs[0]["val_mse"] > 0
+    done = [e for e in events if e["event"] == "model"][0]
+    assert isinstance(done["iterations"], int) and done["iterations"] > 0
+    assert done["second_half_mean"] == epochs[0]["val_mse"]
+    code, _ = run(capsys, "train", "--in", dataset, "--mode", "all",
+                  "--model-kind", "hd-regressor", "--lr", "1e308",
+                  "--batch-size", 3, "--epochs", 0, "--steps", 1,
+                  "--out-model", other)
+    assert code == 0
+    assert other.read_bytes() == out.read_bytes()
 
 
 def test_train_deterministic_model_file(capsys, workdir, dataset):

@@ -155,33 +155,15 @@ def test_standardization_apply_leaves_input_unchanged(dtype):
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 600])
 def test_standardization_apply_blocks_match_whole_matrix(n):
-    """apply fills its output 256 rows at a time; every element is the
-    whole-matrix float64 value, rounded once when the output is float32,
-    also when the float32 output is the input itself (out=samples)."""
+    """Every element of apply's float64 output is the whole-matrix value
+    (x - mean) / std, for a matrix of any height and for a single row."""
     rng = np.random.default_rng(4)
     x = rng.normal(2.0, 3.0, size=(n, 7)).astype(np.float32)
     p = StandardizationParams(rng.normal(size=7), rng.uniform(0.5, 2.0, 7))
     want = (x.astype(np.float64) - p.mean) / p.std
     assert p.apply(x).tobytes() == want.tobytes()
-    z32 = p.apply(x, np.float32)
-    assert z32.dtype == np.float32
-    assert z32.tobytes() == want.astype(np.float32).tobytes()
     if n:
-        row = x[0].copy()
-        assert p.apply(row).tobytes() == want[0].tobytes()
-        assert p.apply(row, np.float32, out=row) is row
-        assert row.tobytes() == z32[0].tobytes()
-    assert p.apply(x, np.float32, out=x) is x
-    assert x.tobytes() == z32.tobytes()
-
-
-def test_standardization_apply_rejects_mismatched_out():
-    p = StandardizationParams(np.zeros(3), np.ones(3))
-    x = np.ones((4, 3), dtype=np.float32)
-    with pytest.raises(ValueError):
-        p.apply(x, np.float64, out=x)
-    with pytest.raises(ValueError):
-        p.apply(x, np.float32, out=np.empty((3, 3), dtype=np.float32))
+        assert p.apply(x[0]).tobytes() == want[0].tobytes()
 
 
 # ----------------------------------------------------------- training toys
@@ -299,21 +281,15 @@ def test_second_half_mean():
 
 # ------------------------------------------ per-minibatch training oracle
 
-def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
-    """Seeded SGD that standardizes every minibatch and the validation matrix
-    anew at each use. Standardizing once per run must match it bit for bit:
-    each element goes through the same float32 -> float64, subtract, divide,
-    then one rounding to the working dtype. The classifier works in float64,
-    the regressor in float32 (weights, bias, targets and standardized rows);
-    the regressor's validation MSE is summed in float64."""
+def reference_train_loop(X, Y, X_val, val_labels, config, stdz):
+    """Seeded classifier SGD that standardizes every minibatch and the
+    validation matrix anew at each use. Standardizing once per run must
+    match it bit for bit: each element goes through the same float32 ->
+    float64, subtract, divide."""
     n, m = X.shape
-    outputs = 256 if kind == CLASSIFIER_256 else 16
-    dtype = np.float64 if kind == CLASSIFIER_256 else np.float32
-    if kind != CLASSIFIER_256:
-        Y, val_labels = Y.astype(dtype), val_labels.astype(dtype)
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (outputs, m)).astype(dtype)
-    b = np.zeros(outputs, dtype=dtype)
+    W = rng.normal(0.0, 0.01, (256, m))
+    b = np.zeros(256)
     lr = config.learning_rate
     batch = min(config.batch_size, n)
     history = []
@@ -326,35 +302,23 @@ def reference_train_loop(X, Y, X_val, val_labels, config, kind, stdz):
                 cursor = 0
             idx = perm[cursor:cursor + batch]
             cursor += batch
-            Xb = stdz.apply(X[idx], dtype)
-            if kind == CLASSIFIER_256:
-                p = _softmax(Xb @ W.T + b)
-                p[np.arange(batch), Y[idx]] -= 1.0
-                g = p / batch
-            else:
-                err = (Xb @ W.T + b) - Y[idx]
-                g = (2.0 / (batch * outputs)) * err
+            Xb = stdz.apply(X[idx])
+            p = _softmax(Xb @ W.T + b)
+            p[np.arange(batch), Y[idx]] -= 1.0
+            g = p / batch
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
-        out = stdz.apply(X_val, dtype) @ W.T + b
-        if kind == CLASSIFIER_256:
-            history.append(float(_ranks_of_scores(_softmax(out), val_labels).mean()))
-        else:
-            history.append(float(np.mean((out - val_labels) ** 2,
-                                         dtype=np.float64)))
-    return W.astype(np.float64), b.astype(np.float64), history
+        out = stdz.apply(X_val) @ W.T + b
+        history.append(float(_ranks_of_scores(_softmax(out), val_labels).mean()))
+    return W, b, history
 
 
-def reference_train(kind, train, val, config):
+def reference_train(train, val, config):
     train = _apply_data_cap(train, config)
     stdz = fit_standardization(train.samples)
-    if kind == CLASSIFIER_256:
-        y, y_val = labels_of(train).astype(np.int64), labels_of(val).astype(np.int64)
-    else:
-        y, y_val = (true_hds_of(train).astype(np.float64),
-                    true_hds_of(val).astype(np.float64))
+    y, y_val = labels_of(train).astype(np.int64), labels_of(val).astype(np.int64)
     return reference_train_loop(train.samples, y, val.samples, y_val, config,
-                                kind, stdz)
+                                stdz)
 
 
 def train_kind(kind, train, val, config):
@@ -390,41 +354,30 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
-@pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
+@pytest.mark.parametrize("kind", [CLASSIFIER_256])
 def test_training_matches_per_minibatch_oracle(kind, case):
     n, params = ORACLE_CASES[case]
     train = offset_noise_arrays(n, 24, seed=90)
     val = offset_noise_arrays(150, 24, seed=92)
     cfg = TrainConfig(learning_rate=0.05, seed=94, **params)
-    W, b, history = reference_train(kind, train, val, cfg)
+    W, b, history = reference_train(train, val, cfg)
     res = train_kind(kind, train, val, cfg)
     assert np.array_equal(res.model.weights, W)
     assert np.array_equal(res.model.bias, b)
     assert res.val_history == history
     assert len(history) == cfg.epochs
-    if kind == HD_REGRESSOR_16:
-        # multiplace_train consumes its training samples: the regressor
-        # standardizes them in place (or the data_cap copy) to the same bits
-        owned = copied(train)
-        res = multiplace_train(owned, val, [0], TARGET, cfg, kind=kind)
-        assert np.array_equal(res.model.weights, W)
-        assert np.array_equal(res.model.bias, b)
-        assert res.val_history == history
-        if cfg.data_cap is None:
-            assert owned.samples.tobytes() == res.model.standardization.apply(
-                train.samples, np.float32).tobytes()
 
 
 @pytest.mark.parametrize("epochs, steps", [(0, 1), (1, 1), (4, 7)])
-@pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
+@pytest.mark.parametrize("kind", [CLASSIFIER_256])
 def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
                                                   steps):
     calls = []
     apply = StandardizationParams.apply
 
-    def counted(self, samples, *args, **kwargs):
+    def counted(self, samples):
         calls.append(len(samples))
-        return apply(self, samples, *args, **kwargs)
+        return apply(self, samples)
 
     monkeypatch.setattr(StandardizationParams, "apply", counted)
     train = offset_noise_arrays(100, 8, seed=96)
@@ -435,22 +388,157 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
     assert calls == [len(train), len(val)]
 
 
+# ------------------------------------------------- least-squares regressor
+
+def lstsq_oracle(train, val):
+    """The regressor's optimum in float64: np.linalg.lstsq (the minimum-norm
+    solution) on explicitly standardized samples against centred targets,
+    with the mean target as bias; also that model's validation MSE."""
+    stdz = fit_standardization(train.samples)
+    Z = (train.samples.astype(np.float64) - stdz.mean) / stdz.std
+    Y = true_hds_of(train).astype(np.float64)
+    b = Y.mean(axis=0)
+    W = np.linalg.lstsq(Z, Y - b, rcond=None)[0].T
+    Z_val = (val.samples.astype(np.float64) - stdz.mean) / stdz.std
+    mse = float(np.mean((Z_val @ W.T + b - true_hds_of(val)) ** 2))
+    return W, b, mse
+
+
+def leaky_arrays(n, m, seed, offset=0.0, constant=None):
+    """Samples that mix the 16 true Hamming distances into m columns under
+    unit noise, the mixing and column scales fixed by m. Each column is
+    shifted by offset times its std; column `constant`, if given, holds one
+    value."""
+    params = np.random.default_rng(m)
+    mix = params.normal(0.0, 0.3, (16, m))
+    scale = params.uniform(0.5, 2.0, m)
+    std = np.sqrt(2.0 * (mix ** 2).sum(axis=0) + 1.0)  # an HD's variance is 2
+    base = make_arrays(np.zeros((n, m), dtype=np.float32), seed=seed)
+    noise = np.random.default_rng(seed + 1).normal(size=(n, m))
+    x = (true_hds_of(base) @ mix + noise + offset * std) * scale
+    if constant is not None:
+        x[:, constant] = 7.0
+    return TraceArrays(x.astype(np.float32), base.keys, base.plaintexts,
+                       base.ciphertexts, base.positions, base.splits)
+
+
+REGRESSOR_CASES = {
+    "n>m": dict(n=600, m=24),
+    # fewer traces than samples: the fit from zero is the minimum-norm one
+    "n<m": dict(n=40, m=120),
+    "constant-column": dict(n=300, m=20, constant=5),
+    "offset-1000-sigma": dict(n=600, m=24, offset=1000.0),
+}
+
+
+@pytest.mark.parametrize("case", REGRESSOR_CASES)
+def test_regressor_matches_lstsq_oracle(case):
+    params = dict(REGRESSOR_CASES[case])
+    n, m = params.pop("n"), params.pop("m")
+    train = leaky_arrays(n, m, seed=120, **params)
+    val = leaky_arrays(200, m, seed=122, **params)
+    res = train_hd_regressor(train, val, TrainConfig(seed=124))
+    W, b, mse = lstsq_oracle(train, val)
+    assert np.array_equal(res.model.bias, b)
+    assert np.linalg.norm(res.model.weights - W) <= 1e-2 * np.linalg.norm(W)
+    assert res.val_history == [pytest.approx(mse, rel=1e-2)]
+    assert 0 < res.iterations < profiler._CG_MAX_ITER
+    if "constant" in params:
+        assert not res.model.weights[:, params["constant"]].any()
+
+
+@pytest.mark.parametrize("rows", [7, 4096])
+def test_folded_products_match_the_standardized_matrix(monkeypatch, rows):
+    """The fit's products with the standardized samples, which it never
+    forms, match the float64 products with them, also when they run in row
+    blocks."""
+    monkeypatch.setattr(profiler, "_PRODUCT_ROWS", rows)
+    x = leaky_arrays(100, 24, seed=144, offset=3.0).samples
+    stdz = fit_standardization(x)
+    Z = stdz.apply(x)
+    rng = np.random.default_rng(146)
+    P, R = rng.normal(size=(24, 16)), rng.normal(size=(100, 16))
+    args = x, stdz.mean, 1.0 / stdz.std
+    for got, want in ((profiler._z_times(*args, P), Z @ P),
+                      (profiler._zt_times(*args, R), Z.T @ R)):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_regressor_without_target_variance_fits_no_weights():
+    """One trace, or traces that share plaintext and key, leave no target
+    variance, and constant samples explain none: no iteration runs, the
+    weights stay 0 and the bias is the mean Hamming distance."""
+    one = leaky_arrays(1, 8, seed=126)
+    arr = leaky_arrays(50, 8, seed=128)
+    same = TraceArrays(arr.samples, np.repeat(arr.keys[:1], 50, axis=0),
+                       np.repeat(arr.plaintexts[:1], 50, axis=0),
+                       np.repeat(arr.ciphertexts[:1], 50, axis=0),
+                       arr.positions, arr.splits)
+    # 0.1 and 1234.5678 have no exact float32 sum: rounding must not leak in
+    flat = make_arrays(np.tile(np.float32([0.1, 1234.5678, 7.0]), (50, 1)),
+                       seed=130)
+    for train in (one, same, flat):
+        res = train_hd_regressor(train, train, TrainConfig())
+        assert res.iterations == 0
+        assert not res.model.weights.any()
+        assert np.array_equal(res.model.bias, true_hds_of(train).mean(axis=0))
+        assert res.val_history == [pytest.approx(
+            float(true_hds_of(train).var(axis=0).mean()))]
+
+
+def test_regressor_reads_read_only_samples_and_leaves_them():
+    train = leaky_arrays(300, 16, seed=130)
+    val = leaky_arrays(100, 16, seed=132)
+    before = train.samples.tobytes(), val.samples.tobytes()
+    train.samples.flags.writeable = False
+    val.samples.flags.writeable = False
+    cfg = TrainConfig(seed=134)
+    direct = train_hd_regressor(train, val, cfg)
+    multi = multiplace_train(train, val, [0], TARGET, cfg, kind=HD_REGRESSOR_16)
+    assert np.array_equal(direct.model.weights, multi.model.weights)
+    assert (train.samples.tobytes(), val.samples.tobytes()) == before
+
+
+def test_regressor_reruns_write_identical_model_files(tmp_path):
+    """The fit is deterministic and the SGD hyperparameters do not touch it:
+    reruns, also under other ones, write the same model file bytes."""
+    train = leaky_arrays(500, 40, seed=136)
+    val = leaky_arrays(100, 40, seed=138)
+    configs = (TrainConfig(seed=140), TrainConfig(seed=140),
+               TrainConfig(learning_rate=0.5, batch_size=8, epochs=1,
+                           steps_per_epoch=3, seed=140))
+    files = []
+    for i, cfg in enumerate(configs):
+        res = train_hd_regressor(copied(train), copied(val), cfg)
+        save_model(res.model, tmp_path / f"reg{i}.emmod")
+        files.append((tmp_path / f"reg{i}.emmod").read_bytes())
+    assert files[0] == files[1] == files[2]
+
+
+def test_regressor_overflow_raises_analysis_error():
+    rng = np.random.default_rng(142)
+    train = make_arrays((rng.choice([-3e38, 3e38], (64, 4))).astype(np.float32),
+                        seed=143)
+    with pytest.raises(AnalysisError, match="overflow"):
+        train_hd_regressor(train, train, TrainConfig())
+
+
 def test_regressor_training_peak_memory_near_sample_size(tmp_path):
-    """The regressor's standardized matrix is float32 and filled in row
-    blocks, so training needs about one more copy of the float32 samples;
-    a float64 matrix would need two. Its model is still float64, and a
-    model file round-trips it unchanged."""
+    """The fit only reads the float32 samples: its traced peak is well under
+    one more copy of them. The standardization fit's float64 column blocks
+    set it (a quarter of the samples' size at m = 1,024); the targets and
+    (n, 16) residuals add little. Its model is float64, and a model file
+    round-trips it unchanged."""
     train = offset_noise_arrays(4096, 1024, seed=100)
     val = offset_noise_arrays(256, 1024, seed=102)
     size = train.samples.nbytes
-    cfg = TrainConfig(batch_size=64, epochs=1, steps_per_epoch=5, seed=104)
     tracemalloc.start()
     try:
-        res = train_hd_regressor(train, val, cfg)
+        res = train_hd_regressor(train, val, TrainConfig(seed=104))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * size, (peak, size)
+    assert peak <= 0.35 * size, (peak, size)
     model = res.model
     assert model.weights.dtype == np.float64 and model.bias.dtype == np.float64
     path = tmp_path / "reg.emmod"
@@ -458,23 +546,6 @@ def test_regressor_training_peak_memory_near_sample_size(tmp_path):
     loaded = load_model(path)
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.bias.tobytes() == model.bias.tobytes()
-
-
-def test_multiplace_regressor_standardizes_owned_samples_in_place():
-    """multiplace_train consumes a regressor's float32 training samples, so
-    its standardized matrix takes no memory beside them: the traced peak is
-    the fit's column blocks and small arrays, well under one more copy."""
-    train = offset_noise_arrays(4096, 1024, seed=100)
-    val = offset_noise_arrays(256, 1024, seed=102)
-    size = train.samples.nbytes
-    cfg = TrainConfig(batch_size=64, epochs=1, steps_per_epoch=5, seed=104)
-    tracemalloc.start()
-    try:
-        multiplace_train(train, val, [0], TARGET, cfg, kind=HD_REGRESSOR_16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * size, (peak, size)
 
 
 @pytest.mark.parametrize("kind", [CLASSIFIER_256, HD_REGRESSOR_16])
@@ -491,23 +562,6 @@ def test_training_leaves_callers_samples_unchanged(kind):
     res = multiplace_train(train, val, [0], TARGET, cfg, kind=kind)
     assert res.n_train == 100
     assert (train.samples.tobytes(), val.samples.tobytes()) == before
-
-
-def test_multiplace_regressor_with_val_aliasing_train():
-    """Validation samples that are the training samples are not overwritten
-    before they are read: the model and its history match a run on
-    separate copies, and the caller's samples are unchanged."""
-    train = offset_noise_arrays(300, 16, seed=112)
-    before = train.samples.tobytes()
-    cfg = TrainConfig(batch_size=32, epochs=3, steps_per_epoch=6, seed=114)
-    shared = multiplace_train(train, train, [0], TARGET, cfg,
-                              kind=HD_REGRESSOR_16)
-    apart = multiplace_train(copied(train), copied(train), [0], TARGET, cfg,
-                             kind=HD_REGRESSOR_16)
-    assert np.array_equal(shared.model.weights, apart.model.weights)
-    assert np.array_equal(shared.model.bias, apart.model.bias)
-    assert shared.val_history == apart.val_history
-    assert train.samples.tobytes() == before
 
 
 # -------------------------------------------------------------- prediction

@@ -347,6 +347,27 @@ def test_wide_trace_memory_is_bounded_by_the_chunk_budget(tmp_path, traces):
     assert peak < 4 * simulator._CHUNK_BYTES, peak
 
 
+def test_short_trace_memory_is_bounded_by_the_chunk_rows(tmp_path):
+    """At m = 1 the byte budget alone would put every trace in one chunk;
+    the row cap keeps the per-trace key schedule, AES and Philox temporaries
+    of a chunk under one byte budget whatever the trace count."""
+    m = 1
+    sources = (LeakSource((0.0, 0.0, 0.0), (0,), FIRST_ROUND_SBOX_OUTPUT, 0,
+                          0.01),)
+    config = tiny_config(m=m, sources=sources,
+                         device=DeviceProfile(noise_sigma=1.0),
+                         traces_per_position={"train":
+                                              3 * simulator._CHUNK_ROWS + 5})
+    assert simulator._CHUNK_BYTES // (8 * m) > 3 * simulator._CHUNK_ROWS
+    tracemalloc.start()
+    try:
+        simulate_grid_dataset(config, tmp_path / "short.emgd")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < simulator._CHUNK_BYTES, peak
+
+
 def test_raw_words_become_little_endian_bytes():
     words = [0x0807060504030201, 0x100F0E0D0C0B0A09]
     want = list(range(1, 17))

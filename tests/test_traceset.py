@@ -12,6 +12,7 @@ from emgrid import traceset
 from emgrid.errors import ConfigError, DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.traceset import (
+    MAX_M,
     SPLIT_HOLDOUT,
     SPLIT_TEST,
     SPLIT_TRAIN,
@@ -98,6 +99,13 @@ def test_round_trip_single_record(tmp_path):
     got_header, *got = read_arrays(path, ALL)
     assert got_header == header
     assert_splits_equal(got, want)
+
+
+def test_header_m_limit_is_the_largest_record_numpy_sizes():
+    assert traceset.record_dtype(MAX_M).itemsize == (1 << 31) - 1
+    assert DatasetHeader(GEOM, m=MAX_M, trace_count=0).m == MAX_M
+    with pytest.raises(DataFormatError, match=r"not in 1\.\."):
+        DatasetHeader(GEOM, m=MAX_M + 1, trace_count=0)
 
 
 def test_empty_dataset_round_trip(tmp_path):
