@@ -272,11 +272,16 @@ def cpa_scores(corr: np.ndarray) -> np.ndarray:
     return np.abs(corr).max(axis=1)
 
 
-def rank_of(scores: np.ndarray, correct: int) -> float:
+def rank_of(scores: np.ndarray, correct):
     """Mid-rank of the correct candidate: strictly-greater count plus half
-    the ties. All-equal scores give exactly 127.5, the random baseline."""
+    the other ties. One score row (C,) and one index give one rank; rows
+    (n, C) and n indices give one rank per row. All-equal scores of 256
+    candidates give exactly 127.5, the random baseline."""
     s = np.asarray(scores, dtype=np.float64)
-    sc = s[correct]
-    greater = int(np.count_nonzero(s > sc))
-    equal_others = int(np.count_nonzero(s == sc)) - 1
+    if s.ndim == 1:  # count_nonzero's whole-array count is the fast one
+        own, axis = s[correct], None
+    else:
+        own, axis = s[np.arange(len(s)), correct][:, None], 1
+    greater = np.count_nonzero(s > own, axis)
+    equal_others = np.count_nonzero(s == own, axis) - 1
     return greater + equal_others / 2.0

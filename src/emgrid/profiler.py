@@ -13,15 +13,13 @@ standardized samples Z: its products Z P = X (P/σ) − μ·(P/σ) and
 Zᵀ R = (Xᵀ R − μ ⊗ ΣR)/σ only read the float32 samples X.
 """
 
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aes import encrypt_blocks, expand_keys_batch
+from .distinguishers import rank_of
 from .errors import AnalysisError, ConfigError, DataFormatError
 from .grid import require_finite
 from .leakage import (
@@ -31,24 +29,20 @@ from .leakage import (
     true_first_round_values,
     true_last_round_hds,
 )
-from .traceset import TraceArrays
+from .simulator import derive_seed
+from .traceset import TraceArrays, check_payload_size, read_preamble, write_preamble
 
 CLASSIFIER_256 = "Classifier256"
 HD_REGRESSOR_16 = "HdRegressor16"
 _MODEL_OUTPUTS = {CLASSIFIER_256: 256, HD_REGRESSOR_16: 16}
 
-MODEL_MAGIC = b"EMMD"
-MODEL_FORMAT_VERSION = 1
+MODEL_MAGIC = b"EMMD"  # the .emmod preamble, see traceset.write_preamble
 
 _STD_FLOOR = 1e-12
 _STD_BLOCK = 64  # columns per fit_standardization block
 _CG_TOL = 1e-3  # an output stops once ‖ZᵀR‖ is this fraction of its start
 _CG_MAX_ITER = 2000  # n ≈ m converges slowly: 800 iterations at n = m = 512
 _PRODUCT_ROWS = 4096  # rows of X per product: BLAS packs them in one buffer
-# data_cap subsampling uses a seed derived from the training seed by one LCG
-# step, so capping never perturbs the training RNG stream itself.
-_LCG_A = 6364136223846793005
-_LCG_C = 1442695040888963407
 
 
 @dataclass
@@ -112,8 +106,8 @@ class TrainConfig:
         if self.learning_rate <= 0 or self.batch_size <= 0 \
                 or self.epochs < 0 or self.steps_per_epoch <= 0:
             raise ConfigError("training hyperparameters must be positive")
-        if self.data_cap is not None and self.data_cap < self.batch_size:
-            raise ConfigError("data_cap must be >= batch_size")
+        if self.data_cap is not None and self.data_cap < 1:
+            raise ConfigError("data_cap must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -183,14 +177,6 @@ def _affine(model: ProfilingModel, traces: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _ranks_of_scores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized mid-rank of labels[i] within scores[i] (n, C)."""
-    own = scores[np.arange(len(labels)), labels][:, None]
-    greater = (scores > own).sum(axis=1)
-    equal_others = (scores == own).sum(axis=1) - 1
-    return greater + equal_others / 2.0
-
-
 def first_round_labels(target: LeakageModel, arrays: TraceArrays) -> np.ndarray:
     """The target byte's true first-round values, the classifier's labels."""
     return true_first_round_values(target.kind, arrays.plaintexts, arrays.keys,
@@ -207,7 +193,8 @@ def true_hds(arrays: TraceArrays) -> np.ndarray:
 def _apply_data_cap(arrays: TraceArrays, config: TrainConfig) -> TraceArrays:
     if config.data_cap is None or len(arrays) <= config.data_cap:
         return arrays
-    rng = np.random.default_rng((config.seed * _LCG_A + _LCG_C) % (1 << 64))
+    # a derived seed, so capping never perturbs the training RNG stream itself
+    rng = np.random.default_rng(derive_seed(config.seed))
     keep = np.sort(rng.choice(len(arrays), config.data_cap, replace=False))
     return arrays.subset(keep)
 
@@ -239,6 +226,8 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
     """
     if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
         raise ConfigError("classifier targets a first-round byte value model")
+    if config.data_cap is not None and config.data_cap < config.batch_size:
+        raise ConfigError("data_cap must be >= batch_size")
     train, stdz, positions = _prepared(train, val, config)
     Y, val_labels = (first_round_labels(target, a) for a in (train, val))
     Z, Z_val = stdz.apply(train.samples), stdz.apply(val.samples)
@@ -267,7 +256,7 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
                     W -= lr * (g.T @ Xb)
                     b -= lr * g.sum(axis=0)
                 out = _softmax(Z_val @ W.T + b)
-                history.append(float(_ranks_of_scores(out, val_labels).mean()))
+                history.append(float(rank_of(out, val_labels).mean()))
                 if not (math.isfinite(history[-1]) and np.isfinite(W).all()
                         and np.isfinite(b).all()):
                     raise FloatingPointError("non-finite weights or metric")
@@ -400,26 +389,24 @@ def classify_attack(model: ProfilingModel, arrays: TraceArrays,
     if len(arrays) == 0:
         raise AnalysisError("empty attack set")
     probs = predict_proba(model, arrays.samples)
-    ranks = _ranks_of_scores(probs, np.asarray(labels, dtype=np.int64))
+    ranks = rank_of(probs, np.asarray(labels, dtype=np.int64))
     return float(ranks.mean()), ranks
 
 
 # ------------------------------------------------------------- model files
 
 def save_model(model: ProfilingModel, path) -> None:
-    meta = {
-        "kind": model.kind,
-        "m": model.m,
-        "outputs": model.outputs,
-        "byte_index": model.byte_index,
-        "positions": list(model.positions),
-        "seed": model.seed,
-    }
-    raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Write a model file: the shared preamble with the model's header, then
+    weights, bias, standardization mean and std as little-endian float64."""
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<HI", MODEL_FORMAT_VERSION, len(raw)))
-        f.write(raw)
+        write_preamble(f, MODEL_MAGIC, {
+            "kind": model.kind,
+            "m": model.m,
+            "outputs": model.outputs,
+            "byte_index": model.byte_index,
+            "positions": list(model.positions),
+            "seed": model.seed,
+        })
         for arr in (model.weights, model.bias, model.standardization.mean,
                     model.standardization.std):
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -429,14 +416,8 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _model_header(raw: bytes, path) -> dict:
-    """Parse and check the JSON header of a model file."""
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise DataFormatError(f"{path}: malformed model header: {e}") from e
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{path}: model header is not a JSON object")
+def _model_header(meta: dict, path) -> dict:
+    """Check the fields of a model file's JSON header."""
     kind = meta.get("kind")
     if kind not in _MODEL_OUTPUTS:
         raise DataFormatError(f"{path}: unknown model kind {kind!r}")
@@ -464,35 +445,18 @@ def load_model(path) -> ProfilingModel:
     """Read a model file; any header, size or parameter fault raises
     DataFormatError."""
     with open(path, "rb") as f:
-        fixed = f.read(10)
-        if len(fixed) < 10 or fixed[:4] != MODEL_MAGIC:
-            raise DataFormatError(f"{path}: not a model file (bad magic)")
-        version, meta_len = struct.unpack("<HI", fixed[4:10])
-        if version != MODEL_FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported model version {version}")
-        raw = f.read(meta_len)
-        if len(raw) < meta_len:
-            raise DataFormatError(f"{path}: truncated model file")
-        meta = _model_header(raw, path)
+        meta = _model_header(read_preamble(f, MODEL_MAGIC, path), path)
         m, outputs = meta["m"], meta["outputs"]
-        want = (outputs * m + outputs + m + m) * 8
-        have = os.fstat(f.fileno()).st_size - f.tell()
-        if have < want:
-            raise DataFormatError(f"{path}: truncated model file")
-        if have > want:
-            raise DataFormatError(
-                f"{path}: {have - want} trailing bytes after the model parameters")
-        vals = np.frombuffer(f.read(want), dtype="<f8")
+        check_payload_size(f, path, "<f8", outputs * m + outputs + 2 * m)
+        vals = np.frombuffer(f.read(), dtype="<f8")
     if not np.isfinite(vals).all():
         raise DataFormatError(f"{path}: model parameters are not finite")
-    W = vals[:outputs * m].reshape(outputs, m).copy()
-    rest = vals[outputs * m:]
-    bias = rest[:outputs].copy()
-    mean = rest[outputs:outputs + m].copy()
-    std = rest[outputs + m:].copy()
+    W, bias, mean, std = (a.copy() for a in
+                          np.split(vals, np.cumsum([outputs * m, outputs, m])))
     if not (std > 0).all():
         raise DataFormatError(f"{path}: model standardization std must be > 0")
-    return ProfilingModel(meta["kind"], W, bias, StandardizationParams(mean, std),
+    return ProfilingModel(meta["kind"], W.reshape(outputs, m), bias,
+                          StandardizationParams(mean, std),
                           byte_index=meta.get("byte_index"),
                           positions=tuple(meta.get("positions", [])),
                           seed=meta.get("seed", 0))

@@ -381,6 +381,11 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None) -> DatasetHead
     return header
 
 
+def derive_seed(seed: int) -> int:
+    """seed advanced by one step of Knuth's MMIX LCG, modulo 2**64."""
+    return (seed * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+
+
 def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
                     gain_factor: float = 1.0, extra_noise: float = 0.0,
                     jitter_delta: int = 0) -> SimConfig:
@@ -388,7 +393,6 @@ def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
     shifted by-eye, altered gain/noise/jitter."""
     if len(probe_origin_shift_mm) != 3:
         raise ConfigError("probe_origin_shift_mm must be an (x, y, z) triple")
-    new_seed = (config.seed * 6364136223846793005 + 1442695040888963407) % (1 << 64)
     ox, oy, oz = config.geometry.origin_mm
     dx, dy, dz = probe_origin_shift_mm
     geometry = replace(config.geometry, origin_mm=(ox + dx, oy + dy, oz + dz))
@@ -399,7 +403,8 @@ def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
                      gain=config.device.gain * gain_factor,
                      noise_sigma=config.device.noise_sigma * (1.0 + extra_noise),
                      jitter_max=new_jitter)
-    return replace(config, geometry=geometry, device=device, seed=new_seed)
+    return replace(config, geometry=geometry, device=device,
+                   seed=derive_seed(config.seed))
 
 
 # ------------------------------------------------------------ config I/O
@@ -470,6 +475,6 @@ def load_sim_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             d = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
     return sim_config_from_dict(d)

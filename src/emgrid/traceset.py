@@ -1,13 +1,19 @@
 """Grid-annotated trace datasets and their .emgd binary serialization.
 
-File layout (all little-endian):
+Datasets (.emgd) and profiling models (.emmod, profiler.save_model) share
+one preamble, written by write_preamble and read by read_preamble
+(little-endian):
 
-    bytes 0-3   magic "EMGD"
+    bytes 0-3   magic, "EMGD" for a dataset and "EMMD" for a model
     bytes 4-5   format version, u16 (currently 1)
-    bytes 6-9   header JSON byte length, u32
-    ...         UTF-8 JSON header: {geometry{nx,ny,nz,step_mm,z_step_mm,
-                origin_mm}, m, trace_count, description, adc_bits}
-    ...         trace_count packed records of record_dtype(m)
+    bytes 6-9   header byte length, u32
+    ...         the header, a compact sorted-key UTF-8 JSON object
+    ...         a packed payload whose size the header fixes, checked
+                against the file's size by check_payload_size
+
+A dataset's header is {geometry{nx,ny,nz,step_mm,z_step_mm,origin_mm}, m,
+trace_count, description, adc_bits}; its payload is trace_count records of
+record_dtype(m).
 
 Files are written in TraceArrays chunks and read into one TraceArrays per
 split; both directions reject records whose position lies outside the grid
@@ -65,30 +71,6 @@ class DatasetHeader:
         if self.trace_count < 0:
             raise DataFormatError("header trace_count must be >= 0")
 
-    def to_json_bytes(self) -> bytes:
-        d = {
-            "geometry": self.geometry.to_json_dict(),
-            "m": self.m,
-            "trace_count": self.trace_count,
-            "description": self.description,
-            "adc_bits": self.adc_bits,
-        }
-        return json.dumps(d, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    @classmethod
-    def from_json_bytes(cls, raw: bytes) -> "DatasetHeader":
-        try:
-            d = json.loads(raw.decode("utf-8"))
-            return cls(
-                geometry=GridGeometry.from_json_dict(d["geometry"]),
-                m=int(d["m"]),
-                trace_count=int(d["trace_count"]),
-                description=str(d.get("description", "")),
-                adc_bits=int(d.get("adc_bits", 0)),
-            )
-        except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as e:
-            raise DataFormatError(f"malformed dataset header: {e}") from e
-
 
 def _check_rows(positions, splits, header: DatasetHeader, start: int):
     """Reject the first row whose position lies outside the grid or whose
@@ -122,18 +104,68 @@ def _pack(chunk, header: DatasetHeader, dtype: np.dtype, start: int) -> np.ndarr
     return rec
 
 
+def write_preamble(f, magic: bytes, header: dict) -> None:
+    """Write a file's magic, version and compact sorted-key JSON header."""
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    f.write(magic)
+    f.write(struct.pack("<HI", FORMAT_VERSION, len(raw)))
+    f.write(raw)
+
+
+def read_preamble(f, magic: bytes, path) -> dict:
+    """Read and check a file's preamble; returns its JSON header object.
+    A wrong magic or version, a short file or a header that is not a JSON
+    object, however deeply nested, raises DataFormatError."""
+    fixed = f.read(10)
+    if len(fixed) < 10 or fixed[:4] != magic:
+        raise DataFormatError(f"{path}: bad magic {fixed[:4]!r}, expected {magic!r}")
+    version, hdr_len = struct.unpack("<HI", fixed[4:10])
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{path}: unsupported format version {version}")
+    raw = f.read(hdr_len)
+    if len(raw) < hdr_len:
+        raise DataFormatError(f"{path}: truncated file at byte offset {10 + len(raw)}")
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise DataFormatError(f"{path}: malformed header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: header is not a JSON object")
+    return header
+
+
+def check_payload_size(f, path, dtype, count: int) -> None:
+    """Check that exactly count items of dtype follow f's position: a short
+    file fails at the byte offset of its first incomplete item, bytes past
+    the last item are rejected."""
+    itemsize = np.dtype(dtype).itemsize
+    offset = f.tell()
+    size = os.fstat(f.fileno()).st_size
+    end = offset + count * itemsize
+    if size < end:
+        first_incomplete = offset + (size - offset) // itemsize * itemsize
+        raise DataFormatError(f"{path}: truncated file at byte offset {first_incomplete}")
+    if size > end:
+        raise DataFormatError(
+            f"{path}: {size - end} trailing bytes after the payload at byte "
+            f"offset {end}")
+
+
 def write_dataset(header: DatasetHeader, chunks, path) -> None:
     """Serialize an iterable of TraceArrays chunks; every row is checked
     against the header. The bytes do not depend on how rows are chunked."""
     if header.geometry.position_count > 1 << 16:
         raise DataFormatError("grid has more positions than the u16 index can address")
     dtype = record_dtype(header.m)
-    hdr = header.to_json_bytes()
     count = 0
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HI", FORMAT_VERSION, len(hdr)))
-        f.write(hdr)
+        write_preamble(f, MAGIC, {
+            "geometry": header.geometry.to_json_dict(),
+            "m": header.m,
+            "trace_count": header.trace_count,
+            "description": header.description,
+            "adc_bits": header.adc_bits,
+        })
         for chunk in chunks:
             f.write(_pack(chunk, header, dtype, count))
             count += len(chunk)
@@ -144,16 +176,17 @@ def write_dataset(header: DatasetHeader, chunks, path) -> None:
 
 
 def _read_header(f, path) -> DatasetHeader:
-    fixed = f.read(10)
-    if len(fixed) < 10 or fixed[:4] != MAGIC:
-        raise DataFormatError(f"{path}: not a dataset file (bad magic)")
-    version, hdr_len = struct.unpack("<HI", fixed[4:10])
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    raw = f.read(hdr_len)
-    if len(raw) < hdr_len:
-        raise DataFormatError(f"{path}: truncated file at byte offset {10 + len(raw)}")
-    return DatasetHeader.from_json_bytes(raw)
+    d = read_preamble(f, MAGIC, path)
+    try:
+        return DatasetHeader(
+            geometry=GridGeometry.from_json_dict(d["geometry"]),
+            m=int(d["m"]),
+            trace_count=int(d["trace_count"]),
+            description=str(d.get("description", "")),
+            adc_bits=int(d.get("adc_bits", 0)),
+        )
+    except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as e:
+        raise DataFormatError(f"{path}: malformed dataset header: {e}") from e
 
 
 @dataclass
@@ -188,9 +221,8 @@ def read_arrays(path, splits) -> tuple:
     by one TraceArrays per split code in `splits`, in the order asked, each
     holding that split's records in file order.
 
-    The file size is checked against the header before any record is read:
-    a short file fails at the byte offset of its first incomplete record,
-    bytes past the last declared record are rejected. Like an out-of-grid
+    The file size is checked against the header before any record is read
+    (check_payload_size). Like an out-of-grid
     position or an unknown split code, a NaN or infinite sample in any record,
     kept or not, rejects the file.
 
@@ -204,17 +236,9 @@ def read_arrays(path, splits) -> tuple:
     with open(path, "rb") as f:
         header = _read_header(f, path)
         offset = f.tell()
-        size = os.fstat(f.fileno()).st_size
         dtype = record_dtype(header.m)
         n = header.trace_count
-        end = offset + n * dtype.itemsize
-        if size < end:
-            first_incomplete = offset + (size - offset) // dtype.itemsize * dtype.itemsize
-            raise DataFormatError(f"{path}: truncated file at byte offset {first_incomplete}")
-        if size > end:
-            raise DataFormatError(
-                f"{path}: {size - end} trailing bytes after the last record "
-                f"at byte offset {end}")
+        check_payload_size(f, path, dtype, n)
         step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
 
         def blocks():

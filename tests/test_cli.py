@@ -40,6 +40,7 @@ from emgrid.traceset import (
     DatasetHeader,
     TraceArrays,
     read_header,
+    read_preamble,
     record_dtype,
     write_dataset,
 )
@@ -158,14 +159,19 @@ def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
     assert all(e["total"] == 600 for e in events if e["event"] == "progress")
 
 
+# JSON nested deeper than the parser's recursion limit
+NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def test_simulate_bad_config_exit_2(capsys, workdir):
     bad = workdir / "bad.json"
-    # no geometry; then bytes that are not UTF-8
-    for raw in (b'{"m": 4}', b'{"m": "\xff"}'):
+    # no geometry; bytes that are not UTF-8; nesting past the recursion limit
+    for raw in (b'{"m": 4}', b'{"m": "\xff"}', NESTED_JSON):
         bad.write_bytes(raw)
         code, events = run(capsys, "simulate", "--config", bad,
                            "--out", workdir / "x.emgd")
         assert code == 2
+        assert [e["event"] for e in events] == ["error"]
         assert events[-1]["kind"] == "ConfigError"
 
 
@@ -274,10 +280,11 @@ def test_missing_dataset_exit_1(capsys, workdir):
 
 
 def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
-    good = json.loads(read_header(dataset).to_json_bytes())
+    with open(dataset, "rb") as f:
+        good = read_preamble(f, b"EMGD", dataset)
 
-    def emgd(header: dict) -> bytes:
-        raw = json.dumps(header).encode()
+    def emgd(header) -> bytes:
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode()
         return b"EMGD" + struct.pack("<HI", 1, len(raw)) + raw
 
     corrupt = workdir / "corrupt.emgd"
@@ -286,12 +293,14 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
                 emgd({**good, "geometry": {**good["geometry"],
                                            "step_mm": float("nan")}}),
                 emgd({**good, "m": float("inf")}),
-                emgd({**good, "m": 10**9})):  # a record beyond numpy's dtype size
+                emgd({**good, "m": 10**9}),  # a record beyond numpy's dtype size
+                emgd(NESTED_JSON), emgd([1, 2]), emgd(5)):
         corrupt.write_bytes(raw)
         code, events = run(capsys, "snr", "--in", corrupt, "--target",
                            "sbox-input", "--byte", 0,
                            "--out-heatmap", workdir / "x.csv")
         assert code == 1
+        assert [e["event"] for e in events] == ["error"]
         assert events[-1]["kind"] == "DataFormatError"
 
 
@@ -714,6 +723,12 @@ def test_train_hd_regressor_kind(capsys, workdir, dataset):
                   "--out-model", other)
     assert code == 0
     assert other.read_bytes() == out.read_bytes()
+    # a data cap below the (classifier-only) batch size still caps
+    code, events = run(capsys, "train", "--in", dataset, "--mode", "all",
+                       "--model-kind", "hd-regressor", "--data-cap", 32,
+                       "--out-model", other)
+    assert code == 0
+    assert [e for e in events if e["event"] == "model"][0]["traces"] == 32
 
 
 def test_train_deterministic_model_file(capsys, workdir, dataset):
@@ -958,8 +973,8 @@ def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
     params = np.concatenate([np.zeros(outputs * m), np.zeros(outputs),
                              np.zeros(m), np.ones(m)]).astype("<f8").tobytes()
     fault = data.draw(st.sampled_from(
-        ["truncate", "pad", "magic", "version", "garbage", "not-object",
-         "field", "no-byte-index", "other-kind-outputs"]))
+        ["truncate", "pad", "magic", "version", "garbage", "nested",
+         "not-object", "field", "no-byte-index", "other-kind-outputs"]))
     if fault == "truncate":
         good = model_bytes(meta, params)
         raw = good[:data.draw(st.integers(0, len(good) - 1))]
@@ -976,6 +991,9 @@ def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
     elif fault == "garbage":
         header = data.draw(st.binary(max_size=40))
         raw = b"EMMD" + struct.pack("<HI", 1, len(header)) + header + params
+    elif fault == "nested":
+        raw = b"EMMD" + struct.pack("<HI", 1, len(NESTED_JSON)) + NESTED_JSON \
+            + params
     elif fault == "not-object":
         value = data.draw(st.sampled_from([[meta], 5, "x", None, []]))
         raw = model_bytes(value, params)

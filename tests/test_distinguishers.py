@@ -490,6 +490,12 @@ def test_rank_of_examples():
     scores = np.ones(256)
     scores[9] = -1.0
     assert rank_of(scores, 9) == 255.0
+    # rows of scores with one correct index each give one rank per row
+    rows = np.random.default_rng(0).integers(0, 4, (40, 256)).astype(float)
+    correct = np.arange(40) * 7 % 256
+    want = [sum(v > r[c] for v in r) + (sum(v == r[c] for v in r) - 1) / 2
+            for r, c in zip(rows, correct)]
+    assert rank_of(rows, correct).tolist() == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 from emgrid import profiler
 from emgrid.aes import encrypt_blocks, expand_keys_batch
+from emgrid.distinguishers import rank_of
 from emgrid.errors import AnalysisError, ConfigError, DataFormatError
 from emgrid.evaluation import evaluate_hybrid_grid
 from emgrid.grid import GridGeometry
@@ -26,7 +27,6 @@ from emgrid.profiler import (
     StandardizationParams,
     TrainConfig,
     _apply_data_cap,
-    _ranks_of_scores,
     _softmax,
     classify_attack,
     fit_standardization,
@@ -261,9 +261,16 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
-        TrainConfig(data_cap=16, batch_size=64)
+        TrainConfig(data_cap=0)
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
+    # A cap below the batch size is a classifier fault only: the regressor
+    # takes no batches.
+    arrays = make_arrays(np.random.default_rng(1).normal(size=(32, 4)))
+    capped = TrainConfig(data_cap=16, batch_size=64)
+    with pytest.raises(ConfigError, match="batch_size"):
+        train_classifier(arrays, arrays, TARGET, capped)
+    assert train_hd_regressor(arrays, arrays, capped).n_train == 16
     # A non-finite rate would train a NaN model whose validation rank reads
     # better than perfect.
     for rate in (math.nan, math.inf):
@@ -309,7 +316,7 @@ def reference_train_loop(X, Y, X_val, val_labels, config, stdz):
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
         out = stdz.apply(X_val) @ W.T + b
-        history.append(float(_ranks_of_scores(_softmax(out), val_labels).mean()))
+        history.append(float(rank_of(_softmax(out), val_labels).mean()))
     return W, b, history
 
 
