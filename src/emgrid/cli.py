@@ -25,7 +25,6 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import replace
 
 from .errors import AnalysisError, ConfigError, DataFormatError
 from .evaluation import (
@@ -102,9 +101,7 @@ def _read_in(args, splits, model=None, check=lambda header: header):
 def cmd_simulate(args) -> int:
     if not os.path.isfile(args.config):
         raise ConfigError(f"config file not found: {args.config}")
-    config = load_sim_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = load_sim_config(args.config, seed=args.seed)
     step = max(1, config.total_traces // 20)
     last = 0
 

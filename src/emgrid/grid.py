@@ -7,18 +7,62 @@ A dataset's traces are annotated with a flat position index into a regular
 
 which makes x the fastest-varying axis. Physical probe coordinates are the
 lattice coordinates scaled by the step sizes and offset by the origin.
+
+Every JSON object emgrid reads (a simulation config and its blocks, the
+.emgd and .emmod headers) is typed by json_object under one rule: an int
+field is a JSON integer (true and false are not), a float field any finite
+JSON number, integers included, a bool or str field exactly that. Any other
+value, an unknown field or a missing required one is a fault; a field left
+out takes its dataclass default.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string"}
 
 
 def require_finite(what: str, *values):
     """ConfigError unless every value is finite; None (not given) passes."""
     if not all(v is None or math.isfinite(v) for v in values):
         raise ConfigError(f"{what} must be finite")
+
+
+def _typed(v, kind, what: str):
+    if isinstance(kind, tuple):
+        kind, n = kind
+        if type(v) is not list or n not in (None, len(v)):
+            raise ConfigError(f"{what} must be a list" + (f" of {n} values" if n else ""))
+        return tuple(_typed(x, kind, f"an entry of {what}") for x in v)
+    if kind not in _KINDS:
+        return kind(v)
+    if kind is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)
+    if type(v) is not kind or kind is float and not math.isfinite(v):
+        raise ConfigError(f"{what} must be {_KINDS[kind]}")
+    return v
+
+
+def json_object(d, what: str, required=(), **kinds) -> dict:
+    """The fields of JSON object d, typed by the module's rule. A kind is int,
+    float (returned as a float), bool, str, a function that reads a nested
+    value, or (kind, n): a list of n values, or of any length when n is None,
+    returned as a tuple. Faults raise ConfigError naming `what`; fields left
+    out and not in required are left out of the result."""
+    if type(d) is not dict:
+        raise ConfigError(f"{what} is not a JSON object")
+    unknown = sorted(d.keys() - kinds.keys())
+    if unknown:
+        raise ConfigError(f"{what} has unknown field {unknown[0]!r}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ConfigError(f"{what} is missing field {missing[0]!r}")
+    return {name: _typed(v, kinds[name], f"{what} field {name!r}")
+            for name, v in d.items()}
 
 
 @dataclass(frozen=True)
@@ -70,26 +114,8 @@ class GridGeometry:
             oz + iz * self.z_step_mm,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "nz": self.nz,
-            "step_mm": self.step_mm,
-            "z_step_mm": self.z_step_mm,
-            "origin_mm": list(self.origin_mm),
-        }
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "GridGeometry":
-        try:
-            return cls(
-                nx=int(d["nx"]),
-                ny=int(d["ny"]),
-                nz=int(d["nz"]),
-                step_mm=float(d["step_mm"]),
-                z_step_mm=float(d["z_step_mm"]),
-                origin_mm=tuple(float(v) for v in d["origin_mm"]),
-            )
-        except KeyError as e:
-            raise ConfigError(f"geometry is missing field {e}") from e
+    def from_json_dict(cls, d) -> "GridGeometry":
+        kinds = dict(nx=int, ny=int, nz=int, step_mm=float, z_step_mm=float,
+                     origin_mm=(float, 3))
+        return cls(**json_object(d, "geometry", required=kinds, **kinds))

@@ -107,16 +107,20 @@ def heatmap_to_csv(h: Heatmap) -> str:
 
 
 def heatmap_from_csv(text: str) -> np.ndarray:
-    """Parse the CSV layout back into a (ny, nx) array."""
+    """Parse the CSV layout, labels checked, back into a (ny, nx) array."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("y\\x,"):
         raise DataFormatError("not a heatmap CSV: missing y\\x header")
     nx = len(lines[0].split(",")) - 1
+    if [x.strip() for x in lines[0].split(",")[1:]] != [str(x) for x in range(nx)]:
+        raise DataFormatError(f"heatmap CSV x labels are not 0..{nx - 1}")
     rows = []
-    for ln in lines[1:]:
+    for y, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != nx + 1:
             raise DataFormatError(f"heatmap CSV row has {len(parts) - 1} cells, expected {nx}")
+        if parts[0].strip() != str(y):
+            raise DataFormatError(f"heatmap CSV row {y} has y label {parts[0]!r}")
         rows.append([_parse_value(p) for p in parts[1:]])
     if not rows:
         raise DataFormatError("heatmap CSV has no data rows")

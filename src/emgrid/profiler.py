@@ -21,7 +21,7 @@ import numpy as np
 from .aes import encrypt_blocks, expand_keys_batch
 from .distinguishers import rank_of
 from .errors import AnalysisError, ConfigError, DataFormatError
-from .grid import require_finite
+from .grid import json_object, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -412,30 +412,30 @@ def save_model(model: ProfilingModel, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _model_header(meta: dict, path) -> dict:
-    """Check the fields of a model file's JSON header."""
-    kind = meta.get("kind")
+    """The typed fields of a model file's JSON header. A null byte_index, a
+    regressor's, is left out like a missing one."""
+    if meta.get("byte_index", 0) is None:
+        del meta["byte_index"]
+    try:
+        meta = json_object(meta, "model header", required=("kind", "m", "outputs"),
+                           kind=str, m=int, outputs=int, byte_index=int,
+                           positions=(int, None), seed=int)
+    except ConfigError as e:
+        raise DataFormatError(f"{path}: malformed model header: {e}") from e
+    kind = meta["kind"]
     if kind not in _MODEL_OUTPUTS:
         raise DataFormatError(f"{path}: unknown model kind {kind!r}")
-    if not _is_int(meta.get("m")) or meta["m"] < 1:
+    if meta["m"] < 1:
         raise DataFormatError(f"{path}: model m must be an integer >= 1")
-    if meta.get("outputs") != _MODEL_OUTPUTS[kind]:
+    if meta["outputs"] != _MODEL_OUTPUTS[kind]:
         raise DataFormatError(
             f"{path}: a {kind} has {_MODEL_OUTPUTS[kind]} outputs, header "
-            f"says {meta.get('outputs')!r}")
-    byte_index = meta.get("byte_index")
-    if (byte_index is not None or kind == CLASSIFIER_256) and \
-            not (_is_int(byte_index) and 0 <= byte_index < 16):
+            f"says {meta['outputs']}")
+    if kind == CLASSIFIER_256 and "byte_index" not in meta or \
+            not 0 <= meta.get("byte_index", 0) < 16:
         raise DataFormatError(f"{path}: model byte_index must be an integer in 0..15")
-    if not _is_int(meta.get("seed", 0)):
-        raise DataFormatError(f"{path}: model seed must be an integer")
-    positions = meta.get("positions", [])
-    if not isinstance(positions, list) or \
-            not all(_is_int(p) and p >= 0 for p in positions):
+    if any(p < 0 for p in meta.get("positions", ())):
         raise DataFormatError(f"{path}: model positions must be a list of "
                               f"non-negative integers")
     return meta
@@ -446,7 +446,7 @@ def load_model(path) -> ProfilingModel:
     DataFormatError."""
     with open(path, "rb") as f:
         meta = _model_header(read_preamble(f, MODEL_MAGIC, path), path)
-        m, outputs = meta["m"], meta["outputs"]
+        kind, m, outputs = meta.pop("kind"), meta.pop("m"), meta.pop("outputs")
         check_payload_size(f, path, "<f8", outputs * m + outputs + 2 * m)
         vals = np.frombuffer(f.read(), dtype="<f8")
     if not np.isfinite(vals).all():
@@ -455,8 +455,5 @@ def load_model(path) -> ProfilingModel:
                           np.split(vals, np.cumsum([outputs * m, outputs, m])))
     if not (std > 0).all():
         raise DataFormatError(f"{path}: model standardization std must be > 0")
-    return ProfilingModel(meta["kind"], W.reshape(outputs, m), bias,
-                          StandardizationParams(mean, std),
-                          byte_index=meta.get("byte_index"),
-                          positions=tuple(meta.get("positions", [])),
-                          seed=meta.get("seed", 0))
+    return ProfilingModel(kind, W.reshape(outputs, m), bias,
+                          StandardizationParams(mean, std), **meta)

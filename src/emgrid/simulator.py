@@ -48,7 +48,7 @@ import numpy as np
 
 from .aes import encrypt_blocks, expand_keys, expand_keys_batch
 from .errors import ConfigError
-from .grid import GridGeometry, require_finite
+from .grid import GridGeometry, json_object, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -57,6 +57,7 @@ from .leakage import (
     true_last_round_hds,
 )
 from .traceset import (
+    ADC_BITS,
     MAX_M,
     SPLIT_CODES,
     SPLIT_NAMES,
@@ -116,7 +117,7 @@ class DeviceProfile:
     offset: float = 0.0
     noise_sigma: float = 0.0
     jitter_max: int = 0
-    adc_bits: int = 0            # 0 = no quantization, else 8 or 12
+    adc_bits: int = 0            # one of ADC_BITS; 0 = no quantization
     axis_flip_y: bool = False    # probe y axis counts top to bottom
     full_scale: tuple = (-4.0, 4.0)
 
@@ -131,8 +132,8 @@ class DeviceProfile:
             raise ConfigError("noise_sigma must be >= 0")
         if self.jitter_max < 0:
             raise ConfigError("jitter_max must be >= 0")
-        if self.adc_bits not in (0, 8, 12):
-            raise ConfigError("adc_bits must be 0, 8, or 12")
+        if self.adc_bits not in ADC_BITS:
+            raise ConfigError(f"adc_bits must be one of {ADC_BITS}")
         if not self.full_scale[0] < self.full_scale[1]:
             raise ConfigError("full_scale must be an increasing (lo, hi) pair")
 
@@ -166,7 +167,7 @@ class Background:
 class SimConfig:
     geometry: GridGeometry
     m: int
-    sources: tuple
+    sources: tuple = ()
     device: DeviceProfile = DeviceProfile()
     background: Background = Background()
     seed: int = 0
@@ -354,7 +355,7 @@ def _all_chunks(config: SimConfig, progress=None):
     rows = min(_CHUNK_ROWS, max(1, _CHUNK_BYTES // (8 * config.m)))
     for position in range(config.geometry.position_count):
         for split, name in SPLIT_NAMES.items():
-            count = int(config.traces_per_position.get(name, 0))
+            count = config.traces_per_position.get(name, 0)
             for start in range(0, count, rows):
                 chunk = min(rows, count - start)
                 yield _synthesize_chunk(config, position, split, start, chunk)
@@ -391,8 +392,6 @@ def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
                     jitter_delta: int = 0) -> SimConfig:
     """Second-rig variant: same die (sources unchanged), new seed, probe grid
     shifted by-eye, altered gain/noise/jitter."""
-    if len(probe_origin_shift_mm) != 3:
-        raise ConfigError("probe_origin_shift_mm must be an (x, y, z) triple")
     ox, oy, oz = config.geometry.origin_mm
     dx, dy, dz = probe_origin_shift_mm
     geometry = replace(config.geometry, origin_mm=(ox + dx, oy + dy, oz + dz))
@@ -409,72 +408,54 @@ def derive_device_b(config: SimConfig, probe_origin_shift_mm=(0.0, 0.0, 0.0),
 
 # ------------------------------------------------------------ config I/O
 
-def _block(d: dict, name: str) -> dict:
-    value = d.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"bad simulation config: {name!r} must be an object")
-    return value
+def _leak_source(d) -> LeakSource:
+    kinds = dict(position_mm=(float, 3), sample_indices=(int, None), target=str,
+                 byte_index=int, amplitude=float)
+    return LeakSource(**json_object(d, "source", required=kinds, **kinds))
 
 
-def sim_config_from_dict(d: dict) -> SimConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("bad simulation config: not a JSON object")
-    try:
-        dev = _block(d, "device")
-        bg = _block(d, "background")
-        config = SimConfig(
-            geometry=GridGeometry.from_json_dict(d["geometry"]),
-            m=int(d["m"]),
-            sources=tuple(
-                LeakSource(
-                    position_mm=tuple(float(v) for v in s["position_mm"]),
-                    sample_indices=tuple(int(v) for v in s["sample_indices"]),
-                    target=str(s["target"]),
-                    byte_index=int(s["byte_index"]),
-                    amplitude=float(s["amplitude"]),
-                )
-                for s in d.get("sources", [])
-            ),
-            device=DeviceProfile(
-                gain=float(dev.get("gain", 1.0)),
-                offset=float(dev.get("offset", 0.0)),
-                noise_sigma=float(dev.get("noise_sigma", 0.0)),
-                jitter_max=int(dev.get("jitter_max", 0)),
-                adc_bits=int(dev.get("adc_bits", 0)),
-                axis_flip_y=bool(dev.get("axis_flip_y", False)),
-                full_scale=tuple(float(v) for v in
-                                 dev.get("full_scale", (-4.0, 4.0))),
-            ),
-            background=Background(
-                amplitude=float(bg.get("amplitude", 0.0)),
-                period_samples=float(bg.get("period_samples", 62.5)),
-                phase=float(bg.get("phase", 0.0)),
-            ),
-            seed=int(d.get("seed", 0)),
-            fixed_key=bytes.fromhex(d["fixed_key"]) if "fixed_key" in d else None,
-            traces_per_position={k: int(v) for k, v in
-                                 _block(d, "traces_per_position").items()},
-            description=str(d.get("description", "")),
-        )
-        if "perturbation" in d:
-            p = _block(d, "perturbation")
-            config = derive_device_b(
-                config,
-                probe_origin_shift_mm=tuple(
-                    float(v) for v in p.get("probe_origin_shift_mm", (0, 0, 0))),
-                gain_factor=float(p.get("gain_factor", 1.0)),
-                extra_noise=float(p.get("extra_noise", 0.0)),
-                jitter_delta=int(p.get("jitter_delta", 0)),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad simulation config: {e}") from e
-    return config
+def _key_bytes(v) -> bytes:
+    """The bytes of a hex string; SimConfig checks that there are 16."""
+    if type(v) is str:
+        try:
+            return bytes.fromhex(v)
+        except ValueError:
+            pass
+    raise ConfigError("simulation config field 'fixed_key' must be a hex string")
 
 
-def load_sim_config(path) -> SimConfig:
+def sim_config_from_dict(d) -> SimConfig:
+    """The SimConfig of a config's JSON object. Fields are typed by
+    grid.json_object, and one left out takes its dataclass default. A
+    perturbation block derives device B from the config (derive_device_b)."""
+    fields = json_object(
+        d, "simulation config", required=("geometry", "m"),
+        geometry=GridGeometry.from_json_dict, m=int, sources=(_leak_source, None),
+        device=lambda v: DeviceProfile(**json_object(
+            v, "device", gain=float, offset=float, noise_sigma=float,
+            jitter_max=int, adc_bits=int, axis_flip_y=bool, full_scale=(float, 2))),
+        background=lambda v: Background(**json_object(
+            v, "background", amplitude=float, period_samples=float, phase=float)),
+        seed=int, fixed_key=_key_bytes,
+        traces_per_position=lambda v: json_object(
+            v, "traces_per_position", **dict.fromkeys(SPLIT_CODES, int)),
+        description=str,
+        perturbation=lambda v: json_object(
+            v, "perturbation", probe_origin_shift_mm=(float, 3), gain_factor=float,
+            extra_noise=float, jitter_delta=int))
+    perturbation = fields.pop("perturbation", None)
+    config = SimConfig(**fields)
+    return config if perturbation is None else derive_device_b(config, **perturbation)
+
+
+def load_sim_config(path, seed: int = None) -> SimConfig:
+    """Read a config file; a seed given here replaces the file's seed before
+    a perturbation block steps it."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             d = json.load(f)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
+    if seed is not None and type(d) is dict:
+        d = {**d, "seed": seed}
     return sim_config_from_dict(d)

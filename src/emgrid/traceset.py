@@ -12,8 +12,8 @@ one preamble, written by write_preamble and read by read_preamble
                 against the file's size by check_payload_size
 
 A dataset's header is {geometry{nx,ny,nz,step_mm,z_step_mm,origin_mm}, m,
-trace_count, description, adc_bits}; its payload is trace_count records of
-record_dtype(m).
+trace_count, description, adc_bits}, typed by grid.json_object; its payload
+is trace_count records of record_dtype(m).
 
 Files are written in TraceArrays chunks and read into one TraceArrays per
 split; both directions reject records whose position lies outside the grid
@@ -23,12 +23,12 @@ or whose split code is unknown, and reading also rejects non-finite samples.
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .grid import GridGeometry
+from .grid import GridGeometry, json_object
 
 MAGIC = b"EMGD"
 FORMAT_VERSION = 1
@@ -38,6 +38,7 @@ SPLIT_TEST = 1
 SPLIT_HOLDOUT = 2
 SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_TEST: "test", SPLIT_HOLDOUT: "holdout"}
 SPLIT_CODES = {v: k for k, v in SPLIT_NAMES.items()}
+ADC_BITS = (0, 8, 12)  # simulated ADC resolutions; 0 = no quantization
 
 _READ_BLOCK_BYTES = 1 << 18
 # (TraceArrays attribute, record_dtype field) pairs
@@ -63,13 +64,15 @@ class DatasetHeader:
     m: int
     trace_count: int
     description: str = ""
-    adc_bits: int = 0  # 0 = no simulated quantization
+    adc_bits: int = 0  # one of ADC_BITS
 
     def __post_init__(self):
         if not 0 < self.m <= MAX_M:
             raise DataFormatError(f"header m {self.m} is not in 1..{MAX_M}")
         if self.trace_count < 0:
             raise DataFormatError("header trace_count must be >= 0")
+        if self.adc_bits not in ADC_BITS:
+            raise DataFormatError(f"header adc_bits {self.adc_bits} is not in {ADC_BITS}")
 
 
 def _check_rows(positions, splits, header: DatasetHeader, start: int):
@@ -159,13 +162,7 @@ def write_dataset(header: DatasetHeader, chunks, path) -> None:
     dtype = record_dtype(header.m)
     count = 0
     with open(path, "wb") as f:
-        write_preamble(f, MAGIC, {
-            "geometry": header.geometry.to_json_dict(),
-            "m": header.m,
-            "trace_count": header.trace_count,
-            "description": header.description,
-            "adc_bits": header.adc_bits,
-        })
+        write_preamble(f, MAGIC, asdict(header))
         for chunk in chunks:
             f.write(_pack(chunk, header, dtype, count))
             count += len(chunk)
@@ -176,17 +173,14 @@ def write_dataset(header: DatasetHeader, chunks, path) -> None:
 
 
 def _read_header(f, path) -> DatasetHeader:
-    d = read_preamble(f, MAGIC, path)
     try:
-        return DatasetHeader(
-            geometry=GridGeometry.from_json_dict(d["geometry"]),
-            m=int(d["m"]),
-            trace_count=int(d["trace_count"]),
-            description=str(d.get("description", "")),
-            adc_bits=int(d.get("adc_bits", 0)),
-        )
-    except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as e:
+        fields = json_object(read_preamble(f, MAGIC, path), "dataset header",
+                             required=("geometry", "m", "trace_count"),
+                             geometry=GridGeometry.from_json_dict, m=int,
+                             trace_count=int, description=str, adc_bits=int)
+    except ConfigError as e:
         raise DataFormatError(f"{path}: malformed dataset header: {e}") from e
+    return DatasetHeader(**fields)
 
 
 @dataclass

@@ -39,6 +39,7 @@ from emgrid.traceset import (
     SPLIT_HOLDOUT,
     DatasetHeader,
     TraceArrays,
+    read_arrays,
     read_header,
     read_preamble,
     record_dtype,
@@ -208,6 +209,15 @@ BAD_CONFIGS = {
     # more positions than the u16 record field can address
     "grid-300x300": {"geometry": {**GEOMETRY, "nx": 300, "ny": 300}},
     "sample-index-repeated": {"sources": [{**SOURCE, "sample_indices": [5, 5]}]},
+    # JSON types are not coerced: each of these was once read as another value
+    "m-8.9": {"m": 8.9},
+    "m-string": {"m": "8"},
+    "nx-true": {"geometry": {**GEOMETRY, "nx": True}},
+    "axis-flip-string": {"device": {"axis_flip_y": "false"}},
+    "seed-3.7": {"seed": 3.7},
+    "split-count-4.5": {"traces_per_position": {"train": 4.5}},
+    "sample-index-1.9": {"sources": [{**SOURCE, "sample_indices": [1.9]}]},
+    "unknown-device-field": {"device": {"noise_sigam": 0.5}},
 }
 
 
@@ -239,6 +249,29 @@ def test_simulate_deterministic_and_seed_sensitive(capsys, workdir, sim_config,
                   "--seed", 12)
     assert code == 0
     assert sha256(reseeded) != sha256(dataset)
+
+
+def test_simulate_seed_is_replaced_before_the_perturbation_steps_it(
+        capsys, workdir, sim_config):
+    """Device B, the same config with a perturbation block, draws other
+    traces than device A under the same --seed: the seed is replaced first
+    and then stepped, as if the file had held it."""
+    cfg = json.loads(sim_config.read_text())
+    configs = {"a": cfg, "b": {**cfg, "perturbation": {}},
+               "b_seed_5": {**cfg, "seed": 5, "perturbation": {}}}
+    outs = {}
+    for name, c in configs.items():
+        path = workdir / f"seed_{name}.json"
+        path.write_text(json.dumps(c))
+        outs[name] = workdir / f"seed_{name}.emgd"
+        seed = [] if name == "b_seed_5" else ["--seed", 5]
+        code, _ = run(capsys, "simulate", "--config", path, "--out", outs[name],
+                      *seed)
+        assert code == 0
+    _, a = read_arrays(outs["a"], [SPLIT_HOLDOUT])
+    _, b = read_arrays(outs["b"], [SPLIT_HOLDOUT])
+    assert not np.array_equal(a.plaintexts, b.plaintexts)
+    assert sha256(outs["b"]) == sha256(outs["b_seed_5"])
 
 
 # --------------------------------------------------------------------- snr
@@ -282,6 +315,8 @@ def test_missing_dataset_exit_1(capsys, workdir):
 def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
     with open(dataset, "rb") as f:
         good = read_preamble(f, b"EMGD", dataset)
+        records = f.read()
+    m, n = good["m"], good["trace_count"]
 
     def emgd(header) -> bytes:
         raw = header if isinstance(header, bytes) else json.dumps(header).encode()
@@ -294,7 +329,12 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
                                            "step_mm": float("nan")}}),
                 emgd({**good, "m": float("inf")}),
                 emgd({**good, "m": 10**9}),  # a record beyond numpy's dtype size
-                emgd(NESTED_JSON), emgd([1, 2]), emgd(5)):
+                emgd(NESTED_JSON), emgd([1, 2]), emgd(5),
+                # with the records: each header was once read as the good one
+                *(emgd({**good, **field}) + records for field in (
+                    {"m": m + 0.9}, {"m": str(m)}, {"trace_count": n + 0.5},
+                    {"adc_bits": True}, {"adc_bits": 5},
+                    {"description": [1, 2]}, {"probe": "x"}))):
         corrupt.write_bytes(raw)
         code, events = run(capsys, "snr", "--in", corrupt, "--target",
                            "sbox-input", "--byte", 0,
@@ -974,7 +1014,8 @@ def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
                              np.zeros(m), np.ones(m)]).astype("<f8").tobytes()
     fault = data.draw(st.sampled_from(
         ["truncate", "pad", "magic", "version", "garbage", "nested",
-         "not-object", "field", "no-byte-index", "other-kind-outputs"]))
+         "not-object", "field", "unknown-field", "no-byte-index",
+         "other-kind-outputs"]))
     if fault == "truncate":
         good = model_bytes(meta, params)
         raw = good[:data.draw(st.integers(0, len(good) - 1))]
@@ -997,6 +1038,9 @@ def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
     elif fault == "not-object":
         value = data.draw(st.sampled_from([[meta], 5, "x", None, []]))
         raw = model_bytes(value, params)
+    elif fault == "unknown-field":
+        meta[data.draw(st.sampled_from(["probe", "Kind", "weights"]))] = 1
+        raw = model_bytes(meta, params)
     elif fault == "other-kind-outputs":
         meta["outputs"] = 256 + 16 - outputs
         raw = model_bytes(meta, params)
@@ -1137,7 +1181,7 @@ GARBAGE_CELL = st.text(
 def malformed_heatmap_csv(draw) -> bytes:
     """Bytes of a heatmap CSV file that no reader may accept."""
     fault = draw(st.sampled_from(["ragged", "nan", "-inf", "garbage", "empty",
-                                  "header-only", "bytes"]))
+                                  "header-only", "bytes", "label"]))
     if fault == "bytes":
         return draw(st.binary(max_size=64))
     if fault == "empty":
@@ -1149,6 +1193,16 @@ def malformed_heatmap_csv(draw) -> bytes:
     if fault == "header-only":
         return csv_text(rows).splitlines(keepends=True)[0].encode()
     y, x = draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))
+    if fault == "label":
+        # an x label of the header row (line 0) or the y label of a row
+        lines = csv_text(rows).splitlines()
+        line = draw(st.integers(0, ny))
+        parts = lines[line].split(",")
+        at, right = (1 + x, str(x)) if line == 0 else (0, str(line - 1))
+        parts[at] = draw((st.integers(-1, 3).map(str) | st.sampled_from(
+            ["a", "", "0.0", "00"])).filter(lambda label: label != right))
+        lines[line] = ",".join(parts)
+        return ("\n".join(lines) + "\n").encode()
     if fault == "ragged":
         extra = draw(st.integers(-nx, 2).filter(lambda k: k != 0))
         text = csv_text(rows)

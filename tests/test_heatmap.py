@@ -91,6 +91,9 @@ BAD_CSVS = (
     "y\\x,0,1\n0,5,abc",  # non-numeric cell
     "y\\x,0,1\n0,5,nan",
     "y\\x,0,1\n0,-inf,5",
+    "y\\x,0,1\n1,5,6\n0,7,8",  # rows out of order
+    "y\\x,a,b\nq,5,6",  # labels that are not indices
+    "y\\x,1,0\n0,5,6",
 )
 
 

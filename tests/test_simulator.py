@@ -5,6 +5,7 @@ per-trace substream oracle."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -504,7 +505,8 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     """The JSON form of a config, as sim_config_from_dict reads it."""
     dev, bg = config.device, config.background
     d = {
-        "geometry": config.geometry.to_json_dict(),
+        "geometry": {**asdict(config.geometry),
+                     "origin_mm": list(config.geometry.origin_mm)},
         "m": config.m,
         "seed": config.seed,
         "description": config.description,
@@ -534,6 +536,9 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
     assert load_sim_config(path) == config
+    # An integer where a number is expected is read as that float.
+    gain = sim_config_from_dict({**d, "device": {"gain": 2}}).device.gain
+    assert type(gain) is float and gain == 2.0
 
     # A perturbation block derives the second device at load time.
     d["perturbation"] = {"probe_origin_shift_mm": [0.1, 0.0, 0.0],
