@@ -3,8 +3,15 @@
 Every subcommand reads/writes files named by flags and logs progress as
 line-delimited JSON on stderr; stdout stays silent. All randomness comes from
 explicit seeds (config file or --seed), so a fixed command line produces
-byte-identical artifacts. Every subcommand runs in one thread; --threads is
-accepted for compatibility and has no effect.
+byte-identical artifacts, whatever --threads says.
+
+--threads N (at least 1; default 1) lets simulate synthesize its chunks in
+W = min(N, usable CPUs, chunks) processes, itself and W - 1 forked workers,
+each holding about one chunk, which write their records into --out in
+place; with W = 1, no os.fork, or an --out that is not a regular file
+(/dev/null, a pipe) it synthesizes in its own process alone. snr, cpa, evaluate and hybrid accept the
+flag and ignore it: they sweep positions one after another in one thread,
+and their matrix products already use every core through BLAS.
 
 Commands that read a dataset check its header (train's selection, a model's
 trace length) before reading the records of the one split they use; train
@@ -53,7 +60,7 @@ from .profiler import (
     select_leaky_positions,
     select_top_n_positions,
 )
-from .simulator import load_sim_config, simulate_grid_dataset
+from .simulator import load_sim_config, simulate_grid_dataset, simulation_workers
 from .traceset import SPLIT_CODES, read_arrays, read_header
 
 TARGET_KINDS = {
@@ -112,10 +119,11 @@ def cmd_simulate(args) -> int:
             _log("progress", done=done, total=total_traces)
         last = done
 
-    header = simulate_grid_dataset(config, args.out, progress)
+    workers = simulation_workers(config, args.out, args.threads)
+    header = simulate_grid_dataset(config, args.out, progress, args.threads)
     _log("dataset", path=args.out, positions=config.geometry.position_count,
          per_position=dict(config.traces_per_position), total=header.trace_count,
-         m=header.m, seed=config.seed)
+         m=header.m, seed=config.seed, workers=workers)
     return 0
 
 
@@ -301,9 +309,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_threads(p):
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--threads", type=positive_int, default=1,
+                   help="simulate: synthesize in up to this many "
+                        "processes (this one and forked workers), no more "
+                        "than the usable CPUs or the chunks, each holding "
+                        "about one 4 MiB chunk; an --out that is not a "
+                        "regular file is written by this process alone. "
+                        "Other commands ignore it")
 
 
 def _add_dataset(p):

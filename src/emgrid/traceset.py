@@ -20,6 +20,7 @@ split; both directions reject records whose position lies outside the grid
 or whose split code is unknown, and reading also rejects non-finite samples.
 """
 
+import io
 import json
 import os
 import struct
@@ -107,6 +108,14 @@ def _pack(chunk, header: DatasetHeader, dtype: np.dtype, start: int) -> np.ndarr
     return rec
 
 
+def dataset_preamble(header: DatasetHeader) -> bytes:
+    """The bytes before a dataset's first record: its length is the offset
+    of record 0, and record i follows i * record_dtype(m).itemsize later."""
+    f = io.BytesIO()
+    write_preamble(f, MAGIC, asdict(header))
+    return f.getvalue()
+
+
 def write_preamble(f, magic: bytes, header: dict) -> None:
     """Write a file's magic, version and compact sorted-key JSON header."""
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -162,7 +171,7 @@ def write_dataset(header: DatasetHeader, chunks, path) -> None:
     dtype = record_dtype(header.m)
     count = 0
     with open(path, "wb") as f:
-        write_preamble(f, MAGIC, asdict(header))
+        f.write(dataset_preamble(header))
         for chunk in chunks:
             f.write(_pack(chunk, header, dtype, count))
             count += len(chunk)
@@ -173,14 +182,14 @@ def write_dataset(header: DatasetHeader, chunks, path) -> None:
 
 
 def _read_header(f, path) -> DatasetHeader:
+    fields = read_preamble(f, MAGIC, path)
     try:
-        fields = json_object(read_preamble(f, MAGIC, path), "dataset header",
-                             required=("geometry", "m", "trace_count"),
-                             geometry=GridGeometry.from_json_dict, m=int,
-                             trace_count=int, description=str, adc_bits=int)
-    except ConfigError as e:
+        return DatasetHeader(**json_object(
+            fields, "dataset header", required=("geometry", "m", "trace_count"),
+            geometry=GridGeometry.from_json_dict, m=int, trace_count=int,
+            description=str, adc_bits=int))
+    except (ConfigError, DataFormatError) as e:
         raise DataFormatError(f"{path}: malformed dataset header: {e}") from e
-    return DatasetHeader(**fields)
 
 
 @dataclass

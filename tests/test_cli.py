@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgrid import cli, evaluation
+from emgrid import cli, evaluation, simulator
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
 from emgrid.distinguishers import CpaAccumulator, SnrAccumulator
+from emgrid.errors import DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.heatmap import COLOR_RAMP, heatmap_from_csv
 from emgrid.leakage import true_last_round_hds
@@ -37,6 +39,8 @@ from emgrid.profiler import (
 from emgrid.traceset import (
     MAX_M,
     SPLIT_HOLDOUT,
+    SPLIT_TEST,
+    SPLIT_TRAIN,
     DatasetHeader,
     TraceArrays,
     read_arrays,
@@ -140,24 +144,72 @@ def test_simulate_missing_config_exit_2(capsys, workdir):
     assert "not found" in events[-1]["message"]
 
 
+WIDE_CONFIG = {"geometry": {"nx": 1, "ny": 1, "nz": 1, "step_mm": 0.5,
+                             "z_step_mm": 0.5, "origin_mm": [0.0, 0.0, 0.2]},
+               "m": 2816, "seed": 3, "traces_per_position": {"train": 600},
+               "sources": [{"position_mm": [0.0, 0.0, 0.0],
+                            "sample_indices": [5],
+                            "target": "FirstRoundSboxOutput", "byte_index": 0,
+                            "amplitude": 0.05}]}
+
+
 def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
     """Wide traces come in chunks of 186 (m = 2816), which never end on a
     multiple of the 30-trace logging step; every chunk that crosses one logs
-    an event."""
-    cfg = {"geometry": {"nx": 1, "ny": 1, "nz": 1, "step_mm": 0.5,
-                        "z_step_mm": 0.5, "origin_mm": [0.0, 0.0, 0.2]},
-           "m": 2816, "seed": 3, "traces_per_position": {"train": 600},
-           "sources": [{"position_mm": [0.0, 0.0, 0.0], "sample_indices": [5],
-                        "target": "FirstRoundSboxOutput", "byte_index": 0,
-                        "amplitude": 0.05}]}
+    an event. Workers finish chunks in any order, so with --threads 2 the
+    counts only have to increase up to the total."""
     config = workdir / "wide.json"
-    config.write_text(json.dumps(cfg))
-    code, events = run(capsys, "simulate", "--config", config,
-                       "--out", workdir / "wide.emgd")
+    config.write_text(json.dumps(WIDE_CONFIG))
+    for threads in (1, 2):
+        out = workdir / f"wide{threads}.emgd"
+        code, events = run(capsys, "simulate", "--config", config, "--out", out,
+                           "--threads", threads)
+        assert code == 0
+        done = [e["done"] for e in events if e["event"] == "progress"]
+        assert all(e["total"] == 600 for e in events if e["event"] == "progress")
+        assert done == sorted(set(done)) and done[-1] == 600
+        if threads == 1:
+            assert done == [186, 372, 558, 600]
+        assert events[-1]["workers"] == min(threads, simulator.usable_cpus())
+        assert out.read_bytes() == (workdir / "wide1.emgd").read_bytes()
+
+
+def test_simulate_threads_to_dev_null_runs_in_process(capsys, sim_config):
+    """/dev/null is not a regular file; simulate streams to it from its own
+    process whatever --threads says."""
+    code, events = run(capsys, "simulate", "--config", sim_config,
+                       "--out", "/dev/null", "--threads", 2)
     assert code == 0
-    done = [e["done"] for e in events if e["event"] == "progress"]
-    assert done == [186, 372, 558, 600]
-    assert all(e["total"] == 600 for e in events if e["event"] == "progress")
+    assert events[-1]["event"] == "dataset" and events[-1]["workers"] == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_worker_failure_exit_1(capsys, workdir, sim_config,
+                                        monkeypatch, threads):
+    """A chunk that fails ends simulate as it does in one process: exit 1,
+    one error event, every worker reaped and no file that reads as a
+    dataset (unwritten records would read as zero-sample train traces)."""
+    synthesize = simulator._synthesize_chunk
+
+    def failing(config, position, split, start, count):
+        if (position, split) == (0, SPLIT_TEST):  # chunk 1, the forked worker's
+            raise OSError("disk on fire")
+        return synthesize(config, position, split, start, count)
+
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_synthesize_chunk", failing)
+    out = workdir / f"failed{threads}.emgd"
+    code, events = run(capsys, "simulate", "--config", sim_config,
+                       "--out", out, "--threads", threads)
+    assert code == 1
+    errors = [e for e in events if e["event"] == "error"]
+    assert errors == [events[-1]]
+    assert errors[0]["kind"] == "OSError"
+    assert errors[0]["message"] == "disk on fire"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(DataFormatError):
+        read_arrays(out, (SPLIT_TRAIN,))
 
 
 # JSON nested deeper than the parser's recursion limit
@@ -329,6 +381,7 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
                                            "step_mm": float("nan")}}),
                 emgd({**good, "m": float("inf")}),
                 emgd({**good, "m": 10**9}),  # a record beyond numpy's dtype size
+                emgd({**good, "m": 0}), emgd({**good, "trace_count": -1}),
                 emgd(NESTED_JSON), emgd([1, 2]), emgd(5),
                 # with the records: each header was once read as the good one
                 *(emgd({**good, **field}) + records for field in (
@@ -342,6 +395,11 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
         assert code == 1
         assert [e["event"] for e in events] == ["error"]
         assert events[-1]["kind"] == "DataFormatError"
+        # every fault names the file; one found in a readable header says so
+        assert events[-1]["message"].startswith(f"{corrupt}: ")
+        if raw[:4] == b"EMGD" and raw[10:11] == b"{":
+            assert events[-1]["message"].startswith(
+                f"{corrupt}: malformed dataset header: "), raw[:80]
 
 
 @pytest.fixture(scope="module")
@@ -930,9 +988,9 @@ def test_hybrid_threads_determinism(capsys, workdir, hd_dataset):
 
 def test_threads_flag_keeps_positions_in_calling_thread(capsys, workdir,
                                                         dataset, monkeypatch):
-    """--threads has no effect: with --threads 8, every per-position
-    computation of snr, cpa, evaluate and hybrid runs in the thread that
-    called main, over a dataset of two positions."""
+    """snr, cpa, evaluate and hybrid ignore --threads: with --threads 8,
+    every per-position computation runs in the thread that called main,
+    over a dataset of two positions."""
     callers = []
 
     def recorded(fn):
@@ -1295,6 +1353,30 @@ def test_argument_errors_are_one_json_event(capsys, argv, says):
     assert [e["event"] for e in events] == ["error"]
     assert events[0]["kind"] == "ConfigError"
     assert says in events[0]["message"]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("command", ["simulate", "snr", "cpa", "evaluate",
+                                     "hybrid"])
+def test_threads_below_1_exit_2(capsys, workdir, sim_config, dataset, command,
+                                threads):
+    argv = {
+        "simulate": ["--config", sim_config, "--out", workdir / "t0.emgd"],
+        "snr": ["--in", dataset, "--out-heatmap", workdir / "t0.csv"],
+        "cpa": ["--in", dataset, "--out-disclosure", workdir / "t0.csv",
+                "--out-ranks", workdir / "t0r.csv"],
+        "evaluate": ["--model", workdir / "none.emmod", "--in", dataset,
+                     "--out-heatmap", workdir / "t0.csv"],
+        "hybrid": ["--model", workdir / "none.emmod", "--in", dataset,
+                   "--out-disclosure", workdir / "t0.csv",
+                   "--out-ranks", workdir / "t0r.csv"],
+    }[command]
+    code, events = run(capsys, command, *argv, f"--threads={threads}")
+    assert code == 2
+    assert [e["kind"] for e in events] == ["ConfigError"]
+    assert f"argument --threads: must be at least 1, got {threads}" in \
+        events[0]["message"]
+    assert not (workdir / "t0.emgd").exists()
 
 
 def test_help_stays_text_exit_0():

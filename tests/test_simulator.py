@@ -3,6 +3,8 @@ split/key semantics, and batch-vs-single-trace equivalence against a
 per-trace substream oracle."""
 
 import math
+import os
+import signal
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -30,6 +32,8 @@ from emgrid.simulator import (
     load_sim_config,
     sim_config_from_dict,
     simulate_grid_dataset,
+    simulation_workers,
+    worker_count,
     _le_bytes,
     _philox_first_blocks,
     _philox_state,
@@ -367,6 +371,105 @@ def test_short_trace_memory_is_bounded_by_the_chunk_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < simulator._CHUNK_BYTES, peak
+
+
+def worker_config() -> SimConfig:
+    """Random keys, jitter, noise, a 12-bit ADC and a last-round HD source
+    over five positions: in 16-trace chunks each position holds 4 + 2 + 1
+    chunks, 35 in all, a multiple of neither 2 nor 3."""
+    sources = (LeakSource((0.0, 0.0, 0.0), (3, 5), LAST_ROUND_HD_TRUE, 2, 0.5),
+               LeakSource((1.0, 0.0, 0.0), (9,), FIRST_ROUND_SBOX_OUTPUT, 0, 0.2))
+    return tiny_config(geometry=GridGeometry(5, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.2)),
+                       m=24, sources=sources,
+                       device=DeviceProfile(noise_sigma=0.3, jitter_max=2,
+                                            adc_bits=12),
+                       traces_per_position={"train": 50, "test": 20,
+                                            "holdout": 7})
+
+
+def test_worker_count_caps_threads_by_cpus_and_chunks():
+    assert worker_count(10**6, 2, 35) == 2
+    assert worker_count(10**6, 64, 3) == 3
+    assert worker_count(3, 64, 35) == 3
+    assert worker_count(1, 64, 35) == 1
+    assert worker_count(4, 2, 0) == 1  # an empty dataset
+
+
+def test_workers_write_the_bytes_of_one_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 3)
+    config = worker_config()
+    files = []
+    for threads in (1, 2, 3):
+        path = tmp_path / f"workers{threads}.emgd"
+        done = []
+        simulate_grid_dataset(config, path, lambda d, total: done.append(d),
+                              threads=threads)
+        assert simulation_workers(config, path, threads) == threads
+        assert len(done) == 35 and done == sorted(set(done))
+        assert done[-1] == config.total_traces
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+class Unpicklable(Exception):
+    """An exception with an attribute pickle cannot send."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+@pytest.mark.parametrize("start, exc, kind, message", [
+    # chunk 23, the forked worker's; three pipe messages long
+    (32, ConfigError("x" * 1200), ConfigError, "x" * 1200),
+    (32, Unpicklable("boom"), RuntimeError, "Unpicklable: boom"),
+    # chunk 22, the calling process's own
+    (16, Unpicklable("boom"), Unpicklable, "boom"),
+])
+def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch, start, exc,
+                                             kind, message):
+    synthesize = simulator._synthesize_chunk
+
+    def failing(config, position, split, first, count):
+        if (position, split, first) == (3, 0, start):
+            raise exc
+        return synthesize(config, position, split, first, count)
+
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_synthesize_chunk", failing)
+    path = tmp_path / "failed.emgd"
+    with pytest.raises(kind) as caught:
+        simulate_grid_dataset(worker_config(), path, threads=2)
+    assert str(caught.value) == message
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert path.stat().st_size == 0
+
+
+def test_killed_worker_fails_the_simulation(tmp_path, monkeypatch):
+    """A worker that dies without a word, as one the kernel's out-of-memory
+    killer ends, fails the simulation; no worker is left and the file holds
+    no record."""
+    synthesize = simulator._synthesize_chunk
+    parent = os.getpid()
+
+    def dying(config, position, split, start, count):
+        if os.getpid() != parent and split == SPLIT_CODES["test"]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return synthesize(config, position, split, start, count)
+
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_synthesize_chunk", dying)
+    path = tmp_path / "killed.emgd"
+    with pytest.raises(ChildProcessError, match=f"by signal {signal.SIGKILL}"):
+        simulate_grid_dataset(tiny_config(), path, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert path.stat().st_size == 0
 
 
 def test_raw_words_become_little_endian_bytes():
