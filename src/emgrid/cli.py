@@ -31,9 +31,8 @@ import math
 import os
 import re
 import sys
-import traceback
 
-from .errors import AnalysisError, ConfigError, DataFormatError
+from .errors import AnalysisError, ConfigError, DataFormatError, raised_at
 from .evaluation import (
     evaluate_classifier_grid,
     evaluate_cpa_grid,
@@ -439,10 +438,8 @@ def main(argv=None) -> int:
         _log("error", kind="AnalysisError", message=str(e))
         return 3
     except Exception as e:  # last resort: one event, never a traceback
-        frame = traceback.extract_tb(e.__traceback__)[-1]
         _log("error", kind=type(e).__name__, message=str(e),
-             where=f"{os.path.basename(frame.filename)}:{frame.lineno} "
-                   f"in {frame.name}")
+             where=raised_at(e))
         return 4
 
 

@@ -1,13 +1,20 @@
 """Streaming statistical engines: SNR and CPA accumulators, CPA scores and the
 mid-rank of a key candidate. The traces-to-disclosure loop that drives them
-lives in evaluation._run_cpa_position: one CpaAccumulator per position holds
+lives in evaluation._run_cpa_position: one accumulator per position holds
 all 16 key bytes' 256 hypotheses, is updated once per slice of traces, and
 finalizes only as many bytes as the disclosure test needs.
 
-Both accumulators follow the same contract: update with traces in any order,
-optionally split into shards that merge into one, then finalize. The grid
-sweep feeds one accumulator per position in order and never merges;
-finalization is pure. All running sums are float64;
+First-round targets use ClassCpaAccumulator: per-plaintext-byte class sums,
+turned into hypothesis sums by the 256 x 256 leakage table only when a byte
+is scored, so an update costs O(16 m) per trace instead of a GEMM over 4096
+hypotheses. The last-round model, whose hypothesis depends on two
+ciphertext bytes, uses CpaAccumulator and its blocked hypothesis GEMM. Both
+end in one Pearson formula.
+
+The SNR and GEMM CPA accumulators follow the same contract: update with
+traces in any order, optionally split into shards that merge into one, then
+finalize. The grid sweep feeds one accumulator per position in order and
+never merges; finalization is pure. All running sums are float64;
 hypothesis values stay small integers so the closed-form Pearson sums remain
 exactly representable.
 
@@ -24,7 +31,10 @@ import numpy as np
 from .errors import AnalysisError
 
 _REL_DEGENERATE = 1e-10  # variance below this relative level counts as zero
-_BLOCK_ROWS = 256  # hypothesis rows per CPA GEMM: one key byte's guesses
+# hypothesis rows per CPA GEMM (one key byte's guesses), and sample rows a
+# class-sum update widens to float64 at a time
+_BLOCK_ROWS = 256
+_BYTE_ROWS = 256 * np.arange(16, dtype=np.intp)  # first class row of each byte
 
 
 class SnrAccumulator:
@@ -248,23 +258,101 @@ class CpaAccumulator:
     def finalize(self, rows: slice = slice(None)) -> CpaResult:
         """Correlations of the hypotheses in `rows` (all of them by default);
         each element gets the same arithmetic whichever rows are asked for."""
-        if self.n < 2:
-            raise AnalysisError(f"correlation undefined for n={self.n} traces")
-        n = float(self.n)
-        sum_h, sum_h2 = self.sum_h[rows], self.sum_h2[rows]
-        var_h = n * sum_h2 - sum_h ** 2
-        var_x = n * self.sum_x2 - self.sum_x ** 2
-        # Catastrophic cancellation can leave tiny non-zero residue on a
-        # constant column; judge degeneracy relative to the raw magnitude.
-        deg_h = var_h <= _REL_DEGENERATE * np.maximum(n * sum_h2, 1e-300)
-        deg_x = var_x <= _REL_DEGENERATE * np.maximum(n * self.sum_x2, 1e-300)
-        num = n * self.sum_hx[rows] - np.outer(sum_h, self.sum_x)
-        den = np.sqrt(np.outer(np.where(deg_h, 1.0, var_h),
-                               np.where(deg_x, 1.0, var_x)))
-        corr = num / den
-        corr[deg_h, :] = 0.0
-        corr[:, deg_x] = 0.0
-        return CpaResult(corr, deg_h, deg_x)
+        return _pearson(self.n, self.sum_h[rows], self.sum_h2[rows],
+                        self.sum_x, self.sum_x2, self.sum_hx[rows])
+
+
+class ClassCpaAccumulator:
+    """Streaming CPA of all 16 key bytes under a first-round model, kept as
+    class sums (conditional averaging; Brier, Clavier and Olivier, CHES
+    2004) rather than hypothesis sums.
+
+    A first-round hypothesis depends on one plaintext byte: under guess k,
+    byte j predicts table[k, p_j]. So with c_j the trace count and S_j the
+    summed samples of each value of plaintext byte j, the Pearson sums of
+    CpaAccumulator(m, 16 * 256) fed build_hypothesis_matrix are
+        sum_h = table c_j,  sum_h2 = (table * table) c_j,  sum_hx = table S_j.
+    sum_h and sum_h2 are exact integers, so they equal the GEMM path's bit
+    for bit; sum_hx differs from it only by rounding. Hypothesis rows are
+    numbered as there (byte j's guesses in rows 256*j .. 256*j + 255), and
+    finalize goes through the same Pearson formula.
+
+    Memory is O(16 * 256 * m) regardless of trace count and of batch size:
+    an update widens at most _BLOCK_ROWS sample rows to float64 at a time.
+    Each trace costs one gather-add-scatter of its samples into the 16
+    class rows its plaintext selects. Scoring one byte costs one
+    (256, 256) x (256, m) product, as many multiply-adds as 16 traces cost
+    the 16-byte GEMM update; so checkpoint intervals below about 16 traces
+    can spend more in these products than the GEMM they replace.
+
+    Last-round models cannot use this: their hypothesis depends on two
+    ciphertext bytes, 65,536 classes per key byte, and stays with
+    CpaAccumulator.
+    """
+
+    def __init__(self, m: int, table: np.ndarray):
+        if m < 1:
+            raise AnalysisError("need >= 1 sample")
+        self.m = m
+        self.table = np.asarray(table, dtype=np.float64)
+        self.table_sq = self.table * self.table
+        self.n = 0
+        self.counts = np.zeros(16 * 256, dtype=np.int64)
+        self.sums = np.zeros((16 * 256, m), dtype=np.float64)
+        self.sum_x = np.zeros(m, dtype=np.float64)
+        self.sum_x2 = np.zeros(m, dtype=np.float64)
+
+    def update_batch(self, plaintexts: np.ndarray, samples: np.ndarray) -> "ClassCpaAccumulator":
+        """plaintexts (b, 16) bytes, samples (b, m)."""
+        P = np.asarray(plaintexts, dtype=np.uint8)
+        X = np.asarray(samples)
+        if P.ndim != 2 or X.ndim != 2 or P.shape[1] != 16 \
+                or P.shape[0] != X.shape[0] or X.shape[1] != self.m:
+            raise AnalysisError("batch shapes do not match accumulator")
+        # class row of trace i's byte j: distinct within a trace, so one
+        # fancy-indexed add per trace never meets a duplicate index
+        rows = P.astype(np.intp) + _BYTE_ROWS
+        self.counts += np.bincount(rows.ravel(), minlength=16 * 256)
+        for lo in range(0, len(X), _BLOCK_ROWS):
+            x = X[lo:lo + _BLOCK_ROWS].astype(np.float64)
+            self.sum_x += x.sum(axis=0)
+            self.sum_x2 += (x * x).sum(axis=0)
+            for r, xi in zip(rows[lo:lo + _BLOCK_ROWS], x):
+                self.sums[r] += xi
+        self.n += len(X)
+        return self
+
+    def finalize(self, rows: slice) -> CpaResult:
+        """Correlations of one byte's 256 hypothesis rows, slice(256 * j,
+        256 * (j + 1))."""
+        byte, rest = divmod(rows.start, 256)
+        if rest or rows.stop != rows.start + 256 or not 0 <= byte < 16:
+            raise AnalysisError("rows must be one key byte's 256 hypotheses")
+        c = self.counts[rows].astype(np.float64)
+        return _pearson(self.n, self.table @ c, self.table_sq @ c,
+                        self.sum_x, self.sum_x2, self.table @ self.sums[rows])
+
+
+def _pearson(n, sum_h, sum_h2, sum_x, sum_x2, sum_hx) -> CpaResult:
+    """The closed-form Pearson correlation from n traces' running sums:
+    sum_h, sum_h2 (rows,), sum_x, sum_x2 (m,) and sum_hx (rows, m)."""
+    if n < 2:
+        raise AnalysisError(f"correlation undefined for n={n} traces")
+    n = float(n)
+    var_h = n * sum_h2 - sum_h ** 2
+    var_x = n * sum_x2 - sum_x ** 2
+    # Catastrophic cancellation can leave tiny non-zero residue on a
+    # constant column; judge degeneracy relative to the raw magnitude.
+    deg_h = var_h <= _REL_DEGENERATE * np.maximum(n * sum_h2, 1e-300)
+    deg_x = var_x <= _REL_DEGENERATE * np.maximum(n * sum_x2, 1e-300)
+    corr = np.multiply(n, sum_hx)
+    buf = np.outer(sum_h, sum_x)
+    corr -= buf
+    np.outer(np.where(deg_h, 1.0, var_h), np.where(deg_x, 1.0, var_x), out=buf)
+    corr /= np.sqrt(buf, out=buf)
+    corr[deg_h, :] = 0.0
+    corr[:, deg_x] = 0.0
+    return CpaResult(corr, deg_h, deg_x)
 
 
 def cpa_scores(corr: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .aes import SHIFT_MAP, round10_key
-from .distinguishers import CpaAccumulator, SnrAccumulator, cpa_scores, rank_of
+from .distinguishers import (ClassCpaAccumulator, CpaAccumulator,
+                             SnrAccumulator, cpa_scores, rank_of)
 from .errors import AnalysisError, ConfigError
 from .grid import GridGeometry
 from .heatmap import Heatmap
@@ -20,6 +21,7 @@ from .leakage import (
     LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
+    first_round_table,
 )
 from .profiler import (ProfilingModel, classify_attack, first_round_labels,
                        predict_hd, true_hds)
@@ -117,32 +119,42 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     """Streaming 16-byte CPA over one position's first min(n, budget) traces.
 
     One accumulator holds all 16 bytes' hypotheses, byte j in rows
-    256*j .. 256*j + 255. The traces are consumed in slices that end at each
-    checkpoint and at the end of the stream; every slice is one update of the
-    accumulator. Returns the first slice end at which every byte ranks
-    strictly first (ties fail), or inf if none does, and the 16 byte ranks at
-    the last slice.
+    256*j .. 256*j + 255: for first-round kinds a ClassCpaAccumulator of
+    per-plaintext-byte class sums, for the last-round model a
+    CpaAccumulator fed the hypothesis matrices (its hypotheses depend on
+    two ciphertext bytes, too many classes to sum). The traces are consumed
+    in slices that end at each checkpoint and at the end of the stream;
+    every slice is one update of the accumulator. Returns the first slice
+    end at which every byte ranks strictly first (ties fail), or inf if
+    none does, and the 16 byte ranks at the last slice.
 
     A checkpoint discloses only if all 16 bytes rank first, so before the
     last slice the bytes are scored one at a time and scoring stops at the
     first byte that does not; that byte is scored first at the next
     checkpoint. The last slice, and any slice at which every byte ranks
     first, scores all 16. Bytes with fewer than 2 traces score as all-equal
-    rows (rank 127.5).
+    rows (rank 127.5). Scoring a first-round byte is one (256, 256) x
+    (256, m) table product, so intervals below about 16 traces can spend
+    more on scoring than the GEMM update it replaced.
     """
     n, m = samples.shape
     limit = n if budget is None else min(n, budget)
-    acc = CpaAccumulator(m, 16 * 256)
+    first_round = kind != LAST_ROUND_HD
+    acc = ClassCpaAccumulator(m, first_round_table(kind)) if first_round \
+        else CpaAccumulator(m, 16 * 256)
     ranks = np.full(16, 127.5)  # all-equal scores before anything is scored
     order = list(range(16))  # scoring order; a failing byte moves to the front
     for lo in range(0, limit, checkpoint_interval):
         sl = slice(lo, min(lo + checkpoint_interval, limit))
-        hyp = np.empty((16 * 256, sl.stop - sl.start), dtype=np.uint8)
-        for j in range(16):
-            hyp[256 * j:256 * (j + 1)] = build_hypothesis_matrix(
-                publics[sl], LeakageModel(kind, j))
-        acc.update_batch(hyp, samples[sl])
-        del hyp  # free the slice's hypotheses before the finalize temporaries
+        if first_round:
+            acc.update_batch(publics[sl], samples[sl])
+        else:
+            hyp = np.empty((16 * 256, sl.stop - sl.start), dtype=np.uint8)
+            for j in range(16):
+                hyp[256 * j:256 * (j + 1)] = build_hypothesis_matrix(
+                    publics[sl], LeakageModel(kind, j))
+            acc.update_batch(hyp, samples[sl])
+            del hyp  # free the slice's hypotheses before the finalize temporaries
         for j in order:
             rows = slice(256 * j, 256 * (j + 1))
             scores = cpa_scores(acc.finalize(rows).corr) if acc.n >= 2 \

@@ -54,6 +54,16 @@ class LeakageModel:
             raise ConfigError("byte_index must be in 0..15")
 
 
+def first_round_table(kind: str) -> np.ndarray:
+    """The (256, 256) uint8 table of a first-round model: entry [k, v] is the
+    Hamming weight predicted under key-byte guess k for plaintext byte v."""
+    if kind == FIRST_ROUND_SBOX_OUTPUT:
+        return _SBOX_OUTPUT_HW
+    if kind == FIRST_ROUND_SBOX_INPUT:
+        return _SBOX_INPUT_HW
+    raise ConfigError(f"not a first-round model kind: {kind!r}")
+
+
 def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndarray:
     """Predicted leakage for all 256 guesses over n public inputs.
 
@@ -70,9 +80,7 @@ def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndar
     if model.kind == LAST_ROUND_HD:
         prev = np.take(_INV_SBOX_OF_XOR, pub[:, SHIFT_MAP[j]], axis=1)
         return np.take(HW_TABLE, pub[None, :, j] ^ prev)
-    table = _SBOX_OUTPUT_HW if model.kind == FIRST_ROUND_SBOX_OUTPUT \
-        else _SBOX_INPUT_HW
-    return np.take(table, pub[:, j], axis=1)
+    return np.take(first_round_table(model.kind), pub[:, j], axis=1)
 
 
 def true_first_round_values(kind: str, plaintexts: np.ndarray, key,

@@ -49,8 +49,9 @@ _CHUNK_BYTES of float64 samples plus its temporaries) besides the pages a
 worker shares with the caller. Between its own chunks the caller reads the
 workers' finished-record counts from one pipe for the progress callback.
 It writes the preamble last, re-raises a worker's exception (pickled
-through the same pipe; its traceback stays behind, so the raise is the
-caller's) and reaps every worker, also on failure, when it truncates the
+through the same pipe with the file, line and function that raised it,
+since its traceback stays behind; errors.raised_at reports that frame)
+and reaps every worker, also on failure, when it truncates the
 file to 0 bytes. Workers end through os._exit only. The caller takes a
 share rather than only waiting: a caller that only waited left its memory
 allocator cold, and the survey benchmark's next command, snr, ran about
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aes import encrypt_blocks, expand_keys, expand_keys_batch
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, raised_at
 from .grid import GridGeometry, json_object, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
@@ -565,13 +566,16 @@ def _worker(config: SimConfig, header: DatasetHeader, jobs, fd: int,
 
 
 def _send_exception(pipe: int, index: int, exc: BaseException) -> None:
-    """Send exc pickled, in pieces that each fit one atomic pipe write. An
-    exception that does not survive pickling is sent as a RuntimeError."""
+    """Send exc and the frame that raised it pickled, in pieces that each
+    fit one atomic pipe write. An exception that does not survive pickling
+    is sent as a RuntimeError."""
+    frame = raised_at(exc)
     try:
-        payload = pickle.dumps(exc)
+        payload = pickle.dumps((exc, frame))
         pickle.loads(payload)
     except Exception:
-        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        payload = pickle.dumps(
+            (RuntimeError(f"{type(exc).__name__}: {exc}"), frame))
     size = _PIPE_ATOMIC - _MESSAGE.size
     for at in range(0, len(payload), size):
         piece = payload[at:at + size]
@@ -618,7 +622,9 @@ class _Reader:
             self.pieces[index] = self.pieces.get(index, b"") + piece
             at = end
             if kind == _ERROR_END:
-                raise pickle.loads(self.pieces[index])
+                exc, frame = pickle.loads(self.pieces[index])
+                exc.worker_frame = frame
+                raise exc
         self.pending = self.pending[at:]
         return bool(data)
 

@@ -212,6 +212,33 @@ def test_simulate_worker_failure_exit_1(capsys, workdir, sim_config,
         read_arrays(out, (SPLIT_TRAIN,))
 
 
+def test_simulate_worker_defect_logs_the_raising_frame(capsys, workdir,
+                                                       sim_config, monkeypatch):
+    """An unexpected exception in a chunk (exit 4) names the line that
+    raised it as `where`, whether the chunk ran in the calling process
+    (--threads 1) or in a forked worker (--threads 2)."""
+    synthesize = simulator._synthesize_chunk
+
+    def failing(config, position, split, start, count):
+        if (position, split) == (0, SPLIT_TEST):  # chunk 1, the forked worker's
+            raise RuntimeError("simulated defect")
+        return synthesize(config, position, split, start, count)
+
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_synthesize_chunk", failing)
+    wheres = []
+    for threads in (1, 2):
+        code, events = run(capsys, "simulate", "--config", sim_config,
+                           "--out", workdir / f"defect{threads}.emgd",
+                           "--threads", threads)
+        assert code == 4
+        assert events[-1]["kind"] == "RuntimeError"
+        assert events[-1]["message"] == "simulated defect"
+        wheres.append(events[-1]["where"])
+    assert wheres[0] == wheres[1]
+    assert wheres[0].startswith("test_cli.py:") and wheres[0].endswith(" in failing")
+
+
 # JSON nested deeper than the parser's recursion limit
 NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
 

@@ -1,6 +1,7 @@
 """Statistical-core tests: hand-computed Welford values, closed-form SNR,
-batch Pearson oracles, merge laws, rank conventions, and the disclosure loop
-of evaluation._run_cpa_position against an all-16-byte reference loop."""
+batch Pearson oracles, merge laws, the class-sum CPA accumulator against the
+hypothesis GEMM one, rank conventions, and the disclosure loop of
+evaluation._run_cpa_position against an all-16-byte reference loop."""
 
 import math
 import tracemalloc
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emgrid import distinguishers, evaluation
-from emgrid.aes import encrypt_blocks, expand_keys_batch
+from emgrid.aes import SBOX, encrypt_blocks, expand_keys_batch
 from emgrid.distinguishers import (
+    ClassCpaAccumulator,
     CpaAccumulator,
     SnrAccumulator,
     cpa_scores,
@@ -23,9 +25,12 @@ from emgrid.errors import AnalysisError
 from emgrid.grid import GridGeometry
 from emgrid.leakage import (
     FIRST_ROUND_SBOX_INPUT,
+    FIRST_ROUND_SBOX_OUTPUT,
+    HW_TABLE,
     LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
+    first_round_table,
 )
 from emgrid.profiler import first_round_labels, true_hds
 from emgrid.traceset import TraceArrays
@@ -480,6 +485,110 @@ def test_stacked_update_allocates_block_buffers_only():
     assert peak <= 2 * block_bytes, peak
 
 
+# ------------------------------------------------------- class-sum CPA
+
+FIRST_ROUND_KINDS = [FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT]
+
+
+def byte_rows(j):
+    return slice(256 * j, 256 * (j + 1))
+
+
+def gemm_accumulator(plaintexts, samples, kind, sizes):
+    """The GEMM path: a CpaAccumulator of 16 * 256 hypotheses fed
+    build_hypothesis_matrix, one update per slice."""
+    acc = CpaAccumulator(samples.shape[1], 16 * 256)
+    lo = 0
+    for b in sizes:
+        sl = slice(lo, lo + b)
+        acc.update_batch(np.concatenate(
+            [build_hypothesis_matrix(plaintexts[sl], LeakageModel(kind, j))
+             for j in range(16)]), samples[sl])
+        lo += b
+    return acc
+
+
+def class_accumulator(plaintexts, samples, kind, sizes):
+    acc = ClassCpaAccumulator(samples.shape[1], first_round_table(kind))
+    lo = 0
+    for b in sizes:
+        acc.update_batch(plaintexts[lo:lo + b], samples[lo:lo + b])
+        lo += b
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_cpa_matches_gemm_accumulator(data):
+    """Class sums give the GEMM path's correlations to rounding, for both
+    first-round kinds and any split of the traces into slices; the
+    hypothesis sums, exact integers, agree bit for bit."""
+    kind = data.draw(st.sampled_from(FIRST_ROUND_KINDS), label="kind")
+    m = data.draw(st.integers(1, 12), label="m")
+    sizes = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=4),
+                      label="slice sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    P = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    X = rng.normal(size=(n, m)).astype(np.float32)
+    got = class_accumulator(P, X, kind, sizes)
+    want = gemm_accumulator(P, X, kind, sizes)
+    assert got.n == want.n == n
+    if n < 2:
+        return
+    for j in range(16):
+        a, b = got.finalize(byte_rows(j)), want.finalize(byte_rows(j))
+        np.testing.assert_allclose(a.corr, b.corr, rtol=1e-12)
+        assert np.array_equal(a.degenerate_hypotheses, b.degenerate_hypotheses)
+        assert np.array_equal(a.degenerate_samples, b.degenerate_samples)
+        c = got.counts[byte_rows(j)].astype(np.float64)
+        assert np.array_equal(got.table @ c, want.sum_h[byte_rows(j)])
+        assert np.array_equal(got.table_sq @ c, want.sum_h2[byte_rows(j)])
+
+
+def test_class_cpa_constant_plaintext_byte_scores_all_equal():
+    """A plaintext byte that never changes makes every hypothesis of its key
+    byte constant: zero rows, and the correct guess ranks 127.5."""
+    rng = np.random.default_rng(3)
+    P = rng.integers(0, 256, (40, 16), dtype=np.uint8)
+    P[:, 5] = 0x3C
+    acc = ClassCpaAccumulator(4, first_round_table(FIRST_ROUND_SBOX_OUTPUT))
+    acc.update_batch(P, rng.normal(size=(40, 4)))
+    res = acc.finalize(byte_rows(5))
+    assert res.degenerate_hypotheses.all()
+    assert np.all(res.corr == 0.0)
+    assert rank_of(cpa_scores(res.corr), 17) == 127.5
+    assert not acc.finalize(byte_rows(4)).degenerate_hypotheses.any()
+
+
+def test_class_cpa_constant_sample_column_flagged():
+    rng = np.random.default_rng(7)
+    X = np.column_stack([np.full(30, 3.25), rng.normal(size=30)])
+    acc = ClassCpaAccumulator(2, first_round_table(FIRST_ROUND_SBOX_INPUT))
+    acc.update_batch(rng.integers(0, 256, (30, 16), dtype=np.uint8), X)
+    res = acc.finalize(byte_rows(0))
+    assert res.degenerate_samples.tolist() == [True, False]
+    assert np.all(res.corr[:, 0] == 0.0)
+    assert np.any(res.corr[:, 1] != 0.0)
+
+
+def test_class_cpa_needs_two_traces_and_one_byte():
+    acc = ClassCpaAccumulator(3, first_round_table(FIRST_ROUND_SBOX_OUTPUT))
+    with pytest.raises(AnalysisError):
+        acc.finalize(byte_rows(0))
+    acc.update_batch(np.zeros((1, 16), np.uint8), [[1.0, 2.0, 3.0]])
+    with pytest.raises(AnalysisError, match="n=1"):
+        acc.finalize(byte_rows(0))
+    acc.update_batch(np.ones((1, 16), np.uint8), [[1.0, 2.0, 4.0]])
+    for rows in (slice(0, 512), slice(128, 384), slice(4096, 4352)):
+        with pytest.raises(AnalysisError):
+            acc.finalize(rows)
+    with pytest.raises(AnalysisError):
+        acc.update_batch(np.zeros((2, 15), np.uint8), np.zeros((2, 3)))
+    with pytest.raises(AnalysisError):
+        acc.update_batch(np.zeros((2, 16), np.uint8), np.zeros((3, 3)))
+
+
 # ---------------------------------------------------------- scores/ranks
 
 def test_rank_of_examples():
@@ -532,20 +641,27 @@ class Plan:
 
 
 class FakeAccumulator:
-    """Stands in for evaluation.CpaAccumulator(m, 16 * 256). It checks that
-    each 256-row block holds its byte's hypotheses (rigged_publics makes
-    block b zero only at row b) and counts its traces, so what
-    finalize(rows) returns depends on (byte, traces processed), not on the
-    order of calls."""
+    """Stands in for evaluation.ClassCpaAccumulator(m, table), the
+    first-round loop's accumulator, and for evaluation.CpaAccumulator(m,
+    16 * 256), the reference loop's. It checks that each byte's 256
+    hypotheses are its own (rigged_publics makes byte b's hypotheses zero
+    only at guess b: in the class path, table column p[b]; in the GEMM path,
+    the byte's 256-row block) and counts its traces, so what finalize(rows)
+    returns depends on (byte, traces processed), not on the order of
+    calls."""
 
-    def __init__(self, plan, num_hypotheses):
-        assert num_hypotheses == 16 * 256
+    def __init__(self, plan, table=None):
         self.plan = plan
+        self.table = table
         self.n = 0
 
-    def update_batch(self, H, X):
-        learned = [int(np.argmin(H[256 * b:256 * (b + 1), 0]))
-                   for b in range(16)]
+    def update_batch(self, publics_or_H, X):
+        if self.table is None:
+            H = publics_or_H
+            hypotheses = [H[256 * b:256 * (b + 1), 0] for b in range(16)]
+        else:
+            hypotheses = [self.table[:, publics_or_H[0, b]] for b in range(16)]
+        learned = [int(np.argmin(h)) for h in hypotheses]
         assert learned == list(range(16))
         self.n += X.shape[0]
         return self
@@ -593,8 +709,14 @@ def run_disclosure(mp, entries, n, interval=1000, budget=None,
     """Drive a disclosure loop over n traces with rigged scores; mp is a
     pytest MonkeyPatch. Returns (disclosure, final ranks, finalize log)."""
     plan = Plan(entries)
-    mp.setattr(evaluation, "CpaAccumulator",
-               lambda m, num_hypotheses: FakeAccumulator(plan, num_hypotheses))
+
+    def fake_gemm(m, num_hypotheses):
+        assert num_hypotheses == 16 * 256
+        return FakeAccumulator(plan)
+
+    mp.setattr(evaluation, "CpaAccumulator", fake_gemm)
+    mp.setattr(evaluation, "ClassCpaAccumulator",
+               lambda m, table: FakeAccumulator(plan, table))
     disclosure, ranks = loop(np.zeros((n, 2), np.float32), rigged_publics(n),
                              FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
     return disclosure, ranks, plan.finalized
@@ -703,3 +825,57 @@ def test_early_exit_matches_all_byte_reference(data):
     # never more finalizes than scoring every byte at every checkpoint
     limit = n if budget is None else min(n, budget)
     assert len(finalized) <= 16 * -(-limit // interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_loop_matches_gemm_reference_loop(data):
+    """On leaky random traces the class-sum loop gives exactly the
+    disclosure and final ranks of the all-16-byte GEMM reference. The
+    sbox-output target is used because sbox-input guesses k and k ^ 0xff
+    correlate as r and -r, exact ties that rounding breaks either way; and
+    every checkpoint scores at least 24 traces, since over a handful of
+    traces many guesses correlate exactly alike."""
+    n = data.draw(st.integers(24, 150), label="n")
+    interval = data.draw(st.integers(24, 60), label="interval")
+    budget = data.draw(st.none() | st.integers(24, 160), label="budget")
+    m = data.draw(st.integers(1, 6), label="m")
+    amplitude = data.draw(st.sampled_from([0.0, 0.3, 1.0, 4.0]),
+                          label="leak amplitude")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    key = rng.integers(0, 256, 16, dtype=np.uint8)
+    P = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    hw = HW_TABLE[SBOX[P ^ key]]  # (n, 16) true sbox-output weights
+    X = rng.normal(size=(n, m))
+    for j in range(16):  # with m < 16, bytes share leaking columns
+        X[:, j % m] += amplitude * hw[:, j]
+    X = X.astype(np.float32)
+    args = (X, P, FIRST_ROUND_SBOX_OUTPUT, key.tolist(), budget, interval)
+    want, want_ranks = reference_run_cpa_position(*args)
+    got, got_ranks = evaluation._run_cpa_position(*args)
+    assert got == want and type(got) is type(want)
+    assert got_ranks.tolist() == want_ranks.tolist()
+
+
+@pytest.mark.parametrize("kind", FIRST_ROUND_KINDS)
+def test_first_round_cpa_peak_memory_independent_of_interval(kind):
+    """First-round CPA over 1000 traces of m = 500 peaks at about the same
+    memory whatever the checkpoint interval: the class sums are fixed in
+    size, and an update widens at most one (256, m) block of samples at a
+    time. The GEMM path held a (4096, b) uint8 hypothesis matrix and a
+    (256, b) float64 buffer for a slice of b traces."""
+    n, m = 1000, 500
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(n, m)).astype(np.float32)
+    P = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    peaks = {}
+    for interval in (250, 1000):
+        tracemalloc.start()
+        try:
+            disclosure, _ = evaluation._run_cpa_position(X, P, kind, KEY,
+                                                         None, interval)
+            _, peaks[interval] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert disclosure == math.inf
+    assert abs(peaks[1000] - peaks[250]) <= 256 * m * 8, peaks
