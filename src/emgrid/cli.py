@@ -6,10 +6,10 @@ explicit seeds (config file or --seed), so a fixed command line produces
 byte-identical artifacts, whatever --threads says.
 
 --threads N (at least 1; default 1) lets simulate synthesize its chunks in
-W = min(N, usable CPUs, chunks) processes, itself and W - 1 forked workers,
-each holding about one chunk, which write their records into --out in
-place; with W = 1, no os.fork, or an --out that is not a regular file
-(/dev/null, a pipe) it synthesizes in its own process alone. snr, cpa, evaluate and hybrid accept the
+W = min(N, usable CPUs, chunks) processes, itself and W - 1 forked
+multiprocessing workers, which write their records into --out in place;
+with W = 1, no os.fork, or an --out that is not a regular file (/dev/null,
+a pipe) it synthesizes alone. snr, cpa, evaluate and hybrid accept the
 flag and ignore it: they sweep positions one after another in one thread,
 and their matrix products already use every core through BLAS.
 
@@ -366,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cpa", help="per-position CPA disclosure map")
     _add_dataset(p)
-    p.add_argument("--target", choices=sorted(TARGET_KINDS),
-                   default="last-round-hd", help="all 16 key bytes are attacked")
+    p.add_argument("--target", choices=["last-round-hd", "sbox-output"],
+                   default="last-round-hd", help="all 16 key bytes are attacked "
+                   "(not sbox-input: guesses k and k ^ 0xff tie)")
     _add_disclosure(p)
     p.set_defaults(func=cmd_cpa)
 

@@ -18,6 +18,7 @@ from .errors import AnalysisError, ConfigError
 from .grid import GridGeometry
 from .heatmap import Heatmap
 from .leakage import (
+    FIRST_ROUND_SBOX_INPUT,
     LAST_ROUND_HD,
     LeakageModel,
     build_hypothesis_matrix,
@@ -211,7 +212,10 @@ def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
                       progress=None):
     """Unprofiled CPA on the raw samples under leakage model `kind`, swept
     over the grid. Every position's traces must share one key; all 16 key
-    bytes are attacked."""
+    bytes are attacked. Not under sbox-input: HW(p ^ k ^ 0xff) = 8 - HW(p ^ k),
+    so guesses k and k ^ 0xff would tie under |r|."""
+    if kind == FIRST_ROUND_SBOX_INPUT:
+        raise ConfigError("sbox-input CPA cannot tell guess k from k ^ 0xff")
     return _disclosure_grid(arrays, geometry, kind,
                             lambda idx: arrays.samples[idx], budget,
                             checkpoint_interval, progress)

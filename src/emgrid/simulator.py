@@ -40,36 +40,30 @@ neither the trace length m nor the trace count. The substreams make the
 file bytes independent of the chunk size.
 
 simulate_grid_dataset(..., threads=N) synthesizes in W = worker_count(N,
-usable CPUs, chunks) processes. With W >= 2 it plans the chunks with their
-first record indices and forks W - 1 workers; process w (the caller is
-process 0) synthesizes chunks w, w + W, ... and writes their packed records
-into the file at their own offsets with os.pwrite, so no sample crosses a
-process boundary and each process holds about one chunk (at most
-_CHUNK_BYTES of float64 samples plus its temporaries) besides the pages a
-worker shares with the caller. Between its own chunks the caller reads the
-workers' finished-record counts from one pipe for the progress callback.
-It writes the preamble last, re-raises a worker's exception (pickled
-through the same pipe with the file, line and function that raised it,
-since its traceback stays behind; errors.raised_at reports that frame)
-and reaps every worker, also on failure, when it truncates the
-file to 0 bytes. Workers end through os._exit only. The caller takes a
-share rather than only waiting: a caller that only waited left its memory
-allocator cold, and the survey benchmark's next command, snr, ran about
-10% slower in the same process. The substreams make the bytes the same
-for every W. With W = 1, without
-os.fork, or when the path is not a regular file, such as /dev/null or a
-pipe, chunks are synthesized and written in the calling process. Forking
-is safe here because the workers make no BLAS call and the simulating
-process runs no Python thread of its own.
+usable CPUs, chunks) processes: the caller (process 0) and W - 1 workers,
+each a forked multiprocessing Process with its own one-way Pipe. Process w
+synthesizes chunks w, w + W, ... and os.pwrites their packed records at
+their own offsets, so no sample crosses a process boundary and each process
+holds about one chunk (at most _CHUNK_BYTES of float64 samples plus its
+temporaries) besides the pages a worker shares with the caller. A worker
+sends the caller the record count of each chunk it writes, or its
+exception with the frame that raised it (errors.raised_at; the traceback
+stays behind), and ends through os._exit only. The caller writes the
+preamble last; on any failure it kills and reaps every worker and
+truncates the file to 0 bytes. It takes a share because a caller that only
+waited left its memory allocator cold: the survey benchmark's next
+command, snr, ran about 10% slower in the same process. With W = 1,
+without os.fork, or when the path is not a regular file, such as /dev/null
+or a pipe, the calling process synthesizes and writes every chunk and never
+imports multiprocessing. Forking is safe because the workers make no BLAS
+call and the simulating process runs no Python thread of its own.
 """
 
 import json
 import math
 import os
 import pickle
-import signal
 import stat
-import struct
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -459,20 +453,12 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None,
     return header
 
 
-# A worker's pipe message: its index, a kind, and a record count (_DONE) or
-# the byte length of the piece of its pickled exception that follows.
-_MESSAGE = struct.Struct("<IBI")
-_DONE, _ERROR_PIECE, _ERROR_END = 0, 1, 2
-_PIPE_ATOMIC = 512  # POSIX's least PIPE_BUF: no such write is interleaved
-
-
 def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
                       workers: int, progress) -> None:
-    """Synthesize chunk w, w + workers, ... in process w and write its
-    records in place with os.pwrite. Process 0 is the caller, which forks
-    the others, writes the preamble once every record is written and
-    re-raises the first exception a worker sends. On any failure it kills
-    and reaps every worker and truncates the file to 0 bytes."""
+    """Write the dataset from the caller and workers - 1 forked processes."""
+    import multiprocessing  # here, so that no other command pays its import
+    from multiprocessing.connection import wait
+
     jobs, first = [], 0
     for job in _chunk_plan(config):
         jobs.append((first, *job))
@@ -482,52 +468,65 @@ def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
             f"record/header mismatch: planned {first} records, header "
             f"declares {header.trace_count}")
     preamble = dataset_preamble(header)
+    context = multiprocessing.get_context("fork")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    read_end, write_end = os.pipe()
-    pids = []
+    procs, pipes = [], []
     written = False
     try:
         for index in range(1, workers):
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of numpy's idle BLAS threads; workers
-                # make no BLAS call
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _worker(config, header, jobs[index::workers], fd, len(preamble),
-                        write_end, index)
-            pids.append(pid)
-        os.close(write_end)
-        write_end = None
-        reader = _Reader(read_end, header.trace_count, progress)
-        os.set_blocking(read_end, False)
-        for job in jobs[::workers]:
-            _write_chunk(config, header, job, fd, len(preamble))
-            reader.add(job[-1])
-            reader.drain()
-        os.set_blocking(read_end, True)
-        while reader.drain():
-            pass
-        for index, pid in enumerate(pids):
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids[index] = None
-            if status:  # a worker that ends with 0 wrote all its records
-                ended = (f"by signal {-status}" if status < 0
-                         else f"with status {status}")
-                raise ChildProcessError(
-                    f"simulation worker {index + 1} ended {ended}")
+            receiving, sending = context.Pipe(duplex=False)
+            pipes.append(receiving)
+            proc = context.Process(
+                target=_worker, args=(config, header, jobs[index::workers], fd,
+                                      len(preamble), sending))
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of numpy's idle BLAS threads; workers
+                    # make no BLAS call
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    proc.start()
+            finally:
+                sending.close()
+            procs.append(proc)
+        # take the messages that wait before each own chunk, then wait for
+        # them until every worker has closed its pipe
+        own, listening, done = jobs[::workers], list(pipes), 0
+        while own or listening:
+            counts = []
+            for pipe in wait(listening, 0 if own else None):
+                try:
+                    message = pipe.recv()
+                except EOFError:  # the worker has ended
+                    listening.remove(pipe)
+                    continue
+                if type(message) is not int:
+                    exc, frame = message
+                    exc.worker_frame = frame
+                    raise exc
+                counts.append(message)
+            if own:
+                job = own.pop(0)
+                _write_chunk(config, header, job, fd, len(preamble))
+                counts.append(job[-1])
+            for count in counts:
+                done += count
+                if progress is not None:
+                    progress(done, header.trace_count)
+        for index, proc in enumerate(procs, 1):
+            proc.join()
+            if proc.exitcode:  # a worker that ends with 0 wrote all its records
+                ended = (f"by signal {-proc.exitcode}" if proc.exitcode < 0
+                         else f"with status {proc.exitcode}")
+                raise ChildProcessError(f"simulation worker {index} ended {ended}")
         os.pwrite(fd, preamble, 0)
         written = True
     finally:
-        pids = [pid for pid in pids if pid is not None]
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        os.close(read_end)
-        if write_end is not None:
-            os.close(write_end)
+        for proc in procs:
+            proc.kill()  # a no-op for a worker already reaped
+            proc.join()
+            proc.close()
+        for pipe in pipes:
+            pipe.close()
         if not written:
             os.ftruncate(fd, 0)
         os.close(fd)
@@ -548,85 +547,27 @@ def _write_chunk(config: SimConfig, header: DatasetHeader, job, fd: int,
 
 
 def _worker(config: SimConfig, header: DatasetHeader, jobs, fd: int,
-            offset: int, pipe: int, index: int) -> None:
-    """A forked worker's whole life: write each job's records, send each
-    chunk's record count, or its exception, on the pipe, and end the process
-    with os._exit, which runs no handler and flushes no buffer the parent
-    also holds."""
+            offset: int, pipe) -> None:
+    """A forked worker's whole life: write each job's records and send its
+    record count, or send the exception and the frame that raised it (as a
+    RuntimeError if it does not survive pickling), and end the process with
+    os._exit, which runs no handler and flushes no buffer the parent also
+    holds."""
     code = 1
     try:
         for job in jobs:
             _write_chunk(config, header, job, fd, offset)
-            os.write(pipe, _MESSAGE.pack(index, _DONE, job[-1]))
+            pipe.send(job[-1])
         code = 0
     except BaseException as e:  # re-raised by the parent, which ends this worker
-        _send_exception(pipe, index, e)
+        frame = raised_at(e)
+        try:
+            pickle.loads(pickle.dumps(e))
+        except Exception:
+            e = RuntimeError(f"{type(e).__name__}: {e}")
+        pipe.send((e, frame))
     finally:
         os._exit(code)
-
-
-def _send_exception(pipe: int, index: int, exc: BaseException) -> None:
-    """Send exc and the frame that raised it pickled, in pieces that each
-    fit one atomic pipe write. An exception that does not survive pickling
-    is sent as a RuntimeError."""
-    frame = raised_at(exc)
-    try:
-        payload = pickle.dumps((exc, frame))
-        pickle.loads(payload)
-    except Exception:
-        payload = pickle.dumps(
-            (RuntimeError(f"{type(exc).__name__}: {exc}"), frame))
-    size = _PIPE_ATOMIC - _MESSAGE.size
-    for at in range(0, len(payload), size):
-        piece = payload[at:at + size]
-        kind = _ERROR_END if at + size >= len(payload) else _ERROR_PIECE
-        os.write(pipe, _MESSAGE.pack(index, kind, len(piece)) + piece)
-
-
-class _Reader:
-    """The parent's end of the workers' pipe: counts finished records for
-    progress(done, total) and raises the first exception a worker sends
-    whole."""
-
-    def __init__(self, pipe: int, total: int, progress):
-        self.pipe, self.total, self.progress = pipe, total, progress
-        self.done = 0
-        self.pending = b""
-        self.pieces = {}
-
-    def add(self, count: int) -> None:
-        self.done += count
-        if self.progress is not None:
-            self.progress(self.done, self.total)
-
-    def drain(self) -> bool:
-        """Handle the messages one read returns; False once every worker
-        has closed the pipe. A non-blocking pipe with nothing to read
-        returns True at once."""
-        try:
-            data = os.read(self.pipe, 1 << 16)
-        except BlockingIOError:
-            return True
-        self.pending += data
-        at = 0
-        while len(self.pending) - at >= _MESSAGE.size:
-            index, kind, n = _MESSAGE.unpack_from(self.pending, at)
-            if kind == _DONE:
-                at += _MESSAGE.size
-                self.add(n)
-                continue
-            end = at + _MESSAGE.size + n
-            if len(self.pending) < end:
-                break
-            piece = self.pending[at + _MESSAGE.size:end]
-            self.pieces[index] = self.pieces.get(index, b"") + piece
-            at = end
-            if kind == _ERROR_END:
-                exc, frame = pickle.loads(self.pieces[index])
-                exc.worker_frame = frame
-                raise exc
-        self.pending = self.pending[at:]
-        return bool(data)
 
 
 def derive_seed(seed: int) -> int:

@@ -239,6 +239,22 @@ def test_simulate_worker_defect_logs_the_raising_frame(capsys, workdir,
     assert wheres[0].startswith("test_cli.py:") and wheres[0].endswith(" in failing")
 
 
+
+def test_no_command_imports_multiprocessing(workdir, sim_config):
+    """Only a forked simulate imports multiprocessing, so neither importing
+    the CLI nor an in-process simulate pays for it. Run as a fresh process:
+    this one has imported it already."""
+    script = ("import sys\n"
+              "import emgrid.cli\n"
+              "assert 'multiprocessing' not in sys.modules\n"
+              "assert emgrid.cli.main(sys.argv[1:]) == 0\n"
+              "assert 'multiprocessing' not in sys.modules\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--config", str(sim_config),
+         "--out", str(workdir / "in_process.emgd"), "--threads", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
 # JSON nested deeper than the parser's recursion limit
 NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
 
@@ -542,6 +558,26 @@ def test_cpa_budget_zero_all_infinite(capsys, workdir, hd_dataset):
     assert math.isinf(heatmap_from_csv(discl.read_text())[0, 0])
     position = [e for e in events if e["event"] == "position"]
     assert [e["disclosure"] for e in position] == ["inf"]
+
+
+def test_cpa_sbox_input_target_exit_2(capsys, workdir, dataset, monkeypatch):
+    """HW(p ^ k ^ 0xff) = 8 - HW(p ^ k), so under |r| guesses k and k ^ 0xff
+    tie and sbox-input CPA never discloses; cpa refuses the target before it
+    reads the fixed-key dataset."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(cli, "read_header", no_read)
+    monkeypatch.setattr(cli, "read_arrays", no_read)
+    out = workdir / "sbox_input_d.csv"
+    code, events = run(capsys, "cpa", "--in", dataset, "--target", "sbox-input",
+                       "--out-disclosure", out,
+                       "--out-ranks", workdir / "sbox_input_r.csv")
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert "--target" in events[0]["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

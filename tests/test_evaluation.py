@@ -148,6 +148,14 @@ def test_every_sweep_rejects_no_traces(sweep):
         sweep(empty)
 
 
+
+def test_cpa_grid_refuses_the_sbox_input_model():
+    """Guesses k and k ^ 0xff tie under the sbox-input model, so no byte
+    could rank strictly first."""
+    with pytest.raises(ConfigError, match="sbox-input"):
+        evaluate_cpa_grid(build_arrays(10, 35, np.zeros(10)), G21,
+                          FIRST_ROUND_SBOX_INPUT)
+
 def test_snr_grid_last_round_hd_classes():
     # HD labels have 9 classes; a sample proportional to HD_5 shows up
     arr = build_arrays(3000, 13, np.zeros(3000))

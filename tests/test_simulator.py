@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from emgrid import simulator
 from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys
 from emgrid.distinguishers import SnrAccumulator
-from emgrid.errors import ConfigError
+from emgrid.errors import ConfigError, raised_at
 from emgrid.grid import GridGeometry
 from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE, true_last_round_hds
 from emgrid.simulator import (
@@ -422,12 +422,22 @@ class Unpicklable(Exception):
         self.callback = lambda: None
 
 
+class TwoArgs(Exception):
+    """An exception that pickles but cannot be unpickled: its one stored
+    argument is too few for __init__."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 @pytest.mark.parametrize("start, exc, kind, message", [
-    # chunk 23, the forked worker's; three pipe messages long
+    # chunk 23, the forked worker's; a message longer than a pipe's atomic write
     (32, ConfigError("x" * 1200), ConfigError, "x" * 1200),
     (32, Unpicklable("boom"), RuntimeError, "Unpicklable: boom"),
     # chunk 22, the calling process's own
     (16, Unpicklable("boom"), Unpicklable, "boom"),
+    # chunk 23 again: pickles, but unpickling calls TwoArgs with one argument
+    (32, TwoArgs(1, 2), RuntimeError, "TwoArgs: 1 and 2"),
 ])
 def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch, start, exc,
                                              kind, message):
@@ -445,9 +455,39 @@ def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch, start, exc,
     with pytest.raises(kind) as caught:
         simulate_grid_dataset(worker_config(), path, threads=2)
     assert str(caught.value) == message
+    raise_line = failing.__code__.co_firstlineno + 2
+    assert raised_at(caught.value) == f"test_simulator.py:{raise_line} in failing"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert path.stat().st_size == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to list open descriptors")
+@pytest.mark.parametrize("fail", [False, True])
+def test_forked_simulation_leaks_no_descriptor(tmp_path, monkeypatch, fail):
+    """Neither a forked simulation nor one whose worker fails leaves a pipe
+    or a process sentinel open in the caller."""
+    synthesize = simulator._synthesize_chunk
+
+    def failing(config, position, split, start, count):
+        if fail and (position, split, start) == (3, 0, 32):  # a worker's chunk
+            raise ConfigError("failed")
+        return synthesize(config, position, split, start, count)
+
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator, "_synthesize_chunk", failing)
+    before = sorted(os.listdir("/proc/self/fd"))
+    path = tmp_path / "fds.emgd"
+    if fail:
+        # caught keeps the traceback's frames, and what they hold, alive
+        with pytest.raises(ConfigError) as caught:
+            simulate_grid_dataset(worker_config(), path, threads=2)
+        assert caught.value.worker_frame.endswith(" in failing")
+    else:
+        simulate_grid_dataset(worker_config(), path, threads=2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_killed_worker_fails_the_simulation(tmp_path, monkeypatch):
