@@ -7,9 +7,9 @@ byte-identical artifacts, whatever --threads says.
 
 --threads N (at least 1; default 1) lets simulate synthesize its chunks in
 W = min(N, usable CPUs, chunks) processes, itself and W - 1 forked
-multiprocessing workers, which write their records into --out in place;
-with W = 1, no os.fork, or an --out that is not a regular file (/dev/null,
-a pipe) it synthesizes alone. snr, cpa, evaluate and hybrid accept the
+multiprocessing workers; every process writes its records into --out in
+place, so --out must be seekable (a pipe exits 1), and with W = 1 or no
+os.fork nothing is forked. snr, cpa, evaluate and hybrid accept the
 flag and ignore it: they sweep positions one after another in one thread,
 and their matrix products already use every core through BLAS.
 
@@ -118,7 +118,7 @@ def cmd_simulate(args) -> int:
             _log("progress", done=done, total=total_traces)
         last = done
 
-    workers = simulation_workers(config, args.out, args.threads)
+    workers = simulation_workers(config, args.threads)
     header = simulate_grid_dataset(config, args.out, progress, args.threads)
     _log("dataset", path=args.out, positions=config.geometry.position_count,
          per_position=dict(config.traces_per_position), total=header.trace_count,
@@ -308,20 +308,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: a whole number of at least low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse's "invalid int value: 'abc'"
+    return parse
 
 
 def _add_threads(p):
-    p.add_argument("--threads", type=positive_int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="simulate: synthesize in up to this many "
                         "processes (this one and forked workers), no more "
                         "than the usable CPUs or the chunks, each holding "
-                        "about one 4 MiB chunk; an --out that is not a "
-                        "regular file is written by this process alone. "
+                        "about one 4 MiB chunk and writing its records into "
+                        "--out in place; 1 forks nothing. "
                         "Other commands ignore it")
 
 
@@ -336,8 +340,8 @@ def _add_target(p):
 
 def _add_disclosure(p):
     p.add_argument("--split", choices=sorted(SPLIT_CODES), default="holdout")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--checkpoint", type=int, default=1000)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--checkpoint", type=_int_at_least(1), default=1000)
     p.add_argument("--out-disclosure", required=True)
     p.add_argument("--out-ranks", required=True)
     _add_threads(p)

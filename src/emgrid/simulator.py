@@ -35,42 +35,43 @@ words: counter (1, 0, 0, 0), the trace's block in the buffer and 2 or 4 of
 its words used. Without jitter and noise the loop does not run.
 
 Traces are synthesized and written in chunks of at most _CHUNK_ROWS and
-max(1, _CHUNK_BYTES // (8 m)) traces, so a chunk's memory grows with
-neither the trace length m nor the trace count. The substreams make the
-file bytes independent of the chunk size.
+_CHUNK_BYTES // (8 m) traces, so a chunk's memory grows with neither the
+trace length m nor the trace count; SimConfig caps m at _CHUNK_BYTES // 8,
+so a chunk holds at least one trace. The substreams make the file bytes
+independent of the chunk size.
 
 simulate_grid_dataset(..., threads=N) synthesizes in W = worker_count(N,
 usable CPUs, chunks) processes: the caller (process 0) and W - 1 workers,
 each a forked multiprocessing Process with its own one-way Pipe. Process w
-synthesizes chunks w, w + W, ... and os.pwrites their packed records at
-their own offsets, so no sample crosses a process boundary and each process
-holds about one chunk (at most _CHUNK_BYTES of float64 samples plus its
+synthesizes chunks w, w + W, ... and puts their records at their own
+offsets through traceset.open_dataset, which alone knows the record
+layout, so no sample crosses a process boundary and each process holds
+about one chunk (at most _CHUNK_BYTES of float64 samples plus its
 temporaries) besides the pages a worker shares with the caller. A worker
 sends the caller the record count of each chunk it writes, or its
 exception with the frame that raised it (errors.raised_at; the traceback
-stays behind), and ends through os._exit only. The caller writes the
-preamble last; on any failure it kills and reaps every worker and
-truncates the file to 0 bytes. It takes a share because a caller that only
-waited left its memory allocator cold: the survey benchmark's next
-command, snr, ran about 10% slower in the same process. With W = 1,
-without os.fork, or when the path is not a regular file, such as /dev/null
-or a pipe, the calling process synthesizes and writes every chunk and never
-imports multiprocessing. Forking is safe because the workers make no BLAS
-call and the simulating process runs no Python thread of its own.
+stays behind), and ends through os._exit only. On any failure the caller
+kills and reaps every worker and open_dataset empties the file; on success
+open_dataset writes the preamble last. The caller takes a share because
+a caller that only waited left its memory allocator cold: the survey
+benchmark's next command, snr, ran about 10% slower in the same process.
+With W = 1 or without os.fork the caller writes every chunk itself, forks
+nothing and never imports multiprocessing. Forking is safe because the
+workers make no BLAS call and the simulating process runs no Python thread
+of its own.
 """
 
 import json
 import math
 import os
 import pickle
-import stat
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aes import encrypt_blocks, expand_keys, expand_keys_batch
-from .errors import ConfigError, DataFormatError, raised_at
+from .errors import ConfigError, raised_at
 from .grid import GridGeometry, json_object, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
@@ -81,15 +82,11 @@ from .leakage import (
 )
 from .traceset import (
     ADC_BITS,
-    MAX_M,
     SPLIT_CODES,
     SPLIT_NAMES,
     DatasetHeader,
     TraceArrays,
-    _pack,
-    dataset_preamble,
-    record_dtype,
-    write_dataset,
+    open_dataset,
 )
 
 LAST_ROUND_HD_TRUE = "LastRoundHDTrue"
@@ -202,9 +199,10 @@ class SimConfig:
     description: str = ""
 
     def __post_init__(self):
-        if not 0 < self.m <= MAX_M:
+        if not 0 < self.m <= _CHUNK_BYTES // 8:
             raise ConfigError(
-                f"m must be in 1..{MAX_M}, the samples one .emgd record holds")
+                f"m must be in 1..{_CHUNK_BYTES // 8}, the float64 samples "
+                f"of one {_CHUNK_BYTES >> 20} MiB simulation chunk")
         if self.geometry.position_count > 1 << 16:
             raise ConfigError(
                 f"grid has {self.geometry.position_count} positions; the .emgd "
@@ -377,22 +375,17 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
 
 
 def _chunk_plan(config: SimConfig):
-    """(position, split, start, count) of every chunk, in record order."""
-    rows = min(_CHUNK_ROWS, max(1, _CHUNK_BYTES // (8 * config.m)))
+    """(first, position, split, start, count) of every chunk, in record
+    order: first is the file index of the chunk's first record."""
+    rows = min(_CHUNK_ROWS, _CHUNK_BYTES // (8 * config.m))
+    first = 0
     for position in range(config.geometry.position_count):
         for split, name in SPLIT_NAMES.items():
             count = config.traces_per_position.get(name, 0)
             for start in range(0, count, rows):
-                yield position, split, start, min(rows, count - start)
-
-
-def _all_chunks(config: SimConfig, progress=None):
-    emitted = 0
-    for job in _chunk_plan(config):
-        yield _synthesize_chunk(config, *job)
-        emitted += job[-1]
-        if progress is not None:
-            progress(emitted, config.total_traces)
+                n = min(rows, count - start)
+                yield first, position, split, start, n
+                first += n
 
 
 def worker_count(threads: int, cpus: int, chunks: int) -> int:
@@ -408,24 +401,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _is_regular_or_new(path) -> bool:
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        return True
-
-
-def simulation_workers(config: SimConfig, path, threads: int) -> int:
+def simulation_workers(config: SimConfig, threads: int) -> int:
     """The processes simulate_grid_dataset(config, path, threads=threads)
     synthesizes in: W, the caller and W - 1 forked workers, or 1 where
-    os.fork does not exist or path names an existing file that is not a
-    regular one, such as /dev/null or a pipe, which records are streamed
-    to in order."""
-    workers = worker_count(threads, usable_cpus(),
-                           sum(1 for _ in _chunk_plan(config)))
-    if workers > 1 and hasattr(os, "fork") and _is_regular_or_new(path):
-        return workers
-    return 1
+    os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    return worker_count(threads, usable_cpus(), sum(1 for _ in _chunk_plan(config)))
 
 
 def simulate_grid_dataset(config: SimConfig, path, progress=None,
@@ -436,7 +418,7 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None,
     index; the per-trace substreams make any other generation schedule
     produce byte-identical files. progress(done, total) is called as chunks
     are written, with done increasing. The chunks are synthesized in
-    simulation_workers(config, path, threads) processes.
+    simulation_workers(config, threads) processes.
     """
     header = DatasetHeader(
         geometry=config.geometry,
@@ -445,40 +427,27 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None,
         description=config.description,
         adc_bits=config.device.adc_bits,
     )
-    workers = simulation_workers(config, path, threads)
-    if workers == 1:
-        write_dataset(header, _all_chunks(config, progress), path)
-    else:
-        _write_in_workers(config, header, path, workers, progress)
+    workers = simulation_workers(config, threads)
+    with open_dataset(header, path) as put:
+        _put_chunks(config, put, workers, progress)
     return header
 
 
-def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
-                      workers: int, progress) -> None:
-    """Write the dataset from the caller and workers - 1 forked processes."""
-    import multiprocessing  # here, so that no other command pays its import
-    from multiprocessing.connection import wait
-
-    jobs, first = [], 0
-    for job in _chunk_plan(config):
-        jobs.append((first, *job))
-        first += job[-1]
-    if first != header.trace_count:
-        raise DataFormatError(
-            f"record/header mismatch: planned {first} records, header "
-            f"declares {header.trace_count}")
-    preamble = dataset_preamble(header)
-    context = multiprocessing.get_context("fork")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+def _put_chunks(config: SimConfig, put, workers: int, progress) -> None:
+    """Synthesize and put every planned chunk: the caller takes chunks 0,
+    W, 2W, ... and forked worker w chunks w, w + W, ... (W = workers)."""
+    if workers > 1:
+        import multiprocessing  # here, so that W = 1 never pays its import
+        from multiprocessing.connection import wait
+        context = multiprocessing.get_context("fork")
+    jobs = list(_chunk_plan(config))
     procs, pipes = [], []
-    written = False
     try:
         for index in range(1, workers):
             receiving, sending = context.Pipe(duplex=False)
             pipes.append(receiving)
             proc = context.Process(
-                target=_worker, args=(config, header, jobs[index::workers], fd,
-                                      len(preamble), sending))
+                target=_worker, args=(config, put, jobs[index::workers], sending))
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns of numpy's idle BLAS threads; workers
@@ -493,7 +462,7 @@ def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
         own, listening, done = jobs[::workers], list(pipes), 0
         while own or listening:
             counts = []
-            for pipe in wait(listening, 0 if own else None):
+            for pipe in wait(listening, 0 if own else None) if listening else ():
                 try:
                     message = pipe.recv()
                 except EOFError:  # the worker has ended
@@ -505,21 +474,19 @@ def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
                     raise exc
                 counts.append(message)
             if own:
-                job = own.pop(0)
-                _write_chunk(config, header, job, fd, len(preamble))
+                first, *job = own.pop(0)
+                put(_synthesize_chunk(config, *job), first)
                 counts.append(job[-1])
             for count in counts:
                 done += count
                 if progress is not None:
-                    progress(done, header.trace_count)
+                    progress(done, config.total_traces)
         for index, proc in enumerate(procs, 1):
             proc.join()
             if proc.exitcode:  # a worker that ends with 0 wrote all its records
                 ended = (f"by signal {-proc.exitcode}" if proc.exitcode < 0
                          else f"with status {proc.exitcode}")
                 raise ChildProcessError(f"simulation worker {index} ended {ended}")
-        os.pwrite(fd, preamble, 0)
-        written = True
     finally:
         for proc in procs:
             proc.kill()  # a no-op for a worker already reaped
@@ -527,36 +494,18 @@ def _write_in_workers(config: SimConfig, header: DatasetHeader, path,
             proc.close()
         for pipe in pipes:
             pipe.close()
-        if not written:
-            os.ftruncate(fd, 0)
-        os.close(fd)
 
 
-def _write_chunk(config: SimConfig, header: DatasetHeader, job, fd: int,
-                 offset: int) -> None:
-    """Synthesize one planned chunk and write its records at their place
-    in the file, offset bytes of preamble ahead of record 0."""
-    first, position, split, start, count = job
-    chunk = _synthesize_chunk(config, position, split, start, count)
-    dtype = record_dtype(config.m)
-    data = memoryview(_pack(chunk, header, dtype, first).view(np.uint8))
-    at = offset + first * dtype.itemsize
-    while data:  # a write may stop short of 2 GiB
-        n = os.pwrite(fd, data, at)
-        data, at = data[n:], at + n
-
-
-def _worker(config: SimConfig, header: DatasetHeader, jobs, fd: int,
-            offset: int, pipe) -> None:
-    """A forked worker's whole life: write each job's records and send its
+def _worker(config: SimConfig, put, jobs, pipe) -> None:
+    """A forked worker's whole life: put each job's records and send its
     record count, or send the exception and the frame that raised it (as a
     RuntimeError if it does not survive pickling), and end the process with
     os._exit, which runs no handler and flushes no buffer the parent also
     holds."""
     code = 1
     try:
-        for job in jobs:
-            _write_chunk(config, header, job, fd, offset)
+        for first, *job in jobs:
+            put(_synthesize_chunk(config, *job), first)
             pipe.send(job[-1])
         code = 0
     except BaseException as e:  # re-raised by the parent, which ends this worker

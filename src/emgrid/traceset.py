@@ -15,14 +15,17 @@ A dataset's header is {geometry{nx,ny,nz,step_mm,z_step_mm,origin_mm}, m,
 trace_count, description, adc_bits}, typed by grid.json_object; its payload
 is trace_count records of record_dtype(m).
 
-Files are written in TraceArrays chunks and read into one TraceArrays per
+Files are written in place by open_dataset, TraceArrays chunks at their
+record offsets and the preamble last, and read into one TraceArrays per
 split; both directions reject records whose position lies outside the grid
 or whose split code is unknown, and reading also rejects non-finite samples.
 """
 
+import contextlib
 import io
 import json
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass
 
@@ -108,14 +111,6 @@ def _pack(chunk, header: DatasetHeader, dtype: np.dtype, start: int) -> np.ndarr
     return rec
 
 
-def dataset_preamble(header: DatasetHeader) -> bytes:
-    """The bytes before a dataset's first record: its length is the offset
-    of record 0, and record i follows i * record_dtype(m).itemsize later."""
-    f = io.BytesIO()
-    write_preamble(f, MAGIC, asdict(header))
-    return f.getvalue()
-
-
 def write_preamble(f, magic: bytes, header: dict) -> None:
     """Write a file's magic, version and compact sorted-key JSON header."""
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -163,22 +158,51 @@ def check_payload_size(f, path, dtype, count: int) -> None:
             f"offset {end}")
 
 
-def write_dataset(header: DatasetHeader, chunks, path) -> None:
-    """Serialize an iterable of TraceArrays chunks; every row is checked
-    against the header. The bytes do not depend on how rows are chunked."""
+@contextlib.contextmanager
+def open_dataset(header: DatasetHeader, path):
+    """Create or truncate path and yield put(chunk, first), which checks a
+    TraceArrays chunk against the header and writes its rows in place as
+    records first, first + 1, ..., also from a process forked in the block.
+    The preamble is written when the block ends; an exception empties a
+    regular file instead (/dev/null cannot be emptied)."""
     if header.geometry.position_count > 1 << 16:
         raise DataFormatError("grid has more positions than the u16 index can address")
+    f = io.BytesIO()
+    write_preamble(f, MAGIC, asdict(header))
+    preamble = f.getvalue()
     dtype = record_dtype(header.m)
-    count = 0
-    with open(path, "wb") as f:
-        f.write(dataset_preamble(header))
+
+    def put(chunk, first: int) -> None:
+        data = memoryview(_pack(chunk, header, dtype, first).view(np.uint8))
+        at = len(preamble) + first * dtype.itemsize
+        while data:  # a write may stop short of 2 GiB
+            n = os.pwrite(fd, data, at)
+            data, at = data[n:], at + n
+
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        yield put
+        os.pwrite(fd, preamble, 0)
+    except BaseException:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
+def write_dataset(header: DatasetHeader, chunks, path) -> None:
+    """Serialize an iterable of TraceArrays chunks through open_dataset.
+    The bytes do not depend on how rows are chunked."""
+    with open_dataset(header, path) as put:
+        count = 0
         for chunk in chunks:
-            f.write(_pack(chunk, header, dtype, count))
+            put(chunk, count)
             count += len(chunk)
-    if count != header.trace_count:
-        raise DataFormatError(
-            f"record/header mismatch: wrote {count} records, header declares "
-            f"{header.trace_count}")
+        if count != header.trace_count:
+            raise DataFormatError(
+                f"record/header mismatch: wrote {count} records, header "
+                f"declares {header.trace_count}")
 
 
 def _read_header(f, path) -> DatasetHeader:

@@ -174,13 +174,44 @@ def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
         assert out.read_bytes() == (workdir / "wide1.emgd").read_bytes()
 
 
-def test_simulate_threads_to_dev_null_runs_in_process(capsys, sim_config):
-    """/dev/null is not a regular file; simulate streams to it from its own
-    process whatever --threads says."""
+def test_simulate_threads_to_dev_null_forks_workers(capsys, sim_config):
+    """/dev/null takes records at any offset, so simulate writes it with
+    forked workers like a regular file; it cannot be emptied, nor need it."""
     code, events = run(capsys, "simulate", "--config", sim_config,
                        "--out", "/dev/null", "--threads", 2)
     assert code == 0
-    assert events[-1]["event"] == "dataset" and events[-1]["workers"] == 1
+    chunks = sum(1 for _ in simulator._chunk_plan(
+        simulator.load_sim_config(sim_config)))
+    assert events[-1]["event"] == "dataset"
+    assert events[-1]["workers"] == min(2, simulator.usable_cpus(), chunks)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_to_a_pipe_exit_1(capsys, sim_config, threads):
+    """Records are written in place, so an --out that cannot seek, such as
+    a pipe, ends simulate with one OSError event and no worker left."""
+    read_end, write_end = os.pipe()
+
+    def drain():  # so that a write to the pipe can never block
+        while os.read(read_end, 1 << 16):
+            pass
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        code, events = run(capsys, "simulate", "--config", sim_config,
+                           "--out", f"/dev/fd/{write_end}", "--threads", threads)
+    finally:
+        os.close(write_end)
+        reader.join()
+        os.close(read_end)
+    assert code == 1
+    errors = [e for e in events if e["event"] == "error"]
+    assert errors == [events[-1]]
+    assert errors[0]["kind"] == "OSError"
+    assert "Illegal seek" in errors[0]["message"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -208,6 +239,7 @@ def test_simulate_worker_failure_exit_1(capsys, workdir, sim_config,
     assert errors[0]["message"] == "disk on fire"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert out.stat().st_size == 0
     with pytest.raises(DataFormatError):
         read_arrays(out, (SPLIT_TRAIN,))
 
@@ -282,6 +314,8 @@ BAD_CONFIGS = {
     "m-1e999": {"m": 1e999},
     # one sample past the .emgd record limit: rejected before any allocation
     "m-past-record-limit": {"m": MAX_M + 1},
+    # one trace past a 4 MiB simulation chunk
+    "m-past-chunk-budget": {"m": (4 << 20) // 8 + 1},
     "full-scale-one-value": {"device": {"full_scale": [1]}},
     "origin-shift-not-a-triple": {"perturbation": {"probe_origin_shift_mm": 5}},
     "perturbation-not-an-object": {"perturbation": 5},
@@ -1185,6 +1219,21 @@ def test_model_file_faults_exit_1_or_2(tmp_path_factory, dataset, hd_dataset,
     code, events = run_quiet(command, "--model", model, "--in", in_file, *outs)
     assert code in (1, 2), (fault, events)
     assert [e["event"] for e in events] == ["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cpa", "--in", "missing.emgd", "--checkpoint", 0],
+    ["cpa", "--in", "missing.emgd", "--budget", -1],
+    ["hybrid", "--model", "missing.emmod", "--in", "missing.emgd",
+     "--checkpoint", 0],
+])
+def test_disclosure_flags_are_checked_before_any_file(capsys, workdir, argv):
+    """--checkpoint below 1 and --budget below 0 exit 2 as argument errors,
+    before the dataset or the model is opened."""
+    code, events = run(capsys, *argv, "--out-disclosure", workdir / "d.csv",
+                       "--out-ranks", workdir / "r.csv")
+    assert code == 2
+    assert [e["kind"] for e in events] == ["ConfigError"]
 
 
 @pytest.mark.parametrize("flag", [("--checkpoint", 0), ("--budget", -1)])

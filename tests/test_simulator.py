@@ -405,7 +405,7 @@ def test_workers_write_the_bytes_of_one_process(tmp_path, monkeypatch):
         done = []
         simulate_grid_dataset(config, path, lambda d, total: done.append(d),
                               threads=threads)
-        assert simulation_workers(config, path, threads) == threads
+        assert simulation_workers(config, threads) == threads
         assert len(done) == 35 and done == sorted(set(done))
         assert done[-1] == config.total_traces
         files.append(path.read_bytes())
@@ -714,6 +714,12 @@ def test_config_validation():
         tiny_config(traces_per_position={"holdout": 1 << 40})
     with pytest.raises(ConfigError):
         sim_config_from_dict({"m": 4})
+    # A chunk holds at least one trace of 8-byte samples within its budget,
+    # so a longer trace is refused before anything is allocated.
+    assert simulator._CHUNK_BYTES // 8 == 524_288
+    tiny_config(m=524_288)
+    with pytest.raises(ConfigError, match="1..524288"):
+        tiny_config(m=524_289)
 
 
 def test_split_names_stable():

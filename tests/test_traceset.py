@@ -189,24 +189,30 @@ def test_write_mismatched_record_reports_index(tmp_path):
     header = DatasetHeader(GEOM, m=4, trace_count=1)
     rows = make_arrays(rng, header)
     rows.samples = np.zeros((1, 3), dtype=np.float32)
+    path = tmp_path / "x.emgd"
     with pytest.raises(DataFormatError, match="at index 0"):
-        write_dataset(header, [rows], tmp_path / "x.emgd")
+        write_dataset(header, [rows], path)
+    assert path.stat().st_size == 0  # no file that reads as a dataset
 
     # Indices count rows across chunks: row 1 opens the second chunk.
     header2 = DatasetHeader(GEOM, m=4, trace_count=2)
     rows = make_arrays(rng, header2)
     rows.positions[1] = GEOM.position_count
+    path = tmp_path / "y.emgd"
     with pytest.raises(DataFormatError, match="at index 1: position"):
-        write_dataset(header2, [rows.subset([0]), rows.subset([1])],
-                      tmp_path / "y.emgd")
+        write_dataset(header2, [rows.subset([0]), rows.subset([1])], path)
+    assert path.stat().st_size == 0
     rows = make_arrays(rng, header2)
     rows.splits[1] = 7
+    path = tmp_path / "s.emgd"
     with pytest.raises(DataFormatError, match="at index 1: bad split 7"):
-        write_dataset(header2, [rows], tmp_path / "s.emgd")
+        write_dataset(header2, [rows], path)
+    assert path.stat().st_size == 0
 
+    path = tmp_path / "z.emgd"
     with pytest.raises(DataFormatError, match="declares 2"):
-        write_dataset(header2, [make_arrays(rng, header2).subset([0])],
-                      tmp_path / "z.emgd")
+        write_dataset(header2, [make_arrays(rng, header2).subset([0])], path)
+    assert path.stat().st_size == 0
 
 
 def test_read_arrays(tmp_path):
