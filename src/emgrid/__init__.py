@@ -13,6 +13,6 @@ from .evaluation import evaluate_cpa_grid
 from .heatmap import heatmap_to_csv
 from .leakage import FIRST_ROUND_SBOX_OUTPUT
 from .simulator import sim_config_from_dict, simulate_grid_dataset
-from .traceset import SPLIT_HOLDOUT, read_arrays
+from .traceset import SPLIT_HOLDOUT, read_positions
 
 __version__ = "0.1.0"

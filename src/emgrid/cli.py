@@ -14,9 +14,15 @@ flag and ignore it: they sweep positions one after another in one thread,
 and their matrix products already use every core through BLAS.
 
 Commands that read a dataset check its header (train's selection, a model's
-trace length) before reading the records of the one split they use; train
-reads train and test. Its SGD flags (--lr, --batch-size, --epochs, --steps)
-configure the classifier; the HD regressor is fitted by least squares.
+trace length) before reading any record. snr, cpa, evaluate and hybrid read
+their one split with traceset.read_positions: one scan checks every record
+of the file and finds the split's, so a malformed record or a split without
+traces ends the command before any position is computed; the sweep then
+reads one position's records at a time, which holds its peak memory to one
+position plus the per-position accumulator. train reads its train and test
+splits whole with traceset.read_arrays. Its SGD flags (--lr, --batch-size,
+--epochs, --steps) configure the classifier; the HD regressor is fitted by
+least squares.
 
 Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config, including
 argument errors and a split without traces; 3 analysis precondition (e.g.
@@ -60,7 +66,7 @@ from .profiler import (
     select_top_n_positions,
 )
 from .simulator import load_sim_config, simulate_grid_dataset, simulation_workers
-from .traceset import SPLIT_CODES, read_arrays, read_header
+from .traceset import SPLIT_CODES, read_arrays, read_header, read_positions
 
 TARGET_KINDS = {
     "sbox-input": FIRST_ROUND_SBOX_INPUT,
@@ -91,17 +97,15 @@ def _write_heatmap_csvs(h: Heatmap, path: str):
 
 # ------------------------------------------------------------- subcommands
 
-def _read_in(args, splits, model=None, check=lambda header: header):
-    """Read the --in dataset header first and check it, before any record is
-    read: a model's trace length must match, and check(header) may raise.
-    Returns check's result (the header by default) followed by one
-    TraceArrays per split name, in order."""
-    header = read_header(args.dataset)
-    if model is not None and header.m != model.m:
-        raise AnalysisError(f"trace length {header.m} != model m {model.m}")
-    checked = check(header)
-    _, *arrays = read_arrays(args.dataset, [SPLIT_CODES[s] for s in splits])
-    return (checked, *arrays)
+def _read_positions(args, model=None):
+    """read_positions of the --in dataset's --split, once a model's trace
+    length has been checked against the header, before any record is read.
+    Returns (header, positions)."""
+    if model is not None:
+        m = read_header(args.dataset).m
+        if m != model.m:
+            raise AnalysisError(f"trace length {m} != model m {model.m}")
+    return read_positions(args.dataset, SPLIT_CODES[args.split])
 
 
 def cmd_simulate(args) -> int:
@@ -128,18 +132,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_snr(args) -> int:
     target = _target(args)
-    header, arrays = _read_in(args, [args.split])
-    h = evaluate_snr_grid(arrays, header.geometry, target,
+    header, positions = _read_positions(args)
+    h = evaluate_snr_grid(positions, header.geometry, target,
                           progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
 
 
 def cmd_cpa(args) -> int:
-    header, arrays = _read_in(args, [args.split])
+    header, positions = _read_positions(args)
     disc, rank = evaluate_cpa_grid(
-        arrays, header.geometry, TARGET_KINDS[args.target], budget=args.budget,
-        checkpoint_interval=args.checkpoint,
+        positions, header.geometry, TARGET_KINDS[args.target],
+        budget=args.budget, checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)
     _write_heatmap_csvs(rank, args.out_ranks)
@@ -228,9 +232,9 @@ def cmd_train(args) -> int:
                          seed=args.seed, data_cap=args.data_cap)
     kind = CLASSIFIER_256 if args.model_kind == "classifier" else HD_REGRESSOR_16
     target = _target(args)
-    positions, train, val = _read_in(
-        args, ["train", "test"],
-        check=lambda header: _select_positions(args, header.geometry))
+    positions = _select_positions(args, read_header(args.dataset).geometry)
+    _, train, val = read_arrays(args.dataset,
+                                [SPLIT_CODES["train"], SPLIT_CODES["test"]])
     if positions is None:
         positions = sorted({int(p) for p in train.positions})
     _log("selected", mode=args.mode, positions=[int(p) for p in positions])
@@ -256,8 +260,8 @@ def cmd_evaluate(args) -> int:
                           "attack regressors with the hybrid command")
     byte = model.byte_index if args.byte is None else args.byte
     target = LeakageModel(TARGET_KINDS[args.target], byte)
-    header, arrays = _read_in(args, [args.split], model)
-    h = evaluate_classifier_grid(model, arrays, header.geometry, target,
+    header, positions = _read_positions(args, model)
+    h = evaluate_classifier_grid(model, positions, header.geometry, target,
                                  progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
@@ -267,9 +271,9 @@ def cmd_hybrid(args) -> int:
     model = load_model(args.model)
     if model.kind != HD_REGRESSOR_16:
         raise ConfigError("hybrid expects an HD regressor model")
-    header, arrays = _read_in(args, [args.split], model)
+    header, positions = _read_positions(args, model)
     disc, rank = evaluate_hybrid_grid(
-        model, arrays, header.geometry, budget=args.budget,
+        model, positions, header.geometry, budget=args.budget,
         checkpoint_interval=args.checkpoint,
         progress=lambda d: _log("position", **d))
     _write_heatmap_csvs(disc, args.out_disclosure)

@@ -1,10 +1,13 @@
 """Grid-sweep evaluation: one metric value per probe position.
 
-Each sweep takes the traces of one split, groups them by grid position,
-runs an independent per-position computation (SNR peak, classifier mean rank,
-CPA or hybrid disclosure) on each position in turn, and assembles a Heatmap.
-Empty positions keep the metric's sentinel (inf for lower-is-better metrics,
-0 for SNR where higher means more leakage found).
+Each sweep takes the traces of one split as a source of (position,
+TraceArrays) pairs, such as traceset.read_positions yields: one position's
+traces at a time, in ascending position. It runs an independent
+per-position computation (SNR peak, classifier mean rank, CPA or hybrid
+disclosure) on each position in turn, on that position's arrays alone, and
+assembles a Heatmap. Positions the source does not yield keep the metric's
+sentinel (inf for lower-is-better metrics, 0 for SNR where higher means more
+leakage found).
 """
 
 import math
@@ -26,36 +29,34 @@ from .leakage import (
 )
 from .profiler import (ProfilingModel, classify_attack, first_round_labels,
                        predict_hd, true_hds)
-from .traceset import TraceArrays
 
 MIXED_KEY_HINT = ("positions mix keys; disclosure metrics need a fixed-key "
                   "split (simulate with a fixed key)")
 
 
-def _group_by_position(arrays: TraceArrays, geometry: GridGeometry):
-    """{position: row index array}, position-sorted; a split without traces
-    has nothing to sweep."""
-    pos = arrays.positions
-    if not len(pos):
+def _map_positions(source, fn, out: np.ndarray) -> np.ndarray:
+    """Set out[..., p] = fn(p, arrays) for each (p, arrays) of source, in its
+    order; out arrives filled with the metric's sentinel for positions
+    without traces. A position outside the grid, or a source that yields
+    nothing (a split without traces has nothing to sweep), raises
+    ConfigError."""
+    count = out.shape[-1]
+    swept = False
+    for p, arrays in source:
+        if not 0 <= p < count:
+            raise ConfigError(f"position {p} is outside the {count}-position grid")
+        out[..., p] = fn(p, arrays)
+        swept = True
+    if not swept:
         raise ConfigError("no traces in the requested split")
-    if pos.min() < 0 or pos.max() >= geometry.position_count:
-        raise ConfigError("dataset contains positions outside the grid")
-    return {int(p): np.flatnonzero(pos == p) for p in np.unique(pos)}
-
-
-def _map_positions(groups, fn, out: np.ndarray) -> np.ndarray:
-    """Set out[..., p] = fn(p, idx) for each group, in position order; out
-    arrives filled with the metric's sentinel for positions without traces."""
-    for p, idx in groups.items():
-        out[..., p] = fn(p, idx)
     return out
 
 
 def _check_fixed_key(keys: np.ndarray) -> bytes:
-    uniq = {k.tobytes() for k in keys}
-    if len(uniq) != 1:
+    """The one key every row of a non-empty (n, 16) key array holds."""
+    if (keys != keys[0]).any():
         raise AnalysisError(MIXED_KEY_HINT)
-    return next(iter(uniq))
+    return keys[0].tobytes()
 
 
 def _correct_bytes(kind: str, key: bytes):
@@ -66,33 +67,30 @@ def _correct_bytes(kind: str, key: bytes):
     return list(key)
 
 
-def evaluate_snr_grid(arrays: TraceArrays, geometry: GridGeometry,
-                      target: LeakageModel, progress=None) -> Heatmap:
+def evaluate_snr_grid(source, geometry: GridGeometry, target: LeakageModel,
+                      progress=None) -> Heatmap:
     """Peak SNR per position: partition the traces by the true value of the
     target intermediate and take the max SNR over sample indices."""
-    groups = _group_by_position(arrays, geometry)
-    m = arrays.samples.shape[1]
-    if target.kind == LAST_ROUND_HD:
-        labels_all = true_hds(arrays)[:, target.byte_index].astype(np.int64)
-        num_classes = 9
-    else:
-        labels_all = first_round_labels(target, arrays)
-        num_classes = 256
-
-    def one(p, idx):
-        acc = SnrAccumulator(num_classes, m)
-        acc.update_batch(labels_all[idx], arrays.samples[idx])
+    def one(p, arrays):
+        if target.kind == LAST_ROUND_HD:
+            labels = true_hds(arrays)[:, target.byte_index].astype(np.int64)
+            num_classes = 9
+        else:
+            labels = first_round_labels(target, arrays)
+            num_classes = 256
+        acc = SnrAccumulator(num_classes, arrays.samples.shape[1])
+        acc.update_batch(labels, arrays.samples)
         snr = acc.finalize()
         peak = float(np.max(snr))
         if progress is not None:
-            progress({"position": p, "traces": len(idx), "peak_snr": peak})
+            progress({"position": p, "traces": len(arrays), "peak_snr": peak})
         return peak
 
-    values = _map_positions(groups, one, np.zeros(geometry.position_count))
+    values = _map_positions(source, one, np.zeros(geometry.position_count))
     return Heatmap(geometry, values, "peak_snr")
 
 
-def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
+def evaluate_classifier_grid(model: ProfilingModel, source,
                              geometry: GridGeometry, target: LeakageModel,
                              progress=None) -> Heatmap:
     """Mean rank of the true class per position; inf where a position has no
@@ -101,16 +99,16 @@ def evaluate_classifier_grid(model: ProfilingModel, arrays: TraceArrays,
         raise ConfigError(
             f"model profiles byte {model.byte_index}, target asks for "
             f"{target.byte_index}")
-    groups = _group_by_position(arrays, geometry)
-    labels_all = first_round_labels(target, arrays)
 
-    def one(p, idx):
-        mean_rank, _ = classify_attack(model, arrays.subset(idx), labels_all[idx])
+    def one(p, arrays):
+        mean_rank, _ = classify_attack(model, arrays,
+                                       first_round_labels(target, arrays))
         if progress is not None:
-            progress({"position": p, "traces": len(idx), "mean_rank": mean_rank})
+            progress({"position": p, "traces": len(arrays),
+                      "mean_rank": mean_rank})
         return mean_rank
 
-    values = _map_positions(groups, one,
+    values = _map_positions(source, one,
                             np.full(geometry.position_count, math.inf))
     return Heatmap(geometry, values, "mean_rank")
 
@@ -171,13 +169,13 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     return math.inf, ranks
 
 
-def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
-                     traces_of, budget, checkpoint_interval: int, progress):
+def _disclosure_grid(source, geometry: GridGeometry, kind: str, traces_of,
+                     budget, checkpoint_interval: int, progress):
     """Per-position disclosure attack over fixed-key traces.
 
-    traces_of(idx) returns the (n, m) traces CPA correlates for one
-    position's row indices; it gets only the first `budget` of them, while
-    the fixed-key check and the logged trace count cover them all. Returns
+    traces_of(samples) returns the (n, m) traces CPA correlates for one
+    position's samples; it gets only the first `budget` rows, while the
+    fixed-key check and the logged trace count cover them all. Returns
     (traces-to-disclosure Heatmap, average-final-rank Heatmap); positions
     without traces stay inf.
     """
@@ -185,29 +183,27 @@ def _disclosure_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
         raise ConfigError("checkpoint interval must be >= 1")
     if budget is not None and budget < 0:
         raise ConfigError("budget must be >= 0")
-    groups = _group_by_position(arrays, geometry)
-    publics_all = arrays.ciphertexts if kind == LAST_ROUND_HD \
-        else arrays.plaintexts
 
-    def one(p, idx):
-        correct = _correct_bytes(kind, _check_fixed_key(arrays.keys[idx]))
-        attacked = idx if budget is None else idx[:budget]
+    def one(p, arrays):
+        correct = _correct_bytes(kind, _check_fixed_key(arrays.keys))
+        publics = arrays.ciphertexts if kind == LAST_ROUND_HD \
+            else arrays.plaintexts
         disclosure, ranks = _run_cpa_position(
-            traces_of(attacked), publics_all[attacked], kind, correct, budget,
-            checkpoint_interval)
+            traces_of(arrays.samples[:budget]), publics[:budget], kind,
+            correct, budget, checkpoint_interval)
         avg = float(ranks.mean())
         if progress is not None:
-            progress({"position": p, "traces": len(idx),
+            progress({"position": p, "traces": len(arrays),
                       "disclosure": disclosure, "average_rank": avg})
         return disclosure, avg
 
     disclosure_vals, rank_vals = _map_positions(
-        groups, one, np.full((2, geometry.position_count), math.inf))
+        source, one, np.full((2, geometry.position_count), math.inf))
     return (Heatmap(geometry, disclosure_vals, "traces_to_disclosure"),
             Heatmap(geometry, rank_vals, "average_rank"))
 
 
-def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
+def evaluate_cpa_grid(source, geometry: GridGeometry, kind: str,
                       budget=None, checkpoint_interval: int = 1000,
                       progress=None):
     """Unprofiled CPA on the raw samples under leakage model `kind`, swept
@@ -216,17 +212,16 @@ def evaluate_cpa_grid(arrays: TraceArrays, geometry: GridGeometry, kind: str,
     so guesses k and k ^ 0xff would tie under |r|."""
     if kind == FIRST_ROUND_SBOX_INPUT:
         raise ConfigError("sbox-input CPA cannot tell guess k from k ^ 0xff")
-    return _disclosure_grid(arrays, geometry, kind,
-                            lambda idx: arrays.samples[idx], budget,
-                            checkpoint_interval, progress)
+    return _disclosure_grid(source, geometry, kind, lambda samples: samples,
+                            budget, checkpoint_interval, progress)
 
 
-def evaluate_hybrid_grid(regressor: ProfilingModel, arrays: TraceArrays,
+def evaluate_hybrid_grid(regressor: ProfilingModel, source,
                          geometry: GridGeometry, budget=None,
                          checkpoint_interval: int = 1000, progress=None):
     """Regressor-then-CPA swept over the grid: each trace becomes the
     regressor's 16 predicted last-round HDs, and last-round CPA runs on
     those pseudo-traces. Same outputs as evaluate_cpa_grid."""
-    return _disclosure_grid(arrays, geometry, LAST_ROUND_HD,
-                            lambda idx: predict_hd(regressor, arrays.samples[idx]),
+    return _disclosure_grid(source, geometry, LAST_ROUND_HD,
+                            lambda samples: predict_hd(regressor, samples),
                             budget, checkpoint_interval, progress)

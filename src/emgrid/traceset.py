@@ -16,9 +16,11 @@ trace_count, description, adc_bits}, typed by grid.json_object; its payload
 is trace_count records of record_dtype(m).
 
 Files are written in place by open_dataset, TraceArrays chunks at their
-record offsets and the preamble last, and read into one TraceArrays per
-split; both directions reject records whose position lies outside the grid
-or whose split code is unknown, and reading also rejects non-finite samples.
+record offsets and the preamble last. They are read by one checking scan
+followed by one copy pass, into one TraceArrays per split (read_arrays) or
+one per position of a split (read_positions); both directions reject records
+whose position lies outside the grid or whose split code is unknown, and
+reading also rejects non-finite samples.
 """
 
 import contextlib
@@ -243,55 +245,133 @@ def read_header(path) -> DatasetHeader:
         return _read_header(f, path)
 
 
+def _join_runs(runs: np.ndarray) -> np.ndarray:
+    """Merge each [start, stop, split, position] row into the row before it
+    when it continues that row's records under the same split and
+    position."""
+    joined = (runs[1:, 0] == runs[:-1, 1]) \
+        & (runs[1:, 2:] == runs[:-1, 2:]).all(axis=1)
+    head = np.flatnonzero(np.r_[True, ~joined])
+    tail = np.r_[head[1:], len(runs)] - 1
+    return np.column_stack((runs[head, 0], runs[tail, 1], runs[head, 2:]))
+
+
+def _scan(f, path, codes) -> tuple:
+    """Read the header of the open dataset f and check every record; returns
+    (header, payload offset, runs). The runs are the records whose split code
+    is in `codes`, as [start, stop, split, position] int64 rows in file order,
+    each a maximal range of consecutive records sharing split and position.
+
+    The file size is checked against the header before any record is read
+    (check_payload_size). Records are then read in blocks of about
+    _READ_BLOCK_BYTES; like an out-of-grid position or an unknown split
+    code, a NaN or infinite sample in any record, kept or not, rejects the
+    file."""
+    header = _read_header(f, path)
+    offset = f.tell()
+    dtype = record_dtype(header.m)
+    n = header.trace_count
+    check_payload_size(f, path, dtype, n)
+    step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    runs = [np.empty((0, 4), np.int64)]
+    for start in range(0, n, step):
+        rec = np.fromfile(f, dtype=dtype, count=min(step, n - start))
+        _check_rows(rec["position"], rec["split"], header, start)
+        finite = np.isfinite(rec["samples"]).all(axis=1)
+        if not finite.all():
+            i = start + np.flatnonzero(~finite)[0]
+            raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
+        kept = np.flatnonzero(np.isin(rec["split"], codes))
+        if len(kept):
+            runs.append(_join_runs(np.column_stack(
+                (start + kept, start + kept + 1, rec["split"][kept],
+                 rec["position"][kept])).astype(np.int64)))
+    runs = np.concatenate(runs)
+    return header, offset, _join_runs(runs) if len(runs) else runs
+
+
+def _gather(f, path, offset: int, m: int, runs: np.ndarray) -> TraceArrays:
+    """The records of runs ([start, stop, ...] rows, ascending and disjoint)
+    in order, as one TraceArrays of exactly their count. The file is read in
+    windows of at most one block: a window starts at a run and covers the
+    runs that start inside it, gaps included, so scattered short runs cost
+    one read per block rather than one per run."""
+    dtype = record_dtype(m)
+    step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    starts, stops = runs[:, 0].copy(), runs[:, 1]
+    n = int((stops - starts).sum())
+    out = TraceArrays(np.empty((n, m), np.float32),
+                      *(np.empty((n, 16), np.uint8) for _ in range(3)),
+                      np.empty(n, np.int32), np.empty(n, np.uint8))
+    row = i = 0
+    while i < len(starts):
+        lo = int(starts[i])
+        k = int(np.searchsorted(starts, lo + step))  # runs i..k-1 start inside
+        hi = min(int(stops[k - 1]), lo + step)
+        f.seek(offset + lo * dtype.itemsize)
+        rec = np.fromfile(f, dtype=dtype, count=hi - lo)
+        if len(rec) < hi - lo:
+            raise DataFormatError(f"{path}: truncated file at record index "
+                                  f"{lo + len(rec)}")
+        if k - i > 1:  # drop the gaps between the window's runs
+            edges = np.zeros(hi - lo + 1, np.int8)
+            edges[starts[i:k] - lo] += 1
+            edges[np.minimum(stops[i:k], hi) - lo] -= 1
+            rec = rec[np.cumsum(edges[:-1]) > 0]
+        rows = slice(row, row + len(rec))
+        for name, field in _FIELDS:
+            getattr(out, name)[rows] = rec[field]
+        row = rows.stop
+        if stops[k - 1] > hi:  # the last run goes on past the window
+            starts[k - 1] = hi
+            i = k - 1
+        else:
+            i = k
+    return out
+
+
+def _check_codes(codes) -> None:
+    if not set(codes) <= set(SPLIT_NAMES):
+        raise ConfigError(f"unknown split codes in {tuple(codes)}")
+
+
 def read_arrays(path, splits) -> tuple:
     """Read a dataset's records split by split: returns the header followed
     by one TraceArrays per split code in `splits`, in the order asked, each
     holding that split's records in file order.
 
-    The file size is checked against the header before any record is read
-    (check_payload_size). Like an out-of-grid
-    position or an unknown split code, a NaN or infinite sample in any record,
-    kept or not, rejects the file.
-
-    Records are read in blocks of about _READ_BLOCK_BYTES. A first pass
-    counts each split's records; the second checks every record and copies
-    the kept ones field by field into arrays of exactly their split's size,
+    One pass checks every record and finds the kept ones (_scan), a second
+    copies each split's records into arrays of exactly its size (_gather),
     so reading needs about the kept records' size plus one block.
     """
-    if not set(splits) <= set(SPLIT_NAMES):
-        raise ConfigError(f"unknown split codes in {tuple(splits)}")
+    _check_codes(splits)
     with open(path, "rb") as f:
-        header = _read_header(f, path)
-        offset = f.tell()
-        dtype = record_dtype(header.m)
-        n = header.trace_count
-        check_payload_size(f, path, dtype, n)
-        step = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
-
-        def blocks():
-            f.seek(offset)
-            for start in range(0, n, step):
-                yield start, np.fromfile(f, dtype=dtype, count=min(step, n - start))
-
-        counts = sum((np.bincount(rec["split"], minlength=256)
-                      for _, rec in blocks()), np.zeros(256, np.int64))
-        out = {c: TraceArrays(np.empty((counts[c], header.m), np.float32),
-                              *(np.empty((counts[c], 16), np.uint8) for _ in range(3)),
-                              np.empty(counts[c], np.int32),
-                              np.empty(counts[c], np.uint8))
+        header, offset, runs = _scan(f, path, list(splits))
+        out = {c: _gather(f, path, offset, header.m, runs[runs[:, 2] == c])
                for c in splits}
-        filled = dict.fromkeys(out, 0)
-        for start, rec in blocks():
-            _check_rows(rec["position"], rec["split"], header, start)
-            finite = np.isfinite(rec["samples"]).all(axis=1)
-            if not finite.all():
-                i = start + np.flatnonzero(~finite)[0]
-                raise DataFormatError(f"{path}: non-finite sample in record at index {i}")
-            for code, arrays in out.items():
-                keep = rec["split"] == code
-                rows = slice(filled[code], filled[code] + int(np.count_nonzero(keep)))
-                for name, field in _FIELDS:
-                    getattr(arrays, name)[rows] = rec[field] if keep.all() \
-                        else rec[field][keep]
-                filled[code] = rows.stop
     return (header, *(out[code] for code in splits))
+
+
+def read_positions(path, split: int) -> tuple:
+    """Read one split of a dataset position by position: returns (header,
+    positions), where positions yields (p, TraceArrays) in ascending p, each
+    holding the split's records at position p in file order.
+
+    Every record is checked, as by read_arrays, and a split without records
+    raises ConfigError, all before this returns. Iterating reopens the file
+    and reads one position's records at a time, in contiguous runs, so only
+    one position is resident; the file must not change in between.
+    """
+    _check_codes([split])
+    with open(path, "rb") as f:
+        header, offset, runs = _scan(f, path, [split])
+    if not len(runs):
+        raise ConfigError(f"no traces in split {SPLIT_NAMES[split]} of {path}")
+    runs = runs[np.argsort(runs[:, 3], kind="stable")]
+
+    def positions():
+        with open(path, "rb") as f:
+            for group in np.split(runs, np.flatnonzero(np.diff(runs[:, 3])) + 1):
+                yield int(group[0, 3]), _gather(f, path, offset, header.m, group)
+
+    return header, positions()

@@ -603,6 +603,7 @@ def test_cpa_sbox_input_target_exit_2(capsys, workdir, dataset, monkeypatch):
 
     monkeypatch.setattr(cli, "read_header", no_read)
     monkeypatch.setattr(cli, "read_arrays", no_read)
+    monkeypatch.setattr(cli, "read_positions", no_read)
     out = workdir / "sbox_input_d.csv"
     code, events = run(capsys, "cpa", "--in", dataset, "--target", "sbox-input",
                        "--out-disclosure", out,
@@ -1029,6 +1030,48 @@ def test_empty_split_exit_2(capsys, workdir, hd_dataset, command):
     assert not any(p.exists() for p in outs[1::2])
 
 
+def set_last_record(raw: bytes, m: int, field: str, value) -> bytes:
+    """Overwrite one field of a dataset's last record; for "samples", its
+    first sample."""
+    dtype = record_dtype(m)
+    field_dtype, offset = dtype.fields[field]
+    data = np.array(value, field_dtype.base).tobytes()
+    at = len(raw) - dtype.itemsize + offset
+    return raw[:at] + data + raw[at + len(data):]
+
+
+@pytest.mark.parametrize("fault, value", [("samples", math.nan),
+                                          ("position", 2), ("split", 7)])
+@pytest.mark.parametrize("command", ["snr", "cpa", "evaluate", "hybrid"])
+def test_last_record_fault_exit_1_before_any_position(
+        capsys, workdir, dataset, command, fault, value):
+    """Every record is checked before the first position is swept: a fault
+    in the file's last record (position 1's last holdout trace) ends each
+    sweep with one error event, no position event and no map."""
+    bad = workdir / f"last_{fault}.emgd"
+    bad.write_bytes(set_last_record(dataset.read_bytes(), 12, fault, value))
+    regressor = workdir / "zero12.emmod"
+    save_model(ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 12)), np.zeros(16),
+                              StandardizationParams(np.zeros(12), np.ones(12))),
+               regressor)
+    model = {"snr": [], "cpa": [],
+             "evaluate": ["--model", uniform_classifier_file(
+                 workdir / "uniform12.emmod", 12)],
+             "hybrid": ["--model", regressor]}
+    stem = workdir / f"last_{command}_{fault}"
+    outs = (["--out-heatmap", f"{stem}_h.csv"]
+            if command in ("snr", "evaluate")
+            else ["--out-disclosure", f"{stem}_d.csv",
+                  "--out-ranks", f"{stem}_r.csv"])
+    code, events = run(capsys, command, *model[command], "--in", bad,
+                       "--split", "holdout", *outs)
+    assert code == 1, events
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "DataFormatError"
+    assert "index 1099" in events[0]["message"]
+    assert not any(os.path.exists(p) for p in outs[1::2])
+
+
 @pytest.mark.parametrize("command", ["evaluate", "hybrid"])
 @pytest.mark.parametrize("split", ["test", "holdout"])
 def test_model_length_mismatch_exit_3_before_reading(
@@ -1036,9 +1079,10 @@ def test_model_length_mismatch_exit_3_before_reading(
     """A model whose m differs from the dataset header's fails before any
     record is read, on an empty split (test) as on a full one (holdout)."""
     def no_read(*args, **kwargs):
-        raise AssertionError("read_arrays called before the model check")
+        raise AssertionError("records read before the model check")
 
     monkeypatch.setattr(cli, "read_arrays", no_read)
+    monkeypatch.setattr(cli, "read_positions", no_read)
     if command == "evaluate":
         model = uniform_classifier_file(workdir / "uniform12.emmod", 12)
         outs = ["--out-heatmap", workdir / "mm_h.csv"]

@@ -34,6 +34,7 @@ from emgrid.leakage import (
 )
 from emgrid.profiler import first_round_labels, true_hds
 from emgrid.traceset import TraceArrays
+from positions import by_position
 
 
 # ---------------------------------------------------------------- SNR
@@ -268,7 +269,8 @@ def test_snr_grid_matches_per_class_oracle(target):
         acc = per_class_update(SnrAccumulator(num_classes, m), labels[idx],
                                arrays.samples[idx])
         want[p] = np.max(acc.finalize())
-    got = evaluation.evaluate_snr_grid(arrays, geometry, target).values
+    got = evaluation.evaluate_snr_grid(by_position(arrays), geometry,
+                                     target).values
     assert got.tobytes() == want.tobytes()
 
 

@@ -2,6 +2,7 @@
 cells and fixed-key enforcement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,16 @@ from emgrid.profiler import (
     classify_attack,
     true_hds,
 )
-from emgrid.traceset import SPLIT_TEST, TraceArrays
+from emgrid.traceset import (
+    SPLIT_HOLDOUT,
+    SPLIT_TEST,
+    DatasetHeader,
+    TraceArrays,
+    read_positions,
+    record_dtype,
+    write_dataset,
+)
+from positions import by_position
 
 KEY = bytes(range(16))
 TARGET = LeakageModel(FIRST_ROUND_SBOX_INPUT, 0)
@@ -72,7 +82,8 @@ def hd_samples(arr):
 
 def test_classifier_grid_uniform_model_and_empty_cell():
     arr = build_arrays(200, 1, np.repeat([0], 200))
-    h = evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET)
+    h = evaluate_classifier_grid(uniform_classifier(8), by_position(arr), G21,
+                                 TARGET)
     assert h.metric == "mean_rank"
     assert h.values[0] == 127.5
     assert h.values[1] == math.inf  # no traces at position 1
@@ -84,7 +95,7 @@ def test_classifier_grid_consistent_with_classify_attack():
     model = ProfilingModel(CLASSIFIER_256, rng.normal(size=(256, 8)),
                            rng.normal(size=256),
                            StandardizationParams(np.zeros(8), np.ones(8)))
-    h = evaluate_classifier_grid(model, arr, G21, TARGET)
+    h = evaluate_classifier_grid(model, by_position(arr), G21, TARGET)
     for p in (0, 1):
         sub = arr.subset(arr.positions == p)
         labels = true_first_round_values(TARGET.kind, sub.plaintexts, sub.keys,
@@ -98,13 +109,24 @@ def test_classifier_grid_byte_mismatch_rejected():
     model = uniform_classifier(8)
     model.byte_index = 11
     with pytest.raises(ConfigError):
-        evaluate_classifier_grid(model, arr, G21, TARGET)
+        evaluate_classifier_grid(model, by_position(arr), G21, TARGET)
 
 
 def test_grid_position_outside_geometry_rejected():
     arr = build_arrays(10, 7, np.full(10, 5))
     with pytest.raises(ConfigError):
-        evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET)
+        evaluate_classifier_grid(uniform_classifier(8), by_position(arr), G21,
+                                 TARGET)
+
+
+@pytest.mark.parametrize("p", [-1, 2])
+def test_map_positions_rejects_position_outside_grid(p):
+    """A negative position would otherwise write out[..., -1], the last
+    cell."""
+    out = np.zeros(2)
+    with pytest.raises(ConfigError, match=f"position {p} is outside"):
+        evaluation._map_positions([(0, None), (p, None)], lambda q, a: 1.0, out)
+    assert out.tolist() == [1.0, 0.0]
 
 
 # ------------------------------------------------------------------ SNR map
@@ -122,7 +144,8 @@ def test_snr_grid_peaks_at_leaky_position():
     samples[leaky, 3] += 0.5 * HW_TABLE[labels[leaky]].astype(np.float32)
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
-    h = evaluate_snr_grid(arr, G21, LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0))
+    h = evaluate_snr_grid(by_position(arr), G21,
+                          LeakageModel(FIRST_ROUND_SBOX_OUTPUT, 0))
     assert h.metric == "peak_snr"
     assert h.values[0] > 0.3  # Var(0.5 HW) / 1 = 0.5 up to estimation error
     assert h.values[1] < 0.05  # pure noise stays near zero
@@ -131,14 +154,15 @@ def test_snr_grid_peaks_at_leaky_position():
 def test_snr_grid_empty_split_rejected():
     arr = build_arrays(10, 12, np.zeros(10), split=0).subset(slice(0, 0))
     with pytest.raises(ConfigError):
-        evaluate_snr_grid(arr, G21, TARGET)
+        evaluate_snr_grid(by_position(arr), G21, TARGET)
 
 
 @pytest.mark.parametrize("sweep", [
-    lambda a: evaluate_snr_grid(a, G21, TARGET),
-    lambda a: evaluate_classifier_grid(uniform_classifier(8), a, G21, TARGET),
-    lambda a: evaluate_cpa_grid(a, G21, LAST_ROUND_HD),
-    lambda a: evaluate_hybrid_grid(oracle_regressor(), a, G21),
+    lambda a: evaluate_snr_grid(by_position(a), G21, TARGET),
+    lambda a: evaluate_classifier_grid(uniform_classifier(8), by_position(a),
+                                       G21, TARGET),
+    lambda a: evaluate_cpa_grid(by_position(a), G21, LAST_ROUND_HD),
+    lambda a: evaluate_hybrid_grid(oracle_regressor(), by_position(a), G21),
 ], ids=["snr", "classifier", "cpa", "hybrid"])
 def test_every_sweep_rejects_no_traces(sweep):
     """An empty split ends every sweep the same way, not in all-sentinel
@@ -153,7 +177,7 @@ def test_cpa_grid_refuses_the_sbox_input_model():
     """Guesses k and k ^ 0xff tie under the sbox-input model, so no byte
     could rank strictly first."""
     with pytest.raises(ConfigError, match="sbox-input"):
-        evaluate_cpa_grid(build_arrays(10, 35, np.zeros(10)), G21,
+        evaluate_cpa_grid(by_position(build_arrays(10, 35, np.zeros(10))), G21,
                           FIRST_ROUND_SBOX_INPUT)
 
 def test_snr_grid_last_round_hd_classes():
@@ -166,7 +190,7 @@ def test_snr_grid_last_round_hd_classes():
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    h = evaluate_snr_grid(arr, geom, LeakageModel(LAST_ROUND_HD, 5))
+    h = evaluate_snr_grid(by_position(arr), geom, LeakageModel(LAST_ROUND_HD, 5))
     assert h.values[0] > 0.5
 
 
@@ -182,7 +206,7 @@ def test_cpa_grid_last_round_discloses_at_leaky_position_only():
     samples[leaky] = true_hds(arr)[leaky].astype(np.float32)
     arr = TraceArrays(samples, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
-    disc, rank = evaluate_cpa_grid(arr, G21, LAST_ROUND_HD,
+    disc, rank = evaluate_cpa_grid(by_position(arr), G21, LAST_ROUND_HD,
                                    checkpoint_interval=200)
     assert disc.metric == "traces_to_disclosure"
     assert disc.values[0] == 200
@@ -201,7 +225,7 @@ def test_cpa_grid_first_round_target():
     arr = TraceArrays(sbox_hw, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    disc, rank = evaluate_cpa_grid(arr, geom, FIRST_ROUND_SBOX_OUTPUT,
+    disc, rank = evaluate_cpa_grid(by_position(arr), geom, FIRST_ROUND_SBOX_OUTPUT,
                                    checkpoint_interval=300)
     assert disc.values[0] == 300
     assert rank.values[0] == 0.0
@@ -218,7 +242,7 @@ def test_cpa_grid_first_round_correlates_hamming_weights():
     arr = TraceArrays(leak, arr.keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     geom = GridGeometry(1, 1, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    disc, rank = evaluate_cpa_grid(arr, geom, FIRST_ROUND_SBOX_OUTPUT,
+    disc, rank = evaluate_cpa_grid(by_position(arr), geom, FIRST_ROUND_SBOX_OUTPUT,
                                    checkpoint_interval=50)
     assert disc.values[0] == 50
     assert rank.values[0] == 0.0
@@ -231,7 +255,7 @@ def test_cpa_grid_zero_leak_all_infinite():
     per_pos = 400
     n = 64 * per_pos
     arr = build_arrays(n, 23, np.repeat(np.arange(64), per_pos))
-    disc, rank = evaluate_cpa_grid(arr, geom, LAST_ROUND_HD,
+    disc, rank = evaluate_cpa_grid(by_position(arr), geom, LAST_ROUND_HD,
                                    checkpoint_interval=400)
     assert np.all(np.isinf(disc.values))
     assert abs(rank.values.mean() - 127.5) < 5
@@ -239,7 +263,7 @@ def test_cpa_grid_zero_leak_all_infinite():
 
 def test_cpa_grid_budget_zero_all_infinite():
     arr = build_arrays(400, 24, np.zeros(400))
-    disc, _ = evaluate_cpa_grid(arr, G21, LAST_ROUND_HD, budget=0)
+    disc, _ = evaluate_cpa_grid(by_position(arr), G21, LAST_ROUND_HD, budget=0)
     assert np.all(np.isinf(disc.values))
 
 
@@ -250,7 +274,7 @@ def test_cpa_grid_mixed_keys_rejected():
     arr = TraceArrays(arr.samples, keys, arr.plaintexts, arr.ciphertexts,
                       arr.positions, arr.splits)
     with pytest.raises(AnalysisError, match="fixed"):
-        evaluate_cpa_grid(arr, G21, LAST_ROUND_HD)
+        evaluate_cpa_grid(by_position(arr), G21, LAST_ROUND_HD)
 
 
 @pytest.mark.parametrize("budget", [None, 0, 150, 10_000])
@@ -278,10 +302,10 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
     monkeypatch.setattr(evaluation, "predict_hd", counting_predict)
     events = []
     if hybrid:
-        evaluate_hybrid_grid(oracle_regressor(), arr, G21, budget=budget,
-                             progress=events.append)
+        evaluate_hybrid_grid(oracle_regressor(), by_position(arr), G21,
+                             budget=budget, progress=events.append)
     else:
-        evaluate_cpa_grid(arr, G21, LAST_ROUND_HD,
+        evaluate_cpa_grid(by_position(arr), G21, LAST_ROUND_HD,
                           budget=budget, progress=events.append)
     want = [n if budget is None else min(n, budget) for n in (300, 120)]
     assert fetched == want
@@ -293,7 +317,40 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
     mixed = TraceArrays(arr.samples, keys, arr.plaintexts, arr.ciphertexts,
                         arr.positions, arr.splits)
     with pytest.raises(AnalysisError, match="fixed"):
-        evaluate_cpa_grid(mixed, G21, LAST_ROUND_HD, budget=budget)
+        evaluate_cpa_grid(by_position(mixed), G21, LAST_ROUND_HD, budget=budget)
+
+
+def test_cpa_sweep_from_file_holds_one_position(tmp_path):
+    """evaluate_cpa_grid fed by read_positions holds one position's records
+    plus its class-sum accumulator, not the whole split."""
+    geometry = GridGeometry(3, 3, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
+    m, per_position = 64, 4000
+    rng = np.random.default_rng(36)
+
+    def chunks():
+        for p in range(geometry.position_count):
+            yield build_arrays(per_position, 100 + p, np.full(per_position, p),
+                               rng.normal(size=(per_position, m)),
+                               split=SPLIT_HOLDOUT)
+
+    header = DatasetHeader(geometry, m=m,
+                           trace_count=geometry.position_count * per_position)
+    path = tmp_path / "nine.emgd"
+    write_dataset(header, chunks(), path)
+    position_bytes = per_position * record_dtype(m).itemsize
+    accumulator_bytes = 16 * 256 * m * 8
+    bound = position_bytes + accumulator_bytes + (2 << 20)
+    split_sample_bytes = header.trace_count * m * 4
+    assert bound < split_sample_bytes
+    tracemalloc.start()
+    try:
+        _, positions = read_positions(path, SPLIT_HOLDOUT)
+        disc, _ = evaluate_cpa_grid(positions, geometry, FIRST_ROUND_SBOX_OUTPUT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isinf(disc.values).all()  # pure noise discloses nowhere
+    assert peak < bound, (peak, bound)
 
 
 # --------------------------------------------------------------- hybrid map
@@ -301,7 +358,7 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
 def test_hybrid_grid_oracle_regressor_everywhere():
     n = 1000
     arr = hd_samples(build_arrays(n, 30, np.repeat([0, 1], n // 2)))
-    disc, rank = evaluate_hybrid_grid(oracle_regressor(), arr, G21,
+    disc, rank = evaluate_hybrid_grid(oracle_regressor(), by_position(arr), G21,
                                       checkpoint_interval=250)
     assert disc.values.tolist() == [250.0, 250.0]
     assert rank.values.tolist() == [0.0, 0.0]
@@ -312,7 +369,8 @@ def test_hybrid_grid_constant_regressor_all_infinite():
     arr = hd_samples(build_arrays(n, 31, np.repeat([0, 1], n // 2)))
     const = ProfilingModel(HD_REGRESSOR_16, np.zeros((16, 16)), np.zeros(16),
                            StandardizationParams(np.zeros(16), np.ones(16)))
-    disc, rank = evaluate_hybrid_grid(const, arr, G21, checkpoint_interval=200)
+    disc, rank = evaluate_hybrid_grid(const, by_position(arr), G21,
+                                      checkpoint_interval=200)
     assert np.all(np.isinf(disc.values))
     assert rank.values.tolist() == [127.5, 127.5]
 
@@ -321,7 +379,7 @@ def test_progress_callback_reports_each_position():
     n = 200
     arr = build_arrays(n, 33, np.repeat([0, 1], n // 2))
     seen = []
-    evaluate_classifier_grid(uniform_classifier(8), arr, G21, TARGET,
+    evaluate_classifier_grid(uniform_classifier(8), by_position(arr), G21, TARGET,
                              progress=seen.append)
     assert sorted(e["position"] for e in seen) == [0, 1]
     assert all(e["traces"] == 100 for e in seen)

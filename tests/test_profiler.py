@@ -42,6 +42,7 @@ from emgrid.profiler import (
     train_hd_regressor,
 )
 from emgrid.traceset import TraceArrays
+from positions import by_position
 
 KEY = bytes(range(16))
 TARGET = LeakageModel(FIRST_ROUND_SBOX_INPUT, 0)
@@ -809,7 +810,8 @@ def hd_attack_arrays(n, seed):
 
 def hybrid(regressor, attack, **kwargs):
     """One-cell hybrid attack: (traces to disclosure, average final rank)."""
-    disc, rank = evaluate_hybrid_grid(regressor, attack, G11, **kwargs)
+    disc, rank = evaluate_hybrid_grid(regressor, by_position(attack), G11,
+                                      **kwargs)
     return disc.values[0], rank.values[0]
 
 

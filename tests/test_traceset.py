@@ -19,6 +19,8 @@ from emgrid.traceset import (
     DatasetHeader,
     TraceArrays,
     read_arrays,
+    read_positions,
+    record_dtype,
     write_dataset,
 )
 
@@ -261,6 +263,61 @@ def test_block_reads_match_and_name_global_indices(tmp_path, monkeypatch):
     path.write_bytes(bytes(bad))
     with pytest.raises(DataFormatError, match="record at index 31"):
         read_arrays(path, (SPLIT_TRAIN,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_read_positions_groups_read_arrays(tmp_path_factory, data):
+    """For every split, read_positions yields read_arrays' rows grouped by
+    position: ascending p, file order within a position, whether positions
+    come in runs, interleaved or shuffled, and whatever the block size. A
+    split without records raises ConfigError."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(1, 6))
+    header = DatasetHeader(GEOM, m=m, trace_count=data.draw(st.integers(0, 50)))
+    want = make_arrays(rng, header)  # shuffled positions, mixed splits
+    layout = data.draw(st.sampled_from(["shuffled", "runs", "interleaved"]))
+    if layout == "runs":
+        want = want.subset(np.argsort(want.positions, kind="stable"))
+    elif layout == "interleaved":
+        cycle = data.draw(st.lists(st.integers(0, GEOM.position_count - 1),
+                                   min_size=1, max_size=4))
+        want.positions[:] = np.resize(cycle, len(want))
+    path = tmp_path_factory.mktemp("rp") / "positions.emgd"
+    cut = data.draw(st.integers(0, len(want)))
+    write_dataset(header, [want.subset(slice(0, cut)),
+                           want.subset(slice(cut, None))], path)
+    block = data.draw(st.sampled_from([1, 2, 3, 7, None]))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(traceset, "_READ_BLOCK_BYTES",
+                       block * record_dtype(m).itemsize)
+        for code in ALL:
+            _, whole = read_arrays(path, (code,))
+            if not len(whole):
+                with pytest.raises(ConfigError, match="no traces"):
+                    read_positions(path, code)
+                continue
+            got_header, positions = read_positions(path, code)
+            assert got_header == header
+            got = list(positions)
+            assert [p for p, _ in got] == sorted(set(whole.positions.tolist()))
+            for p, arrays in got:
+                assert_arrays_equal(arrays, whole.subset(whole.positions == p))
+
+
+def test_read_positions_checks_every_record_before_returning(tmp_path):
+    rng = np.random.default_rng(10)
+    header = DatasetHeader(GEOM, m=3, trace_count=30)
+    want = make_arrays(rng, header)
+    want.splits[:] = SPLIT_TRAIN
+    want.samples[-1, 2] = np.nan
+    path = tmp_path / "nan_last.emgd"
+    write_dataset(header, [want], path)
+    with pytest.raises(DataFormatError, match="record at index 29"):
+        read_positions(path, SPLIT_TRAIN)
+    with pytest.raises(ConfigError, match="unknown split"):
+        read_positions(path, 3)
 
 
 def test_read_peak_memory_near_file_size(tmp_path):
