@@ -9,7 +9,8 @@ turned into hypothesis sums by the 256 x 256 leakage table only when a byte
 is scored, so an update costs O(16 m) per trace instead of a GEMM over 4096
 hypotheses. The last-round model, whose hypothesis depends on two
 ciphertext bytes, uses CpaAccumulator and its blocked hypothesis GEMM. Both
-end in one Pearson formula.
+derive from _PearsonSums, which owns the trace count, the sample sums and
+finalize, one Pearson formula; each supplies only its hypothesis sums.
 
 The SNR and GEMM CPA accumulators follow the same contract: update with
 traces in any order, optionally split into shards that merge into one, then
@@ -189,59 +190,68 @@ class CpaResult:
     degenerate_samples: np.ndarray     # (m,) bool, constant sample columns
 
 
-class CpaAccumulator:
-    """Closed-form streaming Pearson sums for num_hypotheses hypotheses over
-    m samples:
+class _PearsonSums:
+    """The n, sum_x and sum_x2 of a streaming Pearson correlation over m
+    samples, and its finalize:
         r = (n*Shx - Sh*Sx) / sqrt((n*Sh2 - Sh^2) * (n*Sx2 - Sx^2))
+    A subclass keeps the hypothesis sums and returns one block of them,
+    (sum_h, sum_h2, sum_hx), from _hypothesis_sums(rows)."""
 
-    Memory is O(num_hypotheses * m) regardless of trace count. The disclosure
-    loop keeps one accumulator of 16 * 256 hypotheses per position, byte j in
-    rows 256*j .. 256*j + 255, and scores one byte with finalize(rows).
-    """
-
-    def __init__(self, m: int, num_hypotheses: int = 256):
+    def __init__(self, m: int):
         if m < 1:
             raise AnalysisError("need >= 1 sample")
         self.m = m
-        self.num_hypotheses = num_hypotheses
         self.n = 0
-        self.sum_h = np.zeros(num_hypotheses, dtype=np.float64)
-        self.sum_h2 = np.zeros(num_hypotheses, dtype=np.float64)
         self.sum_x = np.zeros(m, dtype=np.float64)
         self.sum_x2 = np.zeros(m, dtype=np.float64)
+
+    def _add_samples(self, x: np.ndarray) -> None:
+        """Count the float64 sample rows x into n, sum_x and sum_x2."""
+        self.n += x.shape[0]
+        self.sum_x += x.sum(axis=0)
+        self.sum_x2 += (x * x).sum(axis=0)
+
+    def finalize(self, rows: slice = slice(None)) -> CpaResult:
+        """Correlations of the hypotheses in `rows`; each element gets the
+        same arithmetic whichever rows are asked for."""
+        sum_h, sum_h2, sum_hx = self._hypothesis_sums(rows)
+        return _pearson(self.n, sum_h, sum_h2, self.sum_x, self.sum_x2, sum_hx)
+
+
+class CpaAccumulator(_PearsonSums):
+    """Pearson sums of num_hypotheses hypotheses, fed their values. Memory
+    is O(num_hypotheses * m) regardless of trace count. The disclosure loop
+    keeps one accumulator of 16 * 256 hypotheses per position, byte j in
+    rows 256*j .. 256*j + 255, and scores one byte with finalize(rows)."""
+
+    def __init__(self, m: int, num_hypotheses: int = 256):
+        super().__init__(m)
+        self.num_hypotheses = num_hypotheses
+        self.sum_h = np.zeros(num_hypotheses, dtype=np.float64)
+        self.sum_h2 = np.zeros(num_hypotheses, dtype=np.float64)
         self.sum_hx = np.zeros((num_hypotheses, m), dtype=np.float64)
 
     def update_batch(self, hypotheses: np.ndarray, samples: np.ndarray) -> "CpaAccumulator":
         """hypotheses (num_hypotheses, b), samples (b, m).
 
-        The sample sums are taken once. The hypotheses go through the GEMM in
-        blocks of 256 rows, each cast into one float64 buffer and multiplied
-        into one product buffer that every block of the batch reuses, so a
-        block's sums are bit for bit those of a 256-hypothesis accumulator
-        fed the same rows. The buffers live for one call only: kept between
-        calls they raise a position's peak memory by their size.
+        The sample sums are taken over the whole float64 batch. The
+        hypotheses go through the GEMM in 256-row blocks, each widened to
+        float64 in temporaries of its own, at most (256, b) and (256, m)
+        float64 arrays at a time; a block's sums are bit for bit those of a
+        256-hypothesis accumulator fed the same rows.
         """
         H = np.asarray(hypotheses)
         X = np.asarray(samples, dtype=np.float64)
         if H.ndim != 2 or X.ndim != 2 or H.shape[0] != self.num_hypotheses \
                 or H.shape[1] != X.shape[0] or X.shape[1] != self.m:
             raise AnalysisError("batch shapes do not match accumulator")
-        self.n += X.shape[0]
-        self.sum_x += X.sum(axis=0)
-        self.sum_x2 += (X * X).sum(axis=0)
-        block = min(_BLOCK_ROWS, self.num_hypotheses)
-        h_buf = np.empty((block, X.shape[0]), dtype=np.float64)
-        hx_buf = np.empty((block, self.m), dtype=np.float64)
+        self._add_samples(X)
         for lo in range(0, self.num_hypotheses, _BLOCK_ROWS):
-            rows = slice(lo, min(lo + _BLOCK_ROWS, self.num_hypotheses))
-            h = h_buf[:rows.stop - lo]
-            hx = hx_buf[:rows.stop - lo]
-            np.copyto(h, H[rows], casting="unsafe")
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            h = H[rows].astype(np.float64)
             self.sum_h[rows] += h.sum(axis=1)
-            np.matmul(h, X, out=hx)
-            self.sum_hx[rows] += hx
-            np.multiply(h, h, out=h)
-            self.sum_h2[rows] += h.sum(axis=1)
+            self.sum_hx[rows] += h @ X
+            self.sum_h2[rows] += (h * h).sum(axis=1)
         return self
 
     def merge(self, other: "CpaAccumulator") -> "CpaAccumulator":
@@ -255,14 +265,11 @@ class CpaAccumulator:
         self.sum_hx += other.sum_hx
         return self
 
-    def finalize(self, rows: slice = slice(None)) -> CpaResult:
-        """Correlations of the hypotheses in `rows` (all of them by default);
-        each element gets the same arithmetic whichever rows are asked for."""
-        return _pearson(self.n, self.sum_h[rows], self.sum_h2[rows],
-                        self.sum_x, self.sum_x2, self.sum_hx[rows])
+    def _hypothesis_sums(self, rows: slice) -> tuple:
+        return self.sum_h[rows], self.sum_h2[rows], self.sum_hx[rows]
 
 
-class ClassCpaAccumulator:
+class ClassCpaAccumulator(_PearsonSums):
     """Streaming CPA of all 16 key bytes under a first-round model, kept as
     class sums (conditional averaging; Brier, Clavier and Olivier, CHES
     2004) rather than hypothesis sums.
@@ -275,7 +282,7 @@ class ClassCpaAccumulator:
     sum_h and sum_h2 are exact integers, so they equal the GEMM path's bit
     for bit; sum_hx differs from it only by rounding. Hypothesis rows are
     numbered as there (byte j's guesses in rows 256*j .. 256*j + 255), and
-    finalize goes through the same Pearson formula.
+    finalize(rows) scores one byte's 256 rows at a time.
 
     Memory is O(16 * 256 * m) regardless of trace count and of batch size:
     an update widens at most _BLOCK_ROWS sample rows to float64 at a time.
@@ -284,23 +291,14 @@ class ClassCpaAccumulator:
     (256, 256) x (256, m) product, as many multiply-adds as 16 traces cost
     the 16-byte GEMM update; so checkpoint intervals below about 16 traces
     can spend more in these products than the GEMM they replace.
-
-    Last-round models cannot use this: their hypothesis depends on two
-    ciphertext bytes, 65,536 classes per key byte, and stays with
-    CpaAccumulator.
     """
 
     def __init__(self, m: int, table: np.ndarray):
-        if m < 1:
-            raise AnalysisError("need >= 1 sample")
-        self.m = m
+        super().__init__(m)
         self.table = np.asarray(table, dtype=np.float64)
         self.table_sq = self.table * self.table
-        self.n = 0
         self.counts = np.zeros(16 * 256, dtype=np.int64)
         self.sums = np.zeros((16 * 256, m), dtype=np.float64)
-        self.sum_x = np.zeros(m, dtype=np.float64)
-        self.sum_x2 = np.zeros(m, dtype=np.float64)
 
     def update_batch(self, plaintexts: np.ndarray, samples: np.ndarray) -> "ClassCpaAccumulator":
         """plaintexts (b, 16) bytes, samples (b, m)."""
@@ -315,22 +313,17 @@ class ClassCpaAccumulator:
         self.counts += np.bincount(rows.ravel(), minlength=16 * 256)
         for lo in range(0, len(X), _BLOCK_ROWS):
             x = X[lo:lo + _BLOCK_ROWS].astype(np.float64)
-            self.sum_x += x.sum(axis=0)
-            self.sum_x2 += (x * x).sum(axis=0)
+            self._add_samples(x)
             for r, xi in zip(rows[lo:lo + _BLOCK_ROWS], x):
                 self.sums[r] += xi
-        self.n += len(X)
         return self
 
-    def finalize(self, rows: slice) -> CpaResult:
-        """Correlations of one byte's 256 hypothesis rows, slice(256 * j,
-        256 * (j + 1))."""
+    def _hypothesis_sums(self, rows: slice) -> tuple:
         byte, rest = divmod(rows.start, 256)
         if rest or rows.stop != rows.start + 256 or not 0 <= byte < 16:
             raise AnalysisError("rows must be one key byte's 256 hypotheses")
         c = self.counts[rows].astype(np.float64)
-        return _pearson(self.n, self.table @ c, self.table_sq @ c,
-                        self.sum_x, self.sum_x2, self.table @ self.sums[rows])
+        return self.table @ c, self.table_sq @ c, self.table @ self.sums[rows]
 
 
 def _pearson(n, sum_h, sum_h2, sum_x, sum_x2, sum_hx) -> CpaResult:

@@ -114,8 +114,9 @@ def evaluate_classifier_grid(model: ProfilingModel, source,
 
 
 def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
-                      correct, budget, checkpoint_interval):
-    """Streaming 16-byte CPA over one position's first min(n, budget) traces.
+                      correct, checkpoint_interval):
+    """Streaming 16-byte CPA over all n traces of one position, which the
+    caller has already cut to its budget.
 
     One accumulator holds all 16 bytes' hypotheses, byte j in rows
     256*j .. 256*j + 255: for first-round kinds a ClassCpaAccumulator of
@@ -132,19 +133,16 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
     first byte that does not; that byte is scored first at the next
     checkpoint. The last slice, and any slice at which every byte ranks
     first, scores all 16. Bytes with fewer than 2 traces score as all-equal
-    rows (rank 127.5). Scoring a first-round byte is one (256, 256) x
-    (256, m) table product, so intervals below about 16 traces can spend
-    more on scoring than the GEMM update it replaced.
+    rows (rank 127.5).
     """
     n, m = samples.shape
-    limit = n if budget is None else min(n, budget)
     first_round = kind != LAST_ROUND_HD
     acc = ClassCpaAccumulator(m, first_round_table(kind)) if first_round \
         else CpaAccumulator(m, 16 * 256)
     ranks = np.full(16, 127.5)  # all-equal scores before anything is scored
     order = list(range(16))  # scoring order; a failing byte moves to the front
-    for lo in range(0, limit, checkpoint_interval):
-        sl = slice(lo, min(lo + checkpoint_interval, limit))
+    for lo in range(0, n, checkpoint_interval):
+        sl = slice(lo, min(lo + checkpoint_interval, n))
         if first_round:
             acc.update_batch(publics[sl], samples[sl])
         else:
@@ -159,7 +157,7 @@ def _run_cpa_position(samples: np.ndarray, publics: np.ndarray, kind: str,
             scores = cpa_scores(acc.finalize(rows).corr) if acc.n >= 2 \
                 else np.zeros(256)
             ranks[j] = rank_of(scores, correct[j])
-            if ranks[j] != 0.0 and sl.stop < limit:
+            if ranks[j] != 0.0 and sl.stop < n:
                 order.remove(j)
                 order.insert(0, j)
                 break
@@ -190,7 +188,7 @@ def _disclosure_grid(source, geometry: GridGeometry, kind: str, traces_of,
             else arrays.plaintexts
         disclosure, ranks = _run_cpa_position(
             traces_of(arrays.samples[:budget]), publics[:budget], kind,
-            correct, budget, checkpoint_interval)
+            correct, checkpoint_interval)
         avg = float(ranks.mean())
         if progress is not None:
             progress({"position": p, "traces": len(arrays),

@@ -334,16 +334,16 @@ def train_hd_regressor(train: TraceArrays, val: TraceArrays,
 LEAKY_MEAN_RANK = 120.0  # the default limit of a leaky position's mean rank
 
 
-def select_leaky_positions(heatmap, threshold: float = LEAKY_MEAN_RANK) -> set:
+def select_leaky_positions(values, threshold: float = LEAKY_MEAN_RANK) -> set:
     """Positions whose mean rank is at or below the threshold (127.5 would be
     random guessing)."""
-    values = np.asarray(getattr(heatmap, "values", heatmap), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     return {int(p) for p in np.nonzero(values <= threshold)[0]}
 
 
-def select_top_n_positions(heatmap, n: int) -> list:
+def select_top_n_positions(values, n: int) -> list:
     """The n best (lowest-value) positions, ties broken by position index."""
-    values = np.asarray(getattr(heatmap, "values", heatmap), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if n < 1 or n > int(finite.sum()):
         raise ConfigError(f"n={n} outside 1..{int(finite.sum())} evaluated positions")

@@ -82,6 +82,7 @@ from .leakage import (
 )
 from .traceset import (
     ADC_BITS,
+    MAX_POSITIONS,
     SPLIT_CODES,
     SPLIT_NAMES,
     DatasetHeader,
@@ -203,10 +204,10 @@ class SimConfig:
             raise ConfigError(
                 f"m must be in 1..{_CHUNK_BYTES // 8}, the float64 samples "
                 f"of one {_CHUNK_BYTES >> 20} MiB simulation chunk")
-        if self.geometry.position_count > 1 << 16:
+        if self.geometry.position_count > MAX_POSITIONS:
             raise ConfigError(
                 f"grid has {self.geometry.position_count} positions; the .emgd "
-                f"u16 position index addresses at most {1 << 16}")
+                f"u16 position index addresses at most {MAX_POSITIONS}")
         for src in self.sources:
             if max(src.sample_indices) >= self.m:
                 raise ConfigError(

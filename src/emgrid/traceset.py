@@ -12,8 +12,9 @@ one preamble, written by write_preamble and read by read_preamble
                 against the file's size by check_payload_size
 
 A dataset's header is {geometry{nx,ny,nz,step_mm,z_step_mm,origin_mm}, m,
-trace_count, description, adc_bits}, typed by grid.json_object; its payload
-is trace_count records of record_dtype(m).
+trace_count, description, adc_bits}, typed by grid.json_object and checked
+by DatasetHeader on writing and reading alike; its payload is trace_count
+records of record_dtype(m).
 
 Files are written in place by open_dataset, TraceArrays chunks at their
 record offsets and the preamble last. They are read by one checking scan
@@ -62,6 +63,7 @@ def record_dtype(m: int) -> np.dtype:
 
 # numpy sizes a dtype by a C int, so one record holds at most MAX_M samples
 MAX_M = ((1 << 31) - 1 - record_dtype(0).itemsize) // 4
+MAX_POSITIONS = 1 << 16  # the most grid positions a u16 field can address
 
 
 @dataclass
@@ -73,6 +75,10 @@ class DatasetHeader:
     adc_bits: int = 0  # one of ADC_BITS
 
     def __post_init__(self):
+        if self.geometry.position_count > MAX_POSITIONS:
+            raise DataFormatError(
+                f"header grid has {self.geometry.position_count} positions; the "
+                f"u16 position field addresses at most {MAX_POSITIONS}")
         if not 0 < self.m <= MAX_M:
             raise DataFormatError(f"header m {self.m} is not in 1..{MAX_M}")
         if self.trace_count < 0:
@@ -167,8 +173,6 @@ def open_dataset(header: DatasetHeader, path):
     records first, first + 1, ..., also from a process forked in the block.
     The preamble is written when the block ends; an exception empties a
     regular file instead (/dev/null cannot be emptied)."""
-    if header.geometry.position_count > 1 << 16:
-        raise DataFormatError("grid has more positions than the u16 index can address")
     f = io.BytesIO()
     write_preamble(f, MAGIC, asdict(header))
     preamble = f.getvalue()

@@ -464,7 +464,12 @@ def test_corrupt_dataset_exit_1(capsys, workdir, dataset):
                 *(emgd({**good, **field}) + records for field in (
                     {"m": m + 0.9}, {"m": str(m)}, {"trace_count": n + 0.5},
                     {"adc_bits": True}, {"adc_bits": 5},
-                    {"description": [1, 2]}, {"probe": "x"}))):
+                    {"description": [1, 2]}, {"probe": "x"})),
+                # grids past the u16 position field: the first was once read
+                # without error, the second ran out of memory (exit 4)
+                *(emgd({**good, "geometry": {**good["geometry"], "nx": side,
+                                             "ny": side}}) + records
+                  for side in (300, 300_000))):
         corrupt.write_bytes(raw)
         code, events = run(capsys, "snr", "--in", corrupt, "--target",
                            "sbox-input", "--byte", 0,

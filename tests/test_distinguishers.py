@@ -707,8 +707,10 @@ def reference_run_cpa_position(samples, publics, kind, correct, budget,
 
 
 def run_disclosure(mp, entries, n, interval=1000, budget=None,
-                   loop=evaluation._run_cpa_position):
-    """Drive a disclosure loop over n traces with rigged scores; mp is a
+                   reference=False):
+    """Drive a disclosure loop over n traces with rigged scores: the
+    reference loop, which cuts the traces to the budget itself, or
+    evaluation._run_cpa_position on traces already cut to it. mp is a
     pytest MonkeyPatch. Returns (disclosure, final ranks, finalize log)."""
     plan = Plan(entries)
 
@@ -719,8 +721,14 @@ def run_disclosure(mp, entries, n, interval=1000, budget=None,
     mp.setattr(evaluation, "CpaAccumulator", fake_gemm)
     mp.setattr(evaluation, "ClassCpaAccumulator",
                lambda m, table: FakeAccumulator(plan, table))
-    disclosure, ranks = loop(np.zeros((n, 2), np.float32), rigged_publics(n),
-                             FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
+    samples, publics = np.zeros((n, 2), np.float32), rigged_publics(n)
+    if reference:
+        disclosure, ranks = reference_run_cpa_position(
+            samples, publics, FIRST_ROUND_SBOX_INPUT, KEY, budget, interval)
+    else:
+        disclosure, ranks = evaluation._run_cpa_position(
+            samples[:budget], publics[:budget], FIRST_ROUND_SBOX_INPUT, KEY,
+            interval)
     return disclosure, ranks, plan.finalized
 
 
@@ -819,7 +827,7 @@ def test_early_exit_matches_all_byte_reference(data):
         entries.append((threshold, rigged_matrix(states, other)))
     with pytest.MonkeyPatch.context() as mp:
         want, want_ranks, _ = run_disclosure(
-            mp, entries, n, interval, budget, loop=reference_run_cpa_position)
+            mp, entries, n, interval, budget, reference=True)
         got, got_ranks, finalized = run_disclosure(mp, entries, n, interval,
                                                    budget)
     assert got == want and type(got) is type(want)
@@ -852,9 +860,10 @@ def test_class_loop_matches_gemm_reference_loop(data):
     for j in range(16):  # with m < 16, bytes share leaking columns
         X[:, j % m] += amplitude * hw[:, j]
     X = X.astype(np.float32)
-    args = (X, P, FIRST_ROUND_SBOX_OUTPUT, key.tolist(), budget, interval)
-    want, want_ranks = reference_run_cpa_position(*args)
-    got, got_ranks = evaluation._run_cpa_position(*args)
+    want, want_ranks = reference_run_cpa_position(
+        X, P, FIRST_ROUND_SBOX_OUTPUT, key.tolist(), budget, interval)
+    got, got_ranks = evaluation._run_cpa_position(
+        X[:budget], P[:budget], FIRST_ROUND_SBOX_OUTPUT, key.tolist(), interval)
     assert got == want and type(got) is type(want)
     assert got_ranks.tolist() == want_ranks.tolist()
 
@@ -875,7 +884,7 @@ def test_first_round_cpa_peak_memory_independent_of_interval(kind):
         tracemalloc.start()
         try:
             disclosure, _ = evaluation._run_cpa_position(X, P, kind, KEY,
-                                                         None, interval)
+                                                         interval)
             _, peaks[interval] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

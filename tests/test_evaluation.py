@@ -287,7 +287,7 @@ def test_disclosure_fetches_only_budgeted_rows(monkeypatch, budget, hybrid):
     fetched = []
     predicted = []
 
-    def fake_loop(samples, publics, kind, correct, b, interval):
+    def fake_loop(samples, publics, kind, correct, interval):
         assert len(publics) == len(samples)
         fetched.append(len(samples))
         return math.inf, np.full(16, 127.5)
