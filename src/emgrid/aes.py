@@ -1,4 +1,4 @@
-"""FIPS-197 AES-128, vectorized over batches of blocks.
+"""FIPS-197 AES-128 encryption, vectorized over batches of blocks.
 
 Everything here operates on flat 16-byte states in standard AES order:
 byte b of a block sits at state-matrix row b % 4, column b // 4. Batch
@@ -10,8 +10,8 @@ MixColumns output column (a little-endian uint32 word) of S-box output
 SBOX[x] standing alone in row r, so each output column is the XOR of four
 entries. The key schedule likewise works on little-endian uint32 words.
 
-The simulator needs the state entering the final round (for Hamming-distance
-leakage), so encrypt_blocks can return it alongside the ciphertexts.
+Nothing here decrypts: the last-round leakage model inverts the final round
+itself from a ciphertext and its round-10 key (see leakage.py).
 """
 
 import numpy as np
@@ -104,34 +104,11 @@ def expand_keys_batch(keys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.T).view(np.uint8).reshape(n, 11, 16)
 
 
-def round10_key(key) -> bytes:
-    """Final-round key of the schedule; the guess domain of last-round attacks."""
-    return expand_keys(key)[10].tobytes()
-
-
-def _inv_mix_columns(state: np.ndarray) -> np.ndarray:
-    a = state.reshape(-1, 4, 4)
-    m2 = _xtime(a)
-    m4 = _xtime(m2)
-    m8 = _xtime(m4)
-    m9 = m8 ^ a
-    m11 = m8 ^ m2 ^ a
-    m13 = m8 ^ m4 ^ a
-    m14 = m8 ^ m4 ^ m2
-    out = (m14 ^ np.roll(m11, -1, axis=2) ^ np.roll(m13, -2, axis=2)
-           ^ np.roll(m9, -3, axis=2))
-    return out.reshape(state.shape)
-
-
-def encrypt_blocks(plaintexts: np.ndarray, round_keys: np.ndarray,
-                   return_round9_state: bool = False):
+def encrypt_blocks(plaintexts: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
     """Encrypt a (n, 16) uint8 batch.
 
     round_keys is one schedule of shape (11, 16) shared by every block, or a
-    per-block batch of schedules with shape (n, 11, 16). With
-    return_round9_state the second array is the state entering the final
-    round (after round 9's AddRoundKey), which the last-round HD model leaks
-    against.
+    per-block batch of schedules with shape (n, 11, 16).
     """
     pts = np.atleast_2d(np.asarray(plaintexts, dtype=np.uint8))
     if pts.ndim != 2 or pts.shape[1] != 16:
@@ -149,27 +126,9 @@ def encrypt_blocks(plaintexts: np.ndarray, round_keys: np.ndarray,
         words ^= t[:, :, 3]
         words ^= rk_words[..., r, :]
         state = words.astype("<u4", copy=False).view(np.uint8)
-    state9 = state if return_round9_state else None
     state = SBOX[state[:, SHIFT_ROWS_SELECT]]
     state ^= round_keys[..., 10, :]
-    if return_round9_state:
-        return state, state9
     return state
-
-
-def decrypt_blocks(ciphertexts: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
-    cts = np.atleast_2d(np.asarray(ciphertexts, dtype=np.uint8))
-    if cts.ndim != 2 or cts.shape[1] != 16:
-        raise ValueError("ciphertexts must have shape (n, 16)")
-    state = cts ^ round_keys[10]
-    state = state[:, SHIFT_MAP]
-    state = INV_SBOX[state]
-    for r in range(9, 0, -1):
-        state ^= round_keys[r]
-        state = _inv_mix_columns(state)
-        state = state[:, SHIFT_MAP]
-        state = INV_SBOX[state]
-    return state ^ round_keys[0]
 
 
 def aes128_encrypt(plaintext, key) -> bytes:
@@ -178,10 +137,3 @@ def aes128_encrypt(plaintext, key) -> bytes:
     if pt.shape != (16,):
         raise ValueError("plaintext must be 16 bytes")
     return encrypt_blocks(pt.reshape(1, 16), expand_keys(key))[0].tobytes()
-
-
-def aes128_decrypt(ciphertext, key) -> bytes:
-    ct = np.frombuffer(bytes(ciphertext), dtype=np.uint8)
-    if ct.shape != (16,):
-        raise ValueError("ciphertext must be 16 bytes")
-    return decrypt_blocks(ct.reshape(1, 16), expand_keys(key))[0].tobytes()

@@ -20,9 +20,10 @@ of the file and finds the split's, so a malformed record or a split without
 traces ends the command before any position is computed; the sweep then
 reads one position's records at a time, which holds its peak memory to one
 position plus the per-position accumulator. train reads its train and test
-splits whole with traceset.read_arrays. Its SGD flags (--lr, --batch-size,
---epochs, --steps) configure the classifier; the HD regressor is fitted by
-least squares.
+splits whole with traceset.read_arrays, and either split without traces
+ends it before it trains. Its SGD flags (--lr, --batch-size, --epochs,
+--steps) configure the classifier; the HD regressor is fitted by least
+squares. evaluate scores the byte its classifier was trained on.
 
 Exit codes: 0 success; 1 I/O or malformed file; 2 usage/config, including
 argument errors and a split without traces; 3 analysis precondition (e.g.
@@ -46,7 +47,7 @@ from .evaluation import (
     evaluate_snr_grid,
 )
 from .heatmap import Heatmap, heatmap_from_csv, heatmap_to_csv, heatmap_to_svg
-from .grid import GridGeometry, require_finite
+from .grid import require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
     FIRST_ROUND_SBOX_OUTPUT,
@@ -235,6 +236,9 @@ def cmd_train(args) -> int:
     positions = _select_positions(args, read_header(args.dataset).geometry)
     _, train, val = read_arrays(args.dataset,
                                 [SPLIT_CODES["train"], SPLIT_CODES["test"]])
+    for split, arrays in (("train", train), ("test", val)):
+        if len(arrays) == 0:
+            raise ConfigError(f"no traces in split {split} of {args.dataset}")
     if positions is None:
         positions = sorted({int(p) for p in train.positions})
     _log("selected", mode=args.mode, positions=[int(p) for p in positions])
@@ -258,8 +262,7 @@ def cmd_evaluate(args) -> int:
     if model.kind != CLASSIFIER_256:
         raise ConfigError("evaluate expects a classifier model; "
                           "attack regressors with the hybrid command")
-    byte = model.byte_index if args.byte is None else args.byte
-    target = LeakageModel(TARGET_KINDS[args.target], byte)
+    target = LeakageModel(TARGET_KINDS[args.target], model.byte_index)
     header, positions = _read_positions(args, model)
     h = evaluate_classifier_grid(model, positions, header.geometry, target,
                                  progress=lambda d: _log("position", **d))
@@ -286,14 +289,11 @@ def cmd_render(args) -> int:
                         ("--mask-threshold", args.mask_threshold)):
         require_finite(flag, value)
     grid = _read_heatmap_csv(args.csv)
-    ny, nx = grid.shape
-    geometry = GridGeometry(nx, ny, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
-    h = Heatmap(geometry, grid.ravel(), args.metric,
-                mask_threshold=args.mask_threshold)
-    svg = heatmap_to_svg(h, vmin=args.vmin, vmax=args.vmax)
+    svg = heatmap_to_svg(grid, args.metric, args.mask_threshold,
+                         vmin=args.vmin, vmax=args.vmax)
     with open(args.svg, "w") as f:
         f.write(svg)
-    _log("wrote", path=args.svg, cells=int(nx * ny))
+    _log("wrote", path=args.svg, cells=grid.size)
     return 0
 
 
@@ -408,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_dataset(p)
     p.add_argument("--split", choices=sorted(SPLIT_CODES), default="test")
-    p.add_argument("--target", choices=sorted(TARGET_KINDS), default="sbox-input")
-    p.add_argument("--byte", type=int, default=None,
-                   help="target byte (default: the model's)")
+    p.add_argument("--target", choices=sorted(TARGET_KINDS), default="sbox-input",
+                   help="the model's byte is the target byte")
     p.add_argument("--out-heatmap", required=True)
     _add_threads(p)
     p.set_defaults(func=cmd_evaluate)

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .aes import SHIFT_MAP, round10_key
 from .distinguishers import (ClassCpaAccumulator, CpaAccumulator,
                              SnrAccumulator, cpa_scores, rank_of)
 from .errors import AnalysisError, ConfigError
@@ -26,6 +25,7 @@ from .leakage import (
     LeakageModel,
     build_hypothesis_matrix,
     first_round_table,
+    true_guesses,
 )
 from .profiler import (ProfilingModel, classify_attack, first_round_labels,
                        predict_hd, true_hds)
@@ -52,19 +52,11 @@ def _map_positions(source, fn, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_fixed_key(keys: np.ndarray) -> bytes:
+def _check_fixed_key(keys: np.ndarray) -> np.ndarray:
     """The one key every row of a non-empty (n, 16) key array holds."""
     if (keys != keys[0]).any():
         raise AnalysisError(MIXED_KEY_HINT)
-    return keys[0].tobytes()
-
-
-def _correct_bytes(kind: str, key: bytes):
-    """The per-byte guess the attack should rank first."""
-    if kind == LAST_ROUND_HD:
-        rk10 = round10_key(key)
-        return [rk10[int(SHIFT_MAP[j])] for j in range(16)]
-    return list(key)
+    return keys[0]
 
 
 def evaluate_snr_grid(source, geometry: GridGeometry, target: LeakageModel,
@@ -183,7 +175,7 @@ def _disclosure_grid(source, geometry: GridGeometry, kind: str, traces_of,
         raise ConfigError("budget must be >= 0")
 
     def one(p, arrays):
-        correct = _correct_bytes(kind, _check_fixed_key(arrays.keys))
+        correct = true_guesses(kind, _check_fixed_key(arrays.keys))
         publics = arrays.ciphertexts if kind == LAST_ROUND_HD \
             else arrays.plaintexts
         disclosure, ranks = _run_cpa_position(

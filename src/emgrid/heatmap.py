@@ -55,7 +55,6 @@ class Heatmap:
     geometry: GridGeometry
     values: np.ndarray        # flat (position_count,), float64, +inf allowed
     metric: str
-    mask_threshold: float = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -63,12 +62,6 @@ class Heatmap:
             raise ConfigError(
                 f"heatmap needs {self.geometry.position_count} values, "
                 f"got {self.values.shape}")
-
-    def masked(self) -> np.ndarray:
-        """Boolean mask of cells hidden by the threshold (v > threshold)."""
-        if self.mask_threshold is None:
-            return np.zeros(len(self.values), dtype=bool)
-        return self.values > self.mask_threshold
 
     def slice_z(self, iz: int) -> "Heatmap":
         """Extract one z-layer as a 2D heatmap."""
@@ -78,7 +71,7 @@ class Heatmap:
         layer = g.nx * g.ny
         geom2d = replace(g, nz=1)
         return Heatmap(geom2d, self.values[iz * layer:(iz + 1) * layer],
-                       self.metric, self.mask_threshold)
+                       self.metric)
 
     def grid2d(self) -> np.ndarray:
         """(ny, nx) view of a single-layer map."""
@@ -138,12 +131,14 @@ def _parse_value(cell: str) -> float:
     return v
 
 
-def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:
-    """Deterministic SVG: one rect per cell, dark-to-light ramp, masked cells
-    grey with diagonal hatching, infinity at the ramp's extreme."""
-    grid = h.grid2d()
+def heatmap_to_svg(grid: np.ndarray, title: str, mask_threshold: float = None,
+                   vmin: float = None, vmax: float = None) -> str:
+    """Deterministic SVG of a (ny, nx) grid: one rect per cell, dark-to-light
+    ramp, infinity at the ramp's extreme, and cells above mask_threshold
+    (v > threshold) grey with diagonal hatching."""
     ny, nx = grid.shape
-    masked = h.masked().reshape(ny, nx)
+    masked = np.zeros(grid.shape, dtype=bool) if mask_threshold is None \
+        else grid > mask_threshold
     finite = grid[np.isfinite(grid)]
     if vmin is None:
         vmin = float(finite.min()) if len(finite) else 0.0
@@ -165,7 +160,7 @@ def heatmap_to_svg(h: Heatmap, vmin: float = None, vmax: float = None) -> str:
         '<line x1="0" y1="0" x2="0" y2="6" stroke="#555555" stroke-width="2"/>'
         "</pattern>",
         "</defs>",
-        f'<title>{_escape(h.metric)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for x in range(nx):

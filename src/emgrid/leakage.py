@@ -1,28 +1,24 @@
-"""Leakage models: the intermediate values attacks target.
+"""Leakage models: the intermediate values attacks target, and their truth.
 
-Two families are supported. First-round models target a byte of the round-1
-S-box input or output, computed from the plaintext and a key-byte guess; CPA
-hypotheses are its Hamming weight, profiled classifiers label traces by the
-byte itself. The last-round model predicts the Hamming distance between a
-ciphertext byte and the state byte it overwrote, from the ciphertext and a
-round-10 key-byte guess.
+First-round models target a byte of the round-1 S-box input or output,
+p ^ k or SBOX[p ^ k]; CPA hypotheses are its Hamming weight, profiled
+classifiers label traces by the byte itself. The last-round model predicts
+the Hamming distance between ciphertext byte j and the state byte it
+overwrote, InvSBox[ct[σ(j)] ^ k10[σ(j)]] with σ = aes.SHIFT_MAP: ShiftRows
+moved state byte j to position σ(j), and the final round has no MixColumns.
 
-For the last-round model the guess for ciphertext byte j is the round-10 key
-byte at position SHIFT_MAP[j] (see aes.SHIFT_MAP): ShiftRows moved the state
-byte at position j to ciphertext position SHIFT_MAP[j], so inverting the final
-round at ct[SHIFT_MAP[j]] recovers the state byte that ct[j] replaced.
-
-Hypothesis matrices are gathered from 256 x 256 tables built at import, whose
-row is the key-byte guess and whose column is the public byte: one gather per
-first-round matrix, and for the last round one gather of the inverted state
-byte followed by a Hamming-weight lookup.
+Each rule is one 256 x 256 table built at import, row the key byte and
+column the public byte. A hypothesis matrix gathers the rows of all 256
+guesses; the truth under the real key (true_first_round_values,
+true_last_round_hds) gathers the real key's row, which true_guesses names.
+So what the simulator leaks and what CPA ranks first are one rule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aes import INV_SBOX, SBOX, SHIFT_MAP
+from .aes import INV_SBOX, SBOX, SHIFT_MAP, expand_keys
 from .errors import ConfigError
 
 FIRST_ROUND_SBOX_INPUT = "FirstRoundSboxInput"
@@ -37,8 +33,10 @@ HW_TABLE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
 # Entry [k, v] of each table is the value under guess k for public byte v.
 _GUESS_XOR = np.bitwise_xor.outer(np.arange(256, dtype=np.uint8),
                                   np.arange(256, dtype=np.uint8))
-_SBOX_INPUT_HW = HW_TABLE[_GUESS_XOR]
-_SBOX_OUTPUT_HW = HW_TABLE[SBOX[_GUESS_XOR]]
+_FIRST_ROUND_VALUES = {FIRST_ROUND_SBOX_INPUT: _GUESS_XOR,
+                       FIRST_ROUND_SBOX_OUTPUT: SBOX[_GUESS_XOR]}
+_FIRST_ROUND_HW = {kind: HW_TABLE[values]
+                   for kind, values in _FIRST_ROUND_VALUES.items()}
 _INV_SBOX_OF_XOR = INV_SBOX[_GUESS_XOR]
 
 
@@ -57,11 +55,13 @@ class LeakageModel:
 def first_round_table(kind: str) -> np.ndarray:
     """The (256, 256) uint8 table of a first-round model: entry [k, v] is the
     Hamming weight predicted under key-byte guess k for plaintext byte v."""
-    if kind == FIRST_ROUND_SBOX_OUTPUT:
-        return _SBOX_OUTPUT_HW
-    if kind == FIRST_ROUND_SBOX_INPUT:
-        return _SBOX_INPUT_HW
-    raise ConfigError(f"not a first-round model kind: {kind!r}")
+    return _first_round(_FIRST_ROUND_HW, kind)
+
+
+def _first_round(tables: dict, kind: str) -> np.ndarray:
+    if kind not in tables:
+        raise ConfigError(f"not a first-round model kind: {kind!r}")
+    return tables[kind]
 
 
 def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndarray:
@@ -83,29 +83,31 @@ def build_hypothesis_matrix(publics: np.ndarray, model: LeakageModel) -> np.ndar
     return np.take(first_round_table(model.kind), pub[:, j], axis=1)
 
 
-def true_first_round_values(kind: str, plaintexts: np.ndarray, key,
+def true_first_round_values(kind: str, plaintexts: np.ndarray, keys: np.ndarray,
                             byte_index: int) -> np.ndarray:
     """Per-trace true intermediate byte under the real key (no guessing).
 
-    key is a single 16-byte key or an (n, 16) per-trace key array.
+    keys is one (16,) uint8 key or an (n, 16) array of per-trace keys.
     """
-    key = np.asarray(bytearray(key) if isinstance(key, (bytes, bytearray)) else key,
-                     dtype=np.uint8)
-    kb = key[:, byte_index] if key.ndim == 2 else key[byte_index]
-    vals = plaintexts[:, byte_index] ^ kb
-    if kind == FIRST_ROUND_SBOX_OUTPUT:
-        vals = SBOX[vals]
-    elif kind != FIRST_ROUND_SBOX_INPUT:
-        raise ConfigError(f"not a first-round model kind: {kind!r}")
-    return vals
+    j = byte_index
+    return _first_round(_FIRST_ROUND_VALUES, kind)[keys[..., j], plaintexts[:, j]]
 
 
-def true_last_round_hds(ciphertexts: np.ndarray, round9_states: np.ndarray) -> np.ndarray:
+def true_last_round_hds(ciphertexts: np.ndarray, round10_keys: np.ndarray) -> np.ndarray:
     """True HD between each ciphertext byte and the state byte it replaced.
 
-    Shapes (n, 16); uses the instrumented cipher's round-9 output, so no key
-    guess is involved. Column j equals row k10[SHIFT_MAP[j]] of
-    build_hypothesis_matrix(ct, LeakageModel(LAST_ROUND_HD, j)), the
-    hypothesis under the true round-10 key byte.
+    round10_keys is one (16,) uint8 round-10 key or an (n, 16) array of
+    per-trace ones. Column j equals row true_guesses(LAST_ROUND_HD, key)[j]
+    of build_hypothesis_matrix(ct, LeakageModel(LAST_ROUND_HD, j)).
     """
-    return HW_TABLE[ciphertexts ^ round9_states]
+    prev = _INV_SBOX_OF_XOR[round10_keys[..., SHIFT_MAP], ciphertexts[:, SHIFT_MAP]]
+    return HW_TABLE[ciphertexts ^ prev]
+
+
+def true_guesses(kind: str, key: np.ndarray) -> np.ndarray:
+    """The 16 guesses an attack on `kind` should rank first, as a (16,)
+    uint8 array, for one 16-byte key: the key itself for first-round models,
+    and round-10 key byte σ(j) for byte j of the last-round model."""
+    if kind == LAST_ROUND_HD:
+        return expand_keys(key)[10, SHIFT_MAP]
+    return np.asarray(key, dtype=np.uint8)

@@ -294,12 +294,12 @@ def _quantize(x: np.ndarray, bits: int, full_scale) -> np.ndarray:
     return lo + q * ((hi - lo) / levels)
 
 
-def _source_true_values(src: LeakSource, pts, hds, key_bytes) -> np.ndarray:
+def _source_true_values(src: LeakSource, pts, hds, keys) -> np.ndarray:
     """Per-trace emitted value: HW of the true intermediate, or the true HD
     (column byte_index of the chunk's true_last_round_hds)."""
     if src.target == LAST_ROUND_HD_TRUE:
         return hds[:, src.byte_index].astype(np.float64)
-    vals = true_first_round_values(src.target, pts, key_bytes, src.byte_index)
+    vals = true_first_round_values(src.target, pts, keys, src.byte_index)
     return HW_TABLE[vals].astype(np.float64)
 
 
@@ -341,18 +341,17 @@ def _synthesize_chunk(config: SimConfig, position: int, split: int,
     else:
         keys = np.tile(np.frombuffer(config.fixed_key, dtype=np.uint8), (count, 1))
 
-    need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
     rks = expand_keys_batch(keys) if random_keys else expand_keys(config.fixed_key)
-    out = encrypt_blocks(pts, rks, return_round9_state=need_s9)
-    cts, s9 = out if need_s9 else (out, None)
-    hds = true_last_round_hds(cts, s9) if need_s9 else None
+    cts = encrypt_blocks(pts, rks)
+    hds = None
+    if any(s.target == LAST_ROUND_HD_TRUE for s in config.sources):
+        hds = true_last_round_hds(cts, rks[..., 10, :])
 
     probe = config.geometry.position_mm(position, flip_y=dev.axis_flip_y)
     samples = np.tile(config.background.waveform(m), (count, 1))
     for src in config.sources:
         w = coupling_weight(src.position_mm, probe)
-        vals = _source_true_values(src, pts, hds, keys if random_keys
-                                   else config.fixed_key)
+        vals = _source_true_values(src, pts, hds, keys)
         idx = np.asarray(src.sample_indices, dtype=np.int64)
         if dev.jitter_max == 0:
             samples[:, idx] += (w * src.amplitude) * vals[:, None]

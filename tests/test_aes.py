@@ -1,5 +1,6 @@
 """Cipher-core tests: published vectors, an independent library oracle, and
-the ShiftRows bookkeeping the last-round attack depends on."""
+the ShiftRows bookkeeping the last-round attack depends on. emgrid only
+encrypts; the cryptography package decrypts for the round trips."""
 
 import numpy as np
 import pytest
@@ -12,14 +13,12 @@ from emgrid.aes import (
     SHIFT_MAP,
     SHIFT_ROWS_SELECT,
     T_TABLE,
-    aes128_decrypt,
     aes128_encrypt,
-    decrypt_blocks,
     encrypt_blocks,
     expand_keys,
     expand_keys_batch,
-    round10_key,
 )
+from final_round import final_round_inputs
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -29,6 +28,32 @@ FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 def reference_ecb_encrypt(key: bytes, blocks: bytes) -> bytes:
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
     return enc.update(blocks) + enc.finalize()
+
+
+def reference_ecb_decrypt(key: bytes, blocks: bytes) -> bytes:
+    dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+    return dec.update(blocks) + dec.finalize()
+
+
+def _xtime(b: int) -> int:
+    return ((b << 1) ^ (0x1B if b & 0x80 else 0)) & 0xFF
+
+
+def reference_round9_state(round_keys, pt) -> list:
+    """The state entering the final round: AddRoundKey, then rounds 1-9 of
+    FIPS-197, byte by byte. Row r of the state (bytes r, r+4, r+8, r+12)
+    rotates left by r in ShiftRows."""
+    s = [p ^ int(k) for p, k in zip(pt, round_keys[0])]
+    for r in range(1, 10):
+        s = [int(SBOX[b]) for b in s]
+        s = [s[4 * ((c + row) % 4) + row] for c in range(4) for row in range(4)]
+        mixed = []
+        for c in range(4):
+            a = s[4 * c:4 * c + 4]
+            mixed += [_xtime(a[i]) ^ _xtime(a[(i + 1) % 4]) ^ a[(i + 1) % 4]
+                      ^ a[(i + 2) % 4] ^ a[(i + 3) % 4] for i in range(4)]
+        s = [b ^ int(k) for b, k in zip(mixed, round_keys[r])]
+    return s
 
 
 def master_key_from_round10(rk10) -> bytes:
@@ -81,7 +106,7 @@ def test_round_trips_against_reference():
         pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
         ct = aes128_encrypt(pt, key)
         assert ct == reference_ecb_encrypt(key, pt)
-        assert aes128_decrypt(ct, key) == pt
+        assert reference_ecb_decrypt(key, ct) == pt
 
 
 def test_batch_matches_reference_library():
@@ -91,7 +116,7 @@ def test_batch_matches_reference_library():
     rk = expand_keys(key)
     cts = encrypt_blocks(pts, rk)
     assert cts.tobytes() == reference_ecb_encrypt(key, pts.tobytes())
-    assert np.array_equal(decrypt_blocks(cts, rk), pts)
+    assert reference_ecb_decrypt(key, cts.tobytes()) == pts.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 257])
@@ -101,12 +126,14 @@ def test_per_block_keys_match_reference_library(n):
     pts = rng.integers(0, 256, (n, 16), dtype=np.uint8)
     rks = expand_keys_batch(keys)
     assert rks.shape == (n, 11, 16)
-    cts, s9 = encrypt_blocks(pts, rks, return_round9_state=True)
+    cts = encrypt_blocks(pts, rks)
     for key, pt, ct, rk in zip(keys, pts, cts, rks):
         assert ct.tobytes() == reference_ecb_encrypt(key.tobytes(), pt.tobytes())
         assert np.array_equal(rk, expand_keys(key.tobytes()))
-    # the state entering the final round, as in the shared-key case
-    assert np.array_equal(SBOX[s9][:, SHIFT_ROWS_SELECT] ^ rks[:, 10], cts)
+    # inverting the final round under each block's own round-10 key
+    # recovers its state entering the final round
+    assert final_round_inputs(cts, rks[:, 10]).tolist() == \
+        [reference_round9_state(rk, pt) for rk, pt in zip(rks, pts)]
 
 
 def test_t_table_column_matches_fips_mixcolumns_example():
@@ -121,14 +148,15 @@ def test_key_schedule_known_expansion():
     # Published expansion of 2b7e1516...: the final round key is
     # d014f9a8 c9ee2589 e13f0cc8 b6630ca6.
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-    assert round10_key(key) == bytes.fromhex("d014f9a8c9ee2589e13f0cc8b6630ca6")
+    assert expand_keys(key)[10].tobytes() == \
+        bytes.fromhex("d014f9a8c9ee2589e13f0cc8b6630ca6")
 
 
 def test_key_schedule_inversion():
     rng = np.random.default_rng(3)
     for _ in range(100):
         key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        assert master_key_from_round10(round10_key(key)) == key
+        assert master_key_from_round10(expand_keys(key)[10]) == key
 
 
 def test_round9_state_defines_final_round():
@@ -136,14 +164,17 @@ def test_round9_state_defines_final_round():
     key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
     pts = rng.integers(0, 256, (64, 16), dtype=np.uint8)
     rk = expand_keys(key)
-    cts, s9 = encrypt_blocks(pts, rk, return_round9_state=True)
-    # Final round = SubBytes, ShiftRows, AddRoundKey applied to the returned
-    # state; anything else and the HD leakage model would be inconsistent.
+    s9 = np.array([reference_round9_state(rk, pt) for pt in pts], dtype=np.uint8)
+    # Final round = SubBytes, ShiftRows, AddRoundKey applied to the state
+    # after round 9; anything else and the HD leakage model would be
+    # inconsistent.
+    cts = encrypt_blocks(pts, rk)
     assert np.array_equal(SBOX[s9][:, SHIFT_ROWS_SELECT] ^ rk[10], cts)
     # And inverting the final round from a reference-verified ciphertext
     # recovers the same state.
     assert cts.tobytes() == reference_ecb_encrypt(key, pts.tobytes())
     assert np.array_equal(INV_SBOX[(cts ^ rk[10])[:, SHIFT_MAP]], s9)
+    assert np.array_equal(final_round_inputs(cts, rk[10]), s9)
 
 
 def test_bad_lengths_rejected():

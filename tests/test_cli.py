@@ -26,7 +26,6 @@ from emgrid.distinguishers import CpaAccumulator, SnrAccumulator
 from emgrid.errors import DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.heatmap import COLOR_RAMP, heatmap_from_csv
-from emgrid.leakage import true_last_round_hds
 from emgrid.profiler import (
     CLASSIFIER_256,
     HD_REGRESSOR_16,
@@ -49,6 +48,7 @@ from emgrid.traceset import (
     record_dtype,
     write_dataset,
 )
+from final_round import last_round_hds
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -116,9 +116,8 @@ def hd_dataset(workdir):
     n = 700
     pts = rng.integers(0, 256, (n, 16), dtype=np.uint8)
     keys = np.tile(np.frombuffer(KEY, dtype=np.uint8), (n, 1))
-    cts, s9 = encrypt_blocks(pts, expand_keys_batch(keys),
-                             return_round9_state=True)
-    hds = true_last_round_hds(cts, s9).astype(np.float32)
+    cts = encrypt_blocks(pts, expand_keys_batch(keys))
+    hds = last_round_hds(keys, pts, cts).astype(np.float32)
     geometry = GridGeometry(1, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.0))
     header = DatasetHeader(geometry=geometry, m=16, trace_count=n,
                            description="true-HD fixture", adc_bits=0)
@@ -943,6 +942,35 @@ def test_train_deterministic_model_file(capsys, workdir, dataset):
     assert sha256(a) == sha256(b)
 
 
+@pytest.mark.parametrize("kind", ["classifier", "hd-regressor"])
+@pytest.mark.parametrize("missing", ["train", "test"])
+def test_train_split_without_traces_exit_2(capsys, workdir, missing, kind):
+    """train ends on a split without traces as the sweeps do: exit 2 with
+    one ConfigError, before it logs its selection. It used to exit 3 after
+    the selection ("empty training set" or "empty validation set")."""
+    rng = np.random.default_rng(5)
+    n = 40
+    keys = np.tile(np.frombuffer(KEY, dtype=np.uint8), (n, 1))
+    pts = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    kept = SPLIT_TEST if missing == "train" else SPLIT_TRAIN
+    chunk = TraceArrays(rng.normal(size=(n, 4)).astype(np.float32), keys, pts,
+                        encrypt_blocks(pts, expand_keys_batch(keys)),
+                        np.zeros(n, dtype=np.int32),
+                        np.full(n, kept, dtype=np.uint8))
+    header = DatasetHeader(GridGeometry(1, 1, 1, 0.5, 0.5, (0.0, 0.0, 0.0)),
+                           m=4, trace_count=n, description="", adc_bits=0)
+    path = workdir / f"no_{missing}.emgd"
+    write_dataset(header, [chunk], path)
+    out = workdir / f"no_{missing}_{kind}.emmod"
+    code, events = run(capsys, "train", "--in", path, "--mode", "all",
+                       "--model-kind", kind, "--out-model", out)
+    assert code == 2, events
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["kind"] == "ConfigError"
+    assert events[0]["message"] == f"no traces in split {missing} of {path}"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_uniform_model_all_chance(capsys, workdir, dataset):
@@ -1505,6 +1533,9 @@ def test_module_entry_point_and_usage_exit_2(workdir):
      "invalid choice: 'nope'"),
     (["no-such-command"], "invalid choice: 'no-such-command'"),
     ([], "required: command"),
+    # evaluate scores its model's byte
+    (["evaluate", "--model", "m.emmod", "--in", "x.emgd", "--byte", "0",
+      "--out-heatmap", "h.csv"], "unrecognized arguments: --byte 0"),
 ])
 def test_argument_errors_are_one_json_event(capsys, argv, says):
     """In-process calls, as the benchmark makes them, get exit 2 and one
@@ -1609,7 +1640,7 @@ FUZZ_FLAGS = {
     "cpa": ["--budget", "--checkpoint", "--split", "--target", "--threads"],
     "train": ["--positions", "--n", "--threshold", "--model-kind", "--byte",
               "--target", "--lr", "--seed", "--data-cap", "--batch-size"],
-    "evaluate": ["--byte", "--split", "--target", "--threads"],
+    "evaluate": ["--split", "--target", "--threads"],
     "hybrid": ["--budget", "--checkpoint", "--split", "--threads"],
     "render": ["--vmin", "--vmax", "--mask-threshold"],
 }

@@ -22,6 +22,7 @@ from emgrid.heatmap import (
 DATA = Path(__file__).parent / "data"
 G32 = GridGeometry(3, 2, 1, 1.0, 1.0, (0.0, 0.0, 0.0))
 VALS = [0.0, 60.0, 120.0, 127.5, math.inf, 20.0]
+GRID32 = np.array(VALS).reshape(2, 3)
 
 
 def g(nx, ny, nz=1):
@@ -35,13 +36,22 @@ def test_heatmap_length_validated():
         Heatmap(G32, np.zeros(5), "x")
 
 
+def hatched_cells(svg: str) -> list:
+    """Per cell, in row-major order, whether the SVG hatches it."""
+    cells = re.findall(r'<rect x="\d+" y="\d+" width="24" height="24" '
+                       r'fill="([^"]+)"', svg)
+    hatched, i = [], 0
+    while i < len(cells):
+        hatched.append(cells[i] == MASK_FILL)
+        i += 2 if hatched[-1] else 1  # a masked cell is a grey rect + hatch
+    return hatched
+
+
 def test_masked_semantics():
-    h = Heatmap(G32, np.array(VALS), "x")
-    assert not h.masked().any()
-    hm = Heatmap(G32, np.array(VALS), "x", mask_threshold=120.0)
+    assert hatched_cells(heatmap_to_svg(GRID32, "x")) == [False] * 6
     # strictly-greater cells hide; the threshold value itself stays visible
-    assert hm.masked().tolist() == [False, False, False, True, True, False]
-    assert np.array_equal(hm.masked(), hm.masked())  # idempotent
+    assert hatched_cells(heatmap_to_svg(GRID32, "x", 120.0)) == \
+        [False, False, False, True, True, False]
 
 
 def test_slice_z():
@@ -106,25 +116,22 @@ def test_csv_parse_errors():
 # --------------------------------------------------------------------- SVG
 
 def test_svg_golden_plain():
-    h = Heatmap(G32, np.array(VALS), "mean_rank")
     expected = (DATA / "heatmap_plain.svg").read_text()
-    assert heatmap_to_svg(h, vmin=0.0, vmax=127.5) == expected
+    assert heatmap_to_svg(GRID32, "mean_rank", vmin=0.0, vmax=127.5) == expected
 
 
 def test_svg_golden_masked():
-    h = Heatmap(G32, np.array(VALS), "mean_rank", mask_threshold=120.0)
     expected = (DATA / "heatmap_masked.svg").read_text()
-    assert heatmap_to_svg(h) == expected
+    assert heatmap_to_svg(GRID32, "mean_rank", 120.0) == expected
 
 
 def test_svg_byte_stable():
-    h = Heatmap(G32, np.array(VALS), "mean_rank", mask_threshold=120.0)
-    assert heatmap_to_svg(h) == heatmap_to_svg(h)
+    assert heatmap_to_svg(GRID32, "mean_rank", 120.0) == \
+        heatmap_to_svg(GRID32, "mean_rank", 120.0)
 
 
 def test_svg_structure():
-    h = Heatmap(G32, np.array(VALS), "mean_rank", mask_threshold=120.0)
-    svg = heatmap_to_svg(h)
+    svg = heatmap_to_svg(GRID32, "mean_rank", 120.0)
     # 4 visible cells + 2 masked cells drawn as grey+hatch pairs + background
     assert svg.count("<rect") == 1 + 4 + 2 * 2
     assert svg.count(f'fill="{MASK_FILL}"') == 2
@@ -134,14 +141,13 @@ def test_svg_structure():
 
 
 def test_svg_inf_uses_ramp_extreme():
-    h = Heatmap(g(2, 1), np.array([1.0, math.inf]), "x")
-    svg = heatmap_to_svg(h, vmin=0.0, vmax=2.0)
+    svg = heatmap_to_svg(np.array([[1.0, math.inf]]), "x", vmin=0.0, vmax=2.0)
     assert f'fill="{COLOR_RAMP[255]}"><title>inf</title>' in svg
 
 
 def test_svg_vmin_vmax_clamp():
-    h = Heatmap(g(3, 1), np.array([-5.0, 50.0, 500.0]), "x")
-    svg = heatmap_to_svg(h, vmin=0.0, vmax=100.0)
+    svg = heatmap_to_svg(np.array([[-5.0, 50.0, 500.0]]), "x",
+                         vmin=0.0, vmax=100.0)
     assert f'fill="{COLOR_RAMP[0]}"><title>-5</title>' in svg
     assert f'fill="{COLOR_RAMP[128]}"><title>50</title>' in svg
     assert f'fill="{COLOR_RAMP[255]}"><title>500</title>' in svg
@@ -155,6 +161,5 @@ def test_color_ramp_fixed_table():
 
 
 def test_svg_metric_name_escaped():
-    h = Heatmap(g(1, 1), np.array([1.0]), "a<b&c")
-    svg = heatmap_to_svg(h)
+    svg = heatmap_to_svg(np.array([[1.0]]), "a<b&c")
     assert "<title>a&lt;b&amp;c</title>" in svg

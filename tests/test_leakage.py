@@ -1,4 +1,5 @@
-"""Leakage-model tests, checked against scalar pure-Python recomputation."""
+"""Leakage-model tests, checked against scalar pure-Python recomputation and
+against the tests-side final-round inversion (tests/final_round.py)."""
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from emgrid.leakage import (
     LeakageModel,
     build_hypothesis_matrix,
     true_first_round_values,
+    true_guesses,
     true_last_round_hds,
 )
+from final_round import last_round_hds, reference_encrypt
 
 # Independent inverse S-box built by dict inversion, not by array scatter.
 PY_INV_SBOX = {int(v): i for i, v in enumerate(SBOX.tolist())}
@@ -158,22 +161,60 @@ def test_hypothesis_matrix_validation():
 
 def test_true_values_and_true_hds():
     rng = np.random.default_rng(13)
-    key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+    key = rng.integers(0, 256, 16, dtype=np.uint8)
     pts = rng.integers(0, 256, (32, 16), dtype=np.uint8)
     rk = expand_keys(key)
-    cts, s9 = encrypt_blocks(pts, rk, return_round9_state=True)
+    cts = encrypt_blocks(pts, rk)
 
     vin = true_first_round_values(FIRST_ROUND_SBOX_INPUT, pts, key, 6)
     assert np.array_equal(vin, pts[:, 6] ^ key[6])
     vout = true_first_round_values(FIRST_ROUND_SBOX_OUTPUT, pts, key, 6)
     assert np.array_equal(vout, SBOX[vin])
 
-    hds = true_last_round_hds(cts, s9)
+    hds = true_last_round_hds(cts, rk[10])
     assert hds.shape == (32, 16)
+    assert np.array_equal(hds, last_round_hds(key, pts, cts))
     # With the true round-10 key byte, the guessed hypothesis must equal the
-    # instrumented truth for every trace and byte position.
-    k10 = np.frombuffer(rk[10].tobytes(), dtype=np.uint8)
+    # truth for every trace and byte position.
+    k10 = rk[10]
     for j in range(16):
         g = int(k10[SHIFT_MAP[j]])
         for i in range(32):
             assert last_round_hd_hypothesis(cts[i], g, j) == hds[i, j]
+
+
+KEY16 = st.binary(min_size=16, max_size=16)
+
+
+@given(st.lists(st.tuples(KEY16, KEY16), min_size=1, max_size=6), st.booleans())
+def test_truth_and_correct_guess_match_the_oracle(rows, fixed):
+    """For one fixed key or a random key per trace: the truth of every model
+    equals the tests-side oracle (final-round inversion of reference
+    ciphertexts, plaintext ^ key), and the hypothesis matrix's row at
+    true_guesses equals the truth's Hamming weight."""
+    pts, keys = (np.frombuffer(b"".join(col), dtype=np.uint8).reshape(-1, 16)
+                 for col in zip(*rows))
+    if fixed:
+        keys = keys[0]
+    n = len(pts)
+    row_keys = np.broadcast_to(keys, (n, 16))
+    cts = reference_encrypt(keys, pts)
+    k10 = np.stack([expand_keys(k)[10] for k in row_keys])
+
+    hds = true_last_round_hds(cts, expand_keys(keys)[10] if fixed else k10)
+    assert hds.dtype == np.uint8
+    assert np.array_equal(hds, last_round_hds(keys, pts, cts))
+    truth = {LAST_ROUND_HD: hds}
+    for kind, oracle in ((FIRST_ROUND_SBOX_INPUT, pts ^ row_keys),
+                         (FIRST_ROUND_SBOX_OUTPUT, SBOX[pts ^ row_keys])):
+        values = np.stack([true_first_round_values(kind, pts, keys, j)
+                           for j in range(16)], axis=1)
+        assert np.array_equal(values, oracle)
+        truth[kind] = HW_TABLE[values]
+
+    for kind, want in truth.items():
+        publics = cts if kind == LAST_ROUND_HD else pts
+        guesses = np.stack([true_guesses(kind, k) for k in row_keys])
+        for j in range(16):
+            H = build_hypothesis_matrix(publics, LeakageModel(kind, j))
+            assert np.array_equal(H[guesses[:, j], np.arange(n)], want[:, j])

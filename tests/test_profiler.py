@@ -18,7 +18,6 @@ from emgrid.leakage import (
     LAST_ROUND_HD,
     LeakageModel,
     true_first_round_values,
-    true_last_round_hds,
 )
 from emgrid.profiler import (
     CLASSIFIER_256,
@@ -42,6 +41,7 @@ from emgrid.profiler import (
     train_hd_regressor,
 )
 from emgrid.traceset import TraceArrays
+from final_round import last_round_hds
 from positions import by_position
 
 KEY = bytes(range(16))
@@ -81,9 +81,7 @@ def labels_of(arr):
 
 
 def true_hds_of(arr):
-    _, s9 = encrypt_blocks(arr.plaintexts, expand_keys_batch(arr.keys),
-                           return_round9_state=True)
-    return true_last_round_hds(arr.ciphertexts, s9)
+    return last_round_hds(arr.keys, arr.plaintexts, arr.ciphertexts)
 
 
 # --------------------------------------------------------- standardization

@@ -19,7 +19,7 @@ from emgrid.aes import aes128_encrypt, encrypt_blocks, expand_keys
 from emgrid.distinguishers import SnrAccumulator
 from emgrid.errors import ConfigError, raised_at
 from emgrid.grid import GridGeometry
-from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE, true_last_round_hds
+from emgrid.leakage import FIRST_ROUND_SBOX_OUTPUT, HW_TABLE
 from emgrid.simulator import (
     D_MIN_MM,
     LAST_ROUND_HD_TRUE,
@@ -41,6 +41,7 @@ from emgrid.simulator import (
     _source_true_values,
 )
 from emgrid.traceset import SPLIT_CODES, SPLIT_NAMES, TraceArrays, read_arrays
+from final_round import last_round_hds
 
 POINT = GridGeometry(1, 1, 1, 0.5, 0.0, (0.0, 0.0, -0.3))
 
@@ -109,16 +110,14 @@ def simulate_trace(config: SimConfig, position_index: int, plaintext: bytes,
 
     pt = np.frombuffer(bytes(plaintext), dtype=np.uint8).reshape(1, 16)
     key_row = np.frombuffer(bytes(key), dtype=np.uint8).reshape(1, 16)
-    need_s9 = any(s.target == LAST_ROUND_HD_TRUE for s in config.sources)
-    out = encrypt_blocks(pt, expand_keys(key), return_round9_state=need_s9)
-    ct, s9 = out if need_s9 else (out, None)
-    hds = true_last_round_hds(ct, s9) if need_s9 else None
+    ct = encrypt_blocks(pt, expand_keys(key))
+    hds = last_round_hds(key_row, pt, ct)
 
     probe = config.geometry.position_mm(position_index, flip_y=dev.axis_flip_y)
     samples = config.background.waveform(m)
     for src in config.sources:
         w = coupling_weight(src.position_mm, probe)
-        val = float(_source_true_values(src, pt, hds, key)[0])
+        val = float(_source_true_values(src, pt, hds, key_row)[0])
         for t in src.sample_indices:
             tj = t + jitter
             if 0 <= tj < m:
