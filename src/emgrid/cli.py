@@ -19,9 +19,10 @@ their one split with traceset.read_positions: one scan checks every record
 of the file and finds the split's, so a malformed record or a split without
 traces ends the command before any position is computed; the sweep then
 reads one position's records at a time, which holds its peak memory to one
-position plus the per-position accumulator. train reads its train and test
-splits whole with traceset.read_arrays, and either split without traces
-ends it before it trains. Its SGD flags (--lr, --batch-size, --epochs,
+position plus the per-position accumulator. train reads the records of its
+selected positions in its train and test splits with traceset.read_arrays
+(mode all: every position), and either split without traces there ends it
+before it trains. Its SGD flags (--lr, --batch-size, --epochs,
 --steps) configure the classifier; the HD regressor is fitted by least
 squares. evaluate scores the byte its classifier was trained on.
 
@@ -235,10 +236,12 @@ def cmd_train(args) -> int:
     target = _target(args)
     positions = _select_positions(args, read_header(args.dataset).geometry)
     _, train, val = read_arrays(args.dataset,
-                                [SPLIT_CODES["train"], SPLIT_CODES["test"]])
+                                [SPLIT_CODES["train"], SPLIT_CODES["test"]],
+                                positions)
+    at = "" if positions is None else f" at positions {list(positions)}"
     for split, arrays in (("train", train), ("test", val)):
         if len(arrays) == 0:
-            raise ConfigError(f"no traces in split {split} of {args.dataset}")
+            raise ConfigError(f"no traces in split {split}{at} of {args.dataset}")
     if positions is None:
         positions = sorted({int(p) for p in train.positions})
     _log("selected", mode=args.mode, positions=[int(p) for p in positions])

@@ -8,7 +8,9 @@ Lemke and Paar, CHES 2005), whose outputs the hybrid attack
 (evaluation.evaluate_hybrid_grid) feeds into last-round CPA as
 pseudo-traces. Both standardize samples per index, with the parameters
 stored in the model; training is a pure function of (data, config, seed)
-and never writes to the caller's arrays. The regressor never forms the
+and never writes to the caller's arrays. The classifier trains in float32
+on float32 standardized copies and saves float64 parameters, which
+prediction uses in float64. The regressor never forms the
 standardized samples Z: its products Z P = X (P/σ) − μ·(P/σ) and
 Zᵀ R = (Xᵀ R − μ ⊗ ΣR)/σ only read the float32 samples X.
 """
@@ -40,6 +42,7 @@ MODEL_MAGIC = b"EMMD"  # the .emmod preamble, see traceset.write_preamble
 
 _STD_FLOOR = 1e-12
 _STD_BLOCK = 64  # columns per fit_standardization block
+_ROUND_BLOCK_BYTES = 1 << 20  # float64 rows per _standardized32 block
 _CG_TOL = 1e-3  # an output stops once ‖ZᵀR‖ is this fraction of its start
 _CG_MAX_ITER = 2000  # n ≈ m converges slowly: 800 iterations at n = m = 512
 _PRODUCT_ROWS = 4096  # rows of X per product: BLAS packs them in one buffer
@@ -69,6 +72,18 @@ def _column_blocks(m: int):
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return zip(bounds[:-1], bounds[1:])
+
+
+def _standardized32(stdz: StandardizationParams,
+                    samples: np.ndarray) -> np.ndarray:
+    """stdz.apply(samples) rounded once to float32, a block of about
+    _ROUND_BLOCK_BYTES of float64 rows at a time, so it never needs a whole
+    float64 copy."""
+    z = np.empty(samples.shape, np.float32)
+    step = max(1, _ROUND_BLOCK_BYTES // (8 * samples.shape[1]))
+    for a in range(0, len(samples), step):
+        z[a:a + step] = stdz.apply(samples[a:a + step])
+    return z
 
 
 def fit_standardization(samples: np.ndarray) -> StandardizationParams:
@@ -219,10 +234,16 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
     returns the model plus per-epoch validation mean ranks (the selection
     metric).
 
-    RNG draw order: one normal() for the weight init, then one permutation
-    per epoch plus one per mid-epoch wraparound. A run whose arithmetic
-    overflows, or whose weights or validation metric stop being finite,
-    raises AnalysisError instead of returning a model.
+    SGD runs in float32: the standardized samples (each value the float64
+    standardization rounded once), the weights, bias and learning rate. The
+    model keeps float64 parameters, so model files and predict_proba stay
+    float64. Each step works in place on its (batch, 256) logits.
+
+    RNG draw order: one normal() for the weight init (drawn in float64,
+    then rounded), then one permutation per epoch plus one per mid-epoch
+    wraparound. A run whose arithmetic overflows, a learning rate past the
+    float32 range included, or whose weights or validation metric stop
+    being finite, raises AnalysisError instead of returning a model.
     """
     if target.kind not in (FIRST_ROUND_SBOX_INPUT, FIRST_ROUND_SBOX_OUTPUT):
         raise ConfigError("classifier targets a first-round byte value model")
@@ -230,16 +251,17 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
         raise ConfigError("data_cap must be >= batch_size")
     train, stdz, positions = _prepared(train, val, config)
     Y, val_labels = (first_round_labels(target, a) for a in (train, val))
-    Z, Z_val = stdz.apply(train.samples), stdz.apply(val.samples)
+    Z, Z_val = (_standardized32(stdz, a.samples) for a in (train, val))
     n, m = Z.shape
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (256, m))
-    b = np.zeros(256)
-    lr = config.learning_rate
+    W = rng.normal(0.0, 0.01, (256, m)).astype(Z.dtype)
+    b = np.zeros(256, Z.dtype)
     batch = min(config.batch_size, n)
+    rows = np.arange(batch)
     history = []
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            lr = Z.dtype.type(config.learning_rate)
             for _ in range(config.epochs):
                 perm = rng.permutation(n)
                 cursor = 0
@@ -250,11 +272,19 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
                     idx = perm[cursor:cursor + batch]
                     cursor += batch
                     Xb = Z[idx]
-                    p = _softmax(Xb @ W.T + b)
-                    p[np.arange(batch), Y[idx]] -= 1.0
-                    g = p / batch
-                    W -= lr * (g.T @ Xb)
-                    b -= lr * g.sum(axis=0)
+                    p = Xb @ W.T  # logits, then softmax, then the gradient
+                    p += b
+                    p -= p.max(axis=1, keepdims=True)
+                    np.exp(p, out=p)
+                    p /= p.sum(axis=1, keepdims=True)
+                    p[rows, Y[idx]] -= 1.0
+                    p /= batch
+                    step = p.T @ Xb
+                    step *= lr
+                    W -= step
+                    step = p.sum(axis=0)
+                    step *= lr
+                    b -= step
                 out = _softmax(Z_val @ W.T + b)
                 history.append(float(rank_of(out, val_labels).mean()))
                 if not (math.isfinite(history[-1]) and np.isfinite(W).all()
@@ -263,7 +293,8 @@ def train_classifier(train: TraceArrays, val: TraceArrays, target: LeakageModel,
     except FloatingPointError as e:
         raise AnalysisError(f"training diverged ({e}); lower the learning "
                             f"rate") from e
-    model = ProfilingModel(CLASSIFIER_256, W, b, stdz, target.byte_index,
+    model = ProfilingModel(CLASSIFIER_256, W.astype(np.float64),
+                           b.astype(np.float64), stdz, target.byte_index,
                            positions, config.seed)
     return TrainResult(model, history, len(train))
 

@@ -18,10 +18,11 @@ records of record_dtype(m).
 
 Files are written in place by open_dataset, TraceArrays chunks at their
 record offsets and the preamble last. They are read by one checking scan
-followed by one copy pass, into one TraceArrays per split (read_arrays) or
-one per position of a split (read_positions); both directions reject records
-whose position lies outside the grid or whose split code is unknown, and
-reading also rejects non-finite samples.
+followed by one copy pass, into one TraceArrays per split, of every
+position or of some (read_arrays), or one per position of a split
+(read_positions); both directions reject records whose position lies
+outside the grid or whose split code is unknown, and reading also rejects
+non-finite samples.
 """
 
 import contextlib
@@ -339,10 +340,11 @@ def _check_codes(codes) -> None:
         raise ConfigError(f"unknown split codes in {tuple(codes)}")
 
 
-def read_arrays(path, splits) -> tuple:
+def read_arrays(path, splits, positions=None) -> tuple:
     """Read a dataset's records split by split: returns the header followed
     by one TraceArrays per split code in `splits`, in the order asked, each
-    holding that split's records in file order.
+    holding that split's records in file order. Given `positions`, only
+    the records at those positions are kept, still in file order.
 
     One pass checks every record and finds the kept ones (_scan), a second
     copies each split's records into arrays of exactly its size (_gather),
@@ -351,6 +353,8 @@ def read_arrays(path, splits) -> tuple:
     _check_codes(splits)
     with open(path, "rb") as f:
         header, offset, runs = _scan(f, path, list(splits))
+        if positions is not None:
+            runs = runs[np.isin(runs[:, 3], list(positions))]
         out = {c: _gather(f, path, offset, header.m, runs[runs[:, 2] == c])
                for c in splits}
     return (header, *(out[code] for code in splits))

@@ -704,20 +704,23 @@ def test_train_non_finite_threshold_exit_2(capsys, workdir, dataset, threshold):
 @pytest.mark.parametrize("kind", ["classifier"])
 def test_train_divergence_exit_3_without_model(workdir, dataset, kind):
     """A learning rate that overflows the weights ends in one AnalysisError
-    event, with no numpy warning text on stderr and no model file. Run as a
-    process: pytest would otherwise capture the warnings stderr shows."""
-    out = workdir / f"diverged_{kind}.emmod"
-    proc = subprocess.run(
-        [sys.executable, "-m", "emgrid", "train", "--in", str(dataset),
-         "--mode", "single", "--positions", "0", "--model-kind", kind,
-         "--lr", "1e308", "--epochs", "2", "--steps", "20",
-         "--out-model", str(out)], capture_output=True, text=True)
-    assert proc.returncode == 3, proc.stderr
-    events = [json.loads(line) for line in proc.stderr.splitlines()]
-    errors = [e for e in events if e["event"] == "error"]
-    assert len(errors) == 1 and errors[0]["kind"] == "AnalysisError"
-    assert "diverged" in errors[0]["message"]
-    assert not out.exists()
+    event, with no numpy warning text on stderr and no model file: 1e39,
+    past the float32 range that training steps in, as well as 1e308. Run
+    as a process: pytest would otherwise capture the warnings stderr
+    shows."""
+    for lr in ("1e39", "1e308"):
+        out = workdir / f"diverged_{kind}_{lr}.emmod"
+        proc = subprocess.run(
+            [sys.executable, "-m", "emgrid", "train", "--in", str(dataset),
+             "--mode", "single", "--positions", "0", "--model-kind", kind,
+             "--lr", lr, "--epochs", "2", "--steps", "20",
+             "--out-model", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 3, (lr, proc.stderr)
+        events = [json.loads(line) for line in proc.stderr.splitlines()]
+        errors = [e for e in events if e["event"] == "error"]
+        assert len(errors) == 1 and errors[0]["kind"] == "AnalysisError", lr
+        assert "diverged" in errors[0]["message"]
+        assert not out.exists()
 
 
 def test_train_negative_seed_exit_2(capsys, workdir, dataset):
@@ -968,6 +971,76 @@ def test_train_split_without_traces_exit_2(capsys, workdir, missing, kind):
     assert [e["event"] for e in events] == ["error"]
     assert events[0]["kind"] == "ConfigError"
     assert events[0]["message"] == f"no traces in split {missing} of {path}"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def interleaved_dataset(workdir):
+    """A 2x2 grid whose records interleave positions 0-2 in both splits;
+    position 3 has training traces only."""
+    rng = np.random.default_rng(31)
+    n = 600
+    positions = np.resize(np.array([0, 2, 1, 3, 2, 0], np.int32), n)
+    splits = np.where(rng.random(n) < 0.3, SPLIT_TEST, SPLIT_TRAIN)
+    splits[positions == 3] = SPLIT_TRAIN
+    chunk = TraceArrays(rng.normal(size=(n, 6)).astype(np.float32),
+                        rng.integers(0, 256, (n, 16), dtype=np.uint8),
+                        rng.integers(0, 256, (n, 16), dtype=np.uint8),
+                        rng.integers(0, 256, (n, 16), dtype=np.uint8),
+                        positions, splits.astype(np.uint8))
+    header = DatasetHeader(GridGeometry(2, 2, 1, 0.5, 0.5, (0.0, 0.0, 0.0)),
+                           m=6, trace_count=n)
+    path = workdir / "interleaved.emgd"
+    write_dataset(header, [chunk], path)
+    return path
+
+
+@pytest.mark.parametrize("mode, positions, extra", [
+    ("single", [1], ()), ("multiplace", [2, 0], ()),
+    ("multiplace", [0, 2], ("--data-cap", 100))])
+def test_train_reads_only_its_positions(capsys, monkeypatch, workdir,
+                                        interleaved_dataset, mode, positions,
+                                        extra):
+    """train reads the selected positions' records only: the arrays it gets
+    and the model file it writes equal those of reading the whole splits."""
+    path = interleaved_dataset
+    args = ["train", "--in", path, "--mode", mode, "--positions", *positions,
+            *extra, "--target", "sbox-output", "--epochs", 2, "--steps", 10,
+            "--seed", 3]
+    reads = []
+
+    def recorded(read):
+        def read_arrays_spy(*a, **k):
+            reads.append(read(*a, **k))
+            return reads[-1]
+        return read_arrays_spy
+
+    part, whole = workdir / "part.emmod", workdir / "whole.emmod"
+    monkeypatch.setattr(cli, "read_arrays", recorded(read_arrays))
+    assert run(capsys, *args, "--out-model", part)[0] == 0
+    monkeypatch.setattr(cli, "read_arrays", recorded(
+        lambda path, splits, positions=None: read_arrays(path, splits)))
+    assert run(capsys, *args, "--out-model", whole)[0] == 0
+    assert part.read_bytes() == whole.read_bytes()
+    (_, *got), (_, *full) = reads
+    for arrays, all_rows in zip(got, full):
+        want = all_rows.subset(np.isin(all_rows.positions, positions))
+        for name in ("samples", "keys", "plaintexts", "ciphertexts",
+                     "positions", "splits"):
+            assert getattr(arrays, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+
+
+def test_train_positions_without_test_traces_exit_2(capsys, workdir,
+                                                     interleaved_dataset):
+    out = workdir / "no_test_at_3.emmod"
+    code, events = run(capsys, "train", "--in", interleaved_dataset,
+                       "--mode", "single", "--positions", 3,
+                       "--out-model", out)
+    assert code == 2, events
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["message"] == \
+        f"no traces in split test at positions [3] of {interleaved_dataset}"
     assert not out.exists()
 
 

@@ -287,16 +287,19 @@ def test_second_half_mean():
 
 # ------------------------------------------ per-minibatch training oracle
 
-def reference_train_loop(X, Y, X_val, val_labels, config, stdz):
-    """Seeded classifier SGD that standardizes every minibatch and the
-    validation matrix anew at each use. Standardizing once per run must
-    match it bit for bit: each element goes through the same float32 ->
-    float64, subtract, divide."""
+def reference_train_loop(X, Y, X_val, val_labels, config, stdz,
+                         dtype=np.float32):
+    """Seeded classifier SGD in dtype that standardizes every minibatch and
+    the validation matrix anew at each use, in float64, and then rounds them
+    to dtype. Standardizing once per run and stepping in place must match
+    it bit for bit at float32: each element goes through the same float32 ->
+    float64, subtract, divide, round, and each step through the same
+    float32 operations. At float64 it is the SGD loop of float64 training."""
     n, m = X.shape
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 0.01, (256, m))
-    b = np.zeros(256)
-    lr = config.learning_rate
+    W = rng.normal(0.0, 0.01, (256, m)).astype(dtype)
+    b = np.zeros(256, dtype)
+    lr = dtype(config.learning_rate)
     batch = min(config.batch_size, n)
     history = []
     for _ in range(config.epochs):
@@ -308,23 +311,23 @@ def reference_train_loop(X, Y, X_val, val_labels, config, stdz):
                 cursor = 0
             idx = perm[cursor:cursor + batch]
             cursor += batch
-            Xb = stdz.apply(X[idx])
+            Xb = stdz.apply(X[idx]).astype(dtype)
             p = _softmax(Xb @ W.T + b)
             p[np.arange(batch), Y[idx]] -= 1.0
             g = p / batch
             W -= lr * (g.T @ Xb)
             b -= lr * g.sum(axis=0)
-        out = stdz.apply(X_val) @ W.T + b
+        out = stdz.apply(X_val).astype(dtype) @ W.T + b
         history.append(float(rank_of(_softmax(out), val_labels).mean()))
     return W, b, history
 
 
-def reference_train(train, val, config):
+def reference_train(train, val, config, dtype=np.float32):
     train = _apply_data_cap(train, config)
     stdz = fit_standardization(train.samples)
     y, y_val = labels_of(train).astype(np.int64), labels_of(val).astype(np.int64)
     return reference_train_loop(train.samples, y, val.samples, y_val, config,
-                                stdz)
+                                stdz, dtype)
 
 
 def train_kind(kind, train, val, config):
@@ -392,6 +395,64 @@ def test_training_standardizes_train_and_val_once(monkeypatch, kind, epochs,
                       seed=99)
     train_kind(kind, train, val, cfg)
     assert calls == [len(train), len(val)]
+
+
+def planted_arrays(n, seed):
+    """offset_noise_arrays with the label's Hamming weight added to column 3
+    and its low bit to column 7, so the classifier learns something."""
+    arr = offset_noise_arrays(n, 32, seed)
+    y = labels_of(arr)
+    arr.samples[:, 3] += 2.0 * np.unpackbits(y[:, None], axis=1).sum(axis=1)
+    arr.samples[:, 7] += y & 1
+    return arr
+
+
+@pytest.mark.parametrize("lr", [0.05, 0.5])
+def test_float32_training_tracks_the_float64_loop(lr):
+    """Training steps in float32. On the same seed and data, every epoch's
+    validation mean rank stays within 0.01 (ten traces of 1,000 moving one
+    rank) of the float64 SGD loop, and the weights within 1e-4."""
+    train, val = planted_arrays(3000, seed=120), planted_arrays(1000, seed=122)
+    cfg = TrainConfig(learning_rate=lr, batch_size=64, epochs=20,
+                      steps_per_epoch=50, seed=124)
+    W, b, history = reference_train(train, val, cfg, np.float64)
+    res = train_classifier(train, val, TARGET, cfg)
+    assert history[-1] < 120.0  # it learned
+    assert len(res.val_history) == len(history)
+    assert np.max(np.abs(np.subtract(res.val_history, history))) <= 0.01
+    assert np.max(np.abs(res.model.weights - W)) <= 1e-4
+    assert np.max(np.abs(res.model.bias - b)) <= 1e-4
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_float32_standardization_rounds_the_float64_one_once(monkeypatch,
+                                                              rows):
+    """Blocks of any height give the whole float64 standardization rounded
+    once to float32, never float32 arithmetic."""
+    x = offset_noise_arrays(100, 24, seed=126).samples
+    stdz = fit_standardization(x)
+    monkeypatch.setattr(profiler, "_ROUND_BLOCK_BYTES", rows * 8 * 24)
+    got = profiler._standardized32(stdz, x)
+    assert got.dtype == np.float32
+    assert got.tobytes() == stdz.apply(x).astype(np.float32).tobytes()
+
+
+def test_classifier_training_peak_memory_under_float64_copies():
+    """The classifier holds float32 standardized copies, filled through one
+    float64 block at a time: its traced peak stays under three quarters of
+    the float64 copies of the train and validation samples (8 · (n + n_val)
+    · m bytes) that float64 training held at once."""
+    train = offset_noise_arrays(4096, 512, seed=128)
+    val = offset_noise_arrays(512, 512, seed=130)
+    float64_copies = 8 * (len(train) + len(val)) * 512
+    tracemalloc.start()
+    try:
+        train_classifier(train, val, TARGET,
+                         TrainConfig(epochs=1, steps_per_epoch=3, seed=132))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * float64_copies, (peak, float64_copies)
 
 
 # ------------------------------------------------- least-squares regressor

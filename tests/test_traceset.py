@@ -306,6 +306,35 @@ def test_read_positions_groups_read_arrays(tmp_path_factory, data):
                 assert_arrays_equal(arrays, whole.subset(whole.positions == p))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_read_arrays_of_positions_keeps_only_theirs(tmp_path_factory, data):
+    """read_arrays(..., positions) holds read_arrays' rows at those positions
+    in file order, bit for bit, whatever the layout, the block size and the
+    positions asked, including none, all and ones without records."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    header = DatasetHeader(GEOM, m=data.draw(st.integers(1, 6)),
+                           trace_count=data.draw(st.integers(0, 50)))
+    want = make_arrays(rng, header)
+    if data.draw(st.booleans()):
+        want = want.subset(np.argsort(want.positions, kind="stable"))
+    path = tmp_path_factory.mktemp("rap") / "positions.emgd"
+    write_dataset(header, [want], path)
+    positions = data.draw(st.sets(st.integers(0, GEOM.position_count - 1)))
+    splits = data.draw(st.sampled_from([ALL, (SPLIT_TEST, SPLIT_TRAIN)]))
+    block = data.draw(st.sampled_from([1, 3, None]))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(traceset, "_READ_BLOCK_BYTES",
+                       block * record_dtype(header.m).itemsize)
+        _, *whole = read_arrays(path, splits)
+        got_header, *got = read_arrays(path, splits, positions)
+    assert got_header == header
+    for arrays, full in zip(got, whole):
+        assert_arrays_equal(arrays, full.subset(
+            np.isin(full.positions, list(positions))))
+
+
 def test_read_positions_checks_every_record_before_returning(tmp_path):
     rng = np.random.default_rng(10)
     header = DatasetHeader(GEOM, m=3, trace_count=30)
