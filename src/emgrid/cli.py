@@ -5,13 +5,16 @@ line-delimited JSON on stderr; stdout stays silent. All randomness comes from
 explicit seeds (config file or --seed), so a fixed command line produces
 byte-identical artifacts, whatever --threads says.
 
---threads N (at least 1; default 1) lets simulate synthesize its chunks in
-W = min(N, usable CPUs, chunks) processes, itself and W - 1 forked
-multiprocessing workers; every process writes its records into --out in
-place, so --out must be seekable (a pipe exits 1), and with W = 1 or no
-os.fork nothing is forked. snr, cpa, evaluate and hybrid accept the
-flag and ignore it: they sweep positions one after another in one thread,
-and their matrix products already use every core through BLAS.
+--threads N (at least 1; default 1) spreads a command's work over
+W = min(N, usable CPUs, jobs) processes, itself and W - 1 forked
+multiprocessing workers (parallel.forked_map); with W = 1 or no os.fork
+nothing is forked. simulate's jobs are its chunks: every process writes
+its records into --out in place, so --out must be seekable (a pipe exits
+1). snr, cpa, evaluate and hybrid's jobs are the split's positions, each
+process holding one position at a time: every process runs OpenBLAS at
+one thread while they sweep, and where its thread count cannot be set
+they sweep in one process (W = 1), whose products use every core through
+BLAS. Artifacts and logged events are the same for every N.
 
 Commands that read a dataset check its header (train's selection, a model's
 trace length) before reading any record. snr, cpa, evaluate and hybrid read
@@ -136,7 +139,8 @@ def cmd_snr(args) -> int:
     target = _target(args)
     header, positions = _read_positions(args)
     h = evaluate_snr_grid(positions, header.geometry, target,
-                          progress=lambda d: _log("position", **d))
+                          progress=lambda d: _log("position", **d),
+                          threads=args.threads)
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
 
@@ -146,7 +150,7 @@ def cmd_cpa(args) -> int:
     disc, rank = evaluate_cpa_grid(
         positions, header.geometry, TARGET_KINDS[args.target],
         budget=args.budget, checkpoint_interval=args.checkpoint,
-        progress=lambda d: _log("position", **d))
+        progress=lambda d: _log("position", **d), threads=args.threads)
     _write_heatmap_csvs(disc, args.out_disclosure)
     _write_heatmap_csvs(rank, args.out_ranks)
     return 0
@@ -268,7 +272,8 @@ def cmd_evaluate(args) -> int:
     target = LeakageModel(TARGET_KINDS[args.target], model.byte_index)
     header, positions = _read_positions(args, model)
     h = evaluate_classifier_grid(model, positions, header.geometry, target,
-                                 progress=lambda d: _log("position", **d))
+                                 progress=lambda d: _log("position", **d),
+                                 threads=args.threads)
     _write_heatmap_csvs(h, args.out_heatmap)
     return 0
 
@@ -281,7 +286,7 @@ def cmd_hybrid(args) -> int:
     disc, rank = evaluate_hybrid_grid(
         model, positions, header.geometry, budget=args.budget,
         checkpoint_interval=args.checkpoint,
-        progress=lambda d: _log("position", **d))
+        progress=lambda d: _log("position", **d), threads=args.threads)
     _write_heatmap_csvs(disc, args.out_disclosure)
     _write_heatmap_csvs(rank, args.out_ranks)
     return 0
@@ -328,12 +333,13 @@ def _int_at_least(low: int):
 
 def _add_threads(p):
     p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="simulate: synthesize in up to this many "
-                        "processes (this one and forked workers), no more "
-                        "than the usable CPUs or the chunks, each holding "
-                        "about one 4 MiB chunk and writing its records into "
-                        "--out in place; 1 forks nothing. "
-                        "Other commands ignore it")
+                   help="work in up to this many processes (this one and "
+                        "forked workers), no more than the usable CPUs or "
+                        "the jobs; 1 forks nothing. simulate: each process "
+                        "holds about one 4 MiB chunk and writes its records "
+                        "into --out in place. snr, cpa, evaluate, hybrid: "
+                        "each process sweeps its share of the positions, one "
+                        "at a time, at one BLAS thread")
 
 
 def _add_dataset(p):

@@ -2,7 +2,7 @@
 mid-rank of a key candidate. The traces-to-disclosure loop that drives them
 lives in evaluation._run_cpa_position: one accumulator per position holds
 all 16 key bytes' 256 hypotheses, is updated once per slice of traces, and
-finalizes only as many bytes as the disclosure test needs.
+scores only as many bytes as the disclosure test needs.
 
 First-round targets use ClassCpaAccumulator: per-plaintext-byte class sums,
 turned into hypothesis sums by the 256 x 256 leakage table only when a byte
@@ -10,7 +10,8 @@ is scored, so an update costs O(16 m) per trace instead of a GEMM over 4096
 hypotheses. The last-round model, whose hypothesis depends on two
 ciphertext bytes, uses CpaAccumulator and its blocked hypothesis GEMM. Both
 derive from _PearsonSums, which owns the trace count, the sample sums and
-finalize, one Pearson formula; each supplies only its hypothesis sums.
+one Pearson formula behind finalize and scores; each supplies only its
+hypothesis sums.
 
 The SNR and GEMM CPA accumulators follow the same contract: update with
 traces in any order, optionally split into shards that merge into one, then
@@ -35,6 +36,7 @@ _REL_DEGENERATE = 1e-10  # variance below this relative level counts as zero
 # hypothesis rows per CPA GEMM (one key byte's guesses), and sample rows a
 # class-sum update widens to float64 at a time
 _BLOCK_ROWS = 256
+_SCORE_ROWS = 64  # hypothesis rows scores() correlates at a time
 _BYTE_ROWS = 256 * np.arange(16, dtype=np.intp)  # first class row of each byte
 
 
@@ -192,7 +194,7 @@ class CpaResult:
 
 class _PearsonSums:
     """The n, sum_x and sum_x2 of a streaming Pearson correlation over m
-    samples, and its finalize:
+    samples, and its finalize and scores:
         r = (n*Shx - Sh*Sx) / sqrt((n*Sh2 - Sh^2) * (n*Sx2 - Sx^2))
     A subclass keeps the hypothesis sums and returns one block of them,
     (sum_h, sum_h2, sum_hx), from _hypothesis_sums(rows)."""
@@ -217,12 +219,26 @@ class _PearsonSums:
         sum_h, sum_h2, sum_hx = self._hypothesis_sums(rows)
         return _pearson(self.n, sum_h, sum_h2, self.sum_x, self.sum_x2, sum_hx)
 
+    def scores(self, rows: slice = slice(None)) -> np.ndarray:
+        """cpa_scores(self.finalize(rows).corr), bit for bit, without its
+        (rows, m) temporaries: the correlations are taken _SCORE_ROWS
+        hypotheses at a time, each block small enough to stay in cache,
+        through the same _pearson."""
+        sum_h, sum_h2, sum_hx = self._hypothesis_sums(rows)
+        out = np.empty(len(sum_h))
+        for lo in range(0, len(sum_h), _SCORE_ROWS):
+            block = slice(lo, lo + _SCORE_ROWS)
+            out[block] = cpa_scores(_pearson(
+                self.n, sum_h[block], sum_h2[block], self.sum_x, self.sum_x2,
+                sum_hx[block]).corr)
+        return out
+
 
 class CpaAccumulator(_PearsonSums):
     """Pearson sums of num_hypotheses hypotheses, fed their values. Memory
     is O(num_hypotheses * m) regardless of trace count. The disclosure loop
     keeps one accumulator of 16 * 256 hypotheses per position, byte j in
-    rows 256*j .. 256*j + 255, and scores one byte with finalize(rows)."""
+    rows 256*j .. 256*j + 255, and scores one byte with scores(rows)."""
 
     def __init__(self, m: int, num_hypotheses: int = 256):
         super().__init__(m)
@@ -282,10 +298,11 @@ class ClassCpaAccumulator(_PearsonSums):
     sum_h and sum_h2 are exact integers, so they equal the GEMM path's bit
     for bit; sum_hx differs from it only by rounding. Hypothesis rows are
     numbered as there (byte j's guesses in rows 256*j .. 256*j + 255), and
-    finalize(rows) scores one byte's 256 rows at a time.
+    scores(rows) scores one byte's 256 rows at a time.
 
     Memory is O(16 * 256 * m) regardless of trace count and of batch size:
-    an update widens at most _BLOCK_ROWS sample rows to float64 at a time.
+    an update widens at most _BLOCK_ROWS sample rows to float64 at a time,
+    into one buffer it reuses.
     Each trace costs one gather-add-scatter of its samples into the 16
     class rows its plaintext selects. Scoring one byte costs one
     (256, 256) x (256, m) product, as many multiply-adds as 16 traces cost
@@ -311,8 +328,10 @@ class ClassCpaAccumulator(_PearsonSums):
         # fancy-indexed add per trace never meets a duplicate index
         rows = P.astype(np.intp) + _BYTE_ROWS
         self.counts += np.bincount(rows.ravel(), minlength=16 * 256)
+        block = np.empty((min(_BLOCK_ROWS, len(X)), self.m))  # one for all
         for lo in range(0, len(X), _BLOCK_ROWS):
-            x = X[lo:lo + _BLOCK_ROWS].astype(np.float64)
+            x = block[:min(_BLOCK_ROWS, len(X) - lo)]
+            x[...] = X[lo:lo + _BLOCK_ROWS]  # widened, as astype would
             self._add_samples(x)
             for r, xi in zip(rows[lo:lo + _BLOCK_ROWS], x):
                 self.sums[r] += xi
@@ -357,8 +376,10 @@ def rank_of(scores: np.ndarray, correct):
     """Mid-rank of the correct candidate: strictly-greater count plus half
     the other ties. One score row (C,) and one index give one rank; rows
     (n, C) and n indices give one rank per row. All-equal scores of 256
-    candidates give exactly 127.5, the random baseline."""
-    s = np.asarray(scores, dtype=np.float64)
+    candidates give exactly 127.5, the random baseline. Scores are compared
+    in their own dtype: widening float32 to float64 is exact, so it could
+    change no comparison."""
+    s = np.asarray(scores)
     if s.ndim == 1:  # count_nonzero's whole-array count is the fast one
         own, axis = s[correct], None
     else:

@@ -26,8 +26,8 @@ class AnalysisError(EmgridError):
 
 def raised_at(exc: BaseException) -> str:
     """`file:line in function` of the frame that raised exc: the one a
-    forked simulate worker recorded (`worker_frame`, set when the caller
-    re-raises the worker's exception), else the innermost frame of exc's
+    forked worker recorded (`worker_frame`, which parallel.forked_map sends
+    with the worker's exception), else the innermost frame of exc's
     traceback."""
     at = getattr(exc, "worker_frame", None)
     if at is not None:

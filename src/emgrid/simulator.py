@@ -41,37 +41,33 @@ so a chunk holds at least one trace. The substreams make the file bytes
 independent of the chunk size.
 
 simulate_grid_dataset(..., threads=N) synthesizes in W = worker_count(N,
-usable CPUs, chunks) processes: the caller (process 0) and W - 1 workers,
-each a forked multiprocessing Process with its own one-way Pipe. Process w
-synthesizes chunks w, w + W, ... and puts their records at their own
-offsets through traceset.open_dataset, which alone knows the record
-layout, so no sample crosses a process boundary and each process holds
-about one chunk (at most _CHUNK_BYTES of float64 samples plus its
-temporaries) besides the pages a worker shares with the caller. A worker
-sends the caller the record count of each chunk it writes, or its
-exception with the frame that raised it (errors.raised_at; the traceback
-stays behind), and ends through os._exit only. On any failure the caller
-kills and reaps every worker and open_dataset empties the file; on success
-open_dataset writes the preamble last. The caller takes a share because
-a caller that only waited left its memory allocator cold: the survey
-benchmark's next command, snr, ran about 10% slower in the same process.
-With W = 1 or without os.fork the caller writes every chunk itself, forks
-nothing and never imports multiprocessing. Forking is safe because the
-workers make no BLAS call and the simulating process runs no Python thread
-of its own.
+usable CPUs, chunks) processes through parallel.forked_map: the caller
+takes chunks 0, W, 2W, ... and forked worker w chunks w, w + W, ....
+Each process puts its chunks' records at their own offsets through
+traceset.open_dataset, which alone knows the record layout, so no sample
+crosses a process boundary and each process holds about one chunk (at
+most _CHUNK_BYTES of float64 samples plus its temporaries) besides the
+pages a worker shares with the caller. A worker sends the caller only the
+record count of each chunk it writes. On any failure, forked_map ends
+every worker and open_dataset empties the file; on success open_dataset
+writes the preamble last. The caller takes a share because a caller that
+only waited left its memory allocator cold: the survey benchmark's next
+command, snr, ran about 10% slower in the same process. With W = 1 or
+without os.fork the caller writes every chunk itself and forks nothing.
+Forking is safe because the simulating process runs no Python thread of
+its own, and the workers make no BLAS call.
 """
 
+import contextlib
 import json
 import math
 import os
-import pickle
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aes import encrypt_blocks, expand_keys, expand_keys_batch
-from .errors import ConfigError, raised_at
+from .errors import ConfigError
 from .grid import GridGeometry, json_object, require_finite
 from .leakage import (
     FIRST_ROUND_SBOX_INPUT,
@@ -80,6 +76,7 @@ from .leakage import (
     true_first_round_values,
     true_last_round_hds,
 )
+from .parallel import forked_map, usable_cpus, worker_count
 from .traceset import (
     ADC_BITS,
     MAX_POSITIONS,
@@ -388,19 +385,6 @@ def _chunk_plan(config: SimConfig):
                 first += n
 
 
-def worker_count(threads: int, cpus: int, chunks: int) -> int:
-    """W: one worker process per thread asked for, but no more than the
-    usable CPUs or the chunks to synthesize, and at least one."""
-    return max(1, min(threads, cpus, chunks))
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def simulation_workers(config: SimConfig, threads: int) -> int:
     """The processes simulate_grid_dataset(config, path, threads=threads)
     synthesizes in: W, the caller and W - 1 forked workers, or 1 where
@@ -417,7 +401,7 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None,
     Record order is position-major, then train/test/holdout, then trace
     index; the per-trace substreams make any other generation schedule
     produce byte-identical files. progress(done, total) is called as chunks
-    are written, with done increasing. The chunks are synthesized in
+    are written, with done increasing in chunk order. The chunks are synthesized in
     simulation_workers(config, threads) processes.
     """
     header = DatasetHeader(
@@ -434,89 +418,20 @@ def simulate_grid_dataset(config: SimConfig, path, progress=None,
 
 
 def _put_chunks(config: SimConfig, put, workers: int, progress) -> None:
-    """Synthesize and put every planned chunk: the caller takes chunks 0,
-    W, 2W, ... and forked worker w chunks w, w + W, ... (W = workers)."""
-    if workers > 1:
-        import multiprocessing  # here, so that W = 1 never pays its import
-        from multiprocessing.connection import wait
-        context = multiprocessing.get_context("fork")
-    jobs = list(_chunk_plan(config))
-    procs, pipes = [], []
-    try:
-        for index in range(1, workers):
-            receiving, sending = context.Pipe(duplex=False)
-            pipes.append(receiving)
-            proc = context.Process(
-                target=_worker, args=(config, put, jobs[index::workers], sending))
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns of numpy's idle BLAS threads; workers
-                    # make no BLAS call
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    proc.start()
-            finally:
-                sending.close()
-            procs.append(proc)
-        # take the messages that wait before each own chunk, then wait for
-        # them until every worker has closed its pipe
-        own, listening, done = jobs[::workers], list(pipes), 0
-        while own or listening:
-            counts = []
-            for pipe in wait(listening, 0 if own else None) if listening else ():
-                try:
-                    message = pipe.recv()
-                except EOFError:  # the worker has ended
-                    listening.remove(pipe)
-                    continue
-                if type(message) is not int:
-                    exc, frame = message
-                    exc.worker_frame = frame
-                    raise exc
-                counts.append(message)
-            if own:
-                first, *job = own.pop(0)
-                put(_synthesize_chunk(config, *job), first)
-                counts.append(job[-1])
-            for count in counts:
-                done += count
-                if progress is not None:
-                    progress(done, config.total_traces)
-        for index, proc in enumerate(procs, 1):
-            proc.join()
-            if proc.exitcode:  # a worker that ends with 0 wrote all its records
-                ended = (f"by signal {-proc.exitcode}" if proc.exitcode < 0
-                         else f"with status {proc.exitcode}")
-                raise ChildProcessError(f"simulation worker {index} ended {ended}")
-    finally:
-        for proc in procs:
-            proc.kill()  # a no-op for a worker already reaped
-            proc.join()
-            proc.close()
-        for pipe in pipes:
-            pipe.close()
+    """Synthesize and put every planned chunk in `workers` processes
+    (parallel.forked_map), reporting progress in chunk order."""
+    def put_chunk(job):
+        first, *job = job
+        put(_synthesize_chunk(config, *job), first)
+        return job[-1]
 
-
-def _worker(config: SimConfig, put, jobs, pipe) -> None:
-    """A forked worker's whole life: put each job's records and send its
-    record count, or send the exception and the frame that raised it (as a
-    RuntimeError if it does not survive pickling), and end the process with
-    os._exit, which runs no handler and flushes no buffer the parent also
-    holds."""
-    code = 1
-    try:
-        for first, *job in jobs:
-            put(_synthesize_chunk(config, *job), first)
-            pipe.send(job[-1])
-        code = 0
-    except BaseException as e:  # re-raised by the parent, which ends this worker
-        frame = raised_at(e)
-        try:
-            pickle.loads(pickle.dumps(e))
-        except Exception:
-            e = RuntimeError(f"{type(e).__name__}: {e}")
-        pipe.send((e, frame))
-    finally:
-        os._exit(code)
+    done = 0
+    with contextlib.closing(forked_map(put_chunk, list(_chunk_plan(config)),
+                                       workers)) as counts:
+        for count in counts:
+            done += count
+            if progress is not None:
+                progress(done, config.total_traces)
 
 
 def derive_seed(seed: int) -> int:

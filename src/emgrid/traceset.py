@@ -20,9 +20,9 @@ Files are written in place by open_dataset, TraceArrays chunks at their
 record offsets and the preamble last. They are read by one checking scan
 followed by one copy pass, into one TraceArrays per split, of every
 position or of some (read_arrays), or one per position of a split
-(read_positions); both directions reject records whose position lies
-outside the grid or whose split code is unknown, and reading also rejects
-non-finite samples.
+(read_positions, a lazy Positions sequence); both directions reject
+records whose position lies outside the grid or whose split code is
+unknown, and reading also rejects non-finite samples.
 """
 
 import contextlib
@@ -360,15 +360,43 @@ def read_arrays(path, splits, positions=None) -> tuple:
     return (header, *(out[code] for code in splits))
 
 
+class Positions:
+    """The records of one split grouped by position, read lazily: a
+    sequence of (p, TraceArrays) pairs in ascending p, each holding the
+    split's records at position p in file order. len() counts the
+    positions and a slice is another Positions over some of them; no
+    record is read before iteration, which reopens the file and reads one
+    position's records at a time, in contiguous runs, so only one position
+    is resident. A forked process that iterates over its own slice reads
+    only its positions, through a file of its own. The file must not
+    change once read_positions has checked it."""
+
+    def __init__(self, path, m: int, offset: int, groups: list):
+        self.path, self.m, self.offset = path, m, offset
+        self.groups = groups  # one [start, stop, split, position] run array per position
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def __getitem__(self, index: slice) -> "Positions":
+        if not isinstance(index, slice):
+            raise TypeError("Positions are sliced, not indexed")
+        return Positions(self.path, self.m, self.offset, self.groups[index])
+
+    def __iter__(self):
+        with open(self.path, "rb") as f:
+            for group in self.groups:
+                yield int(group[0, 3]), _gather(f, self.path, self.offset,
+                                                 self.m, group)
+
+
 def read_positions(path, split: int) -> tuple:
     """Read one split of a dataset position by position: returns (header,
-    positions), where positions yields (p, TraceArrays) in ascending p, each
-    holding the split's records at position p in file order.
+    positions), where positions is a Positions sequence of (p, TraceArrays)
+    in ascending p.
 
     Every record is checked, as by read_arrays, and a split without records
-    raises ConfigError, all before this returns. Iterating reopens the file
-    and reads one position's records at a time, in contiguous runs, so only
-    one position is resident; the file must not change in between.
+    raises ConfigError, all before this returns.
     """
     _check_codes([split])
     with open(path, "rb") as f:
@@ -376,10 +404,5 @@ def read_positions(path, split: int) -> tuple:
     if not len(runs):
         raise ConfigError(f"no traces in split {SPLIT_NAMES[split]} of {path}")
     runs = runs[np.argsort(runs[:, 3], kind="stable")]
-
-    def positions():
-        with open(path, "rb") as f:
-            for group in np.split(runs, np.flatnonzero(np.diff(runs[:, 3])) + 1):
-                yield int(group[0, 3]), _gather(f, path, offset, header.m, group)
-
-    return header, positions()
+    groups = np.split(runs, np.flatnonzero(np.diff(runs[:, 3])) + 1)
+    return header, Positions(path, header.m, offset, groups)

@@ -19,10 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgrid import cli, evaluation, simulator
+from emgrid import cli, evaluation, parallel, simulator
 from emgrid.aes import encrypt_blocks, expand_keys_batch
 from emgrid.cli import main
-from emgrid.distinguishers import CpaAccumulator, SnrAccumulator
 from emgrid.errors import DataFormatError
 from emgrid.grid import GridGeometry
 from emgrid.heatmap import COLOR_RAMP, heatmap_from_csv
@@ -155,8 +154,9 @@ WIDE_CONFIG = {"geometry": {"nx": 1, "ny": 1, "nz": 1, "step_mm": 0.5,
 def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
     """Wide traces come in chunks of 186 (m = 2816), which never end on a
     multiple of the 30-trace logging step; every chunk that crosses one logs
-    an event. Workers finish chunks in any order, so with --threads 2 the
-    counts only have to increase up to the total."""
+    an event. Workers may finish chunks in any order, but simulate takes
+    their counts in chunk order, so --threads 2 logs the counts of
+    --threads 1."""
     config = workdir / "wide.json"
     config.write_text(json.dumps(WIDE_CONFIG))
     for threads in (1, 2):
@@ -166,9 +166,7 @@ def test_simulate_logs_progress_per_crossed_step(capsys, workdir):
         assert code == 0
         done = [e["done"] for e in events if e["event"] == "progress"]
         assert all(e["total"] == 600 for e in events if e["event"] == "progress")
-        assert done == sorted(set(done)) and done[-1] == 600
-        if threads == 1:
-            assert done == [186, 372, 558, 600]
+        assert done == [186, 372, 558, 600]
         assert events[-1]["workers"] == min(threads, simulator.usable_cpus())
         assert out.read_bytes() == (workdir / "wide1.emgd").read_bytes()
 
@@ -1233,25 +1231,34 @@ def test_hybrid_threads_determinism(capsys, workdir, hd_dataset):
     assert hashes[0] == hashes[1]
 
 
-def test_threads_flag_keeps_positions_in_calling_thread(capsys, workdir,
-                                                        dataset, monkeypatch):
-    """snr, cpa, evaluate and hybrid ignore --threads: with --threads 8,
-    every per-position computation runs in the thread that called main,
-    over a dataset of two positions."""
-    callers = []
+def record_pids(monkeypatch, path, *names):
+    """Wrap each named evaluation function so that every call appends the
+    calling process's PID, and its OpenBLAS thread count, as one line of
+    path: the forked workers of a sweep cannot report to a list."""
+    blas = parallel.openblas_threads()
 
     def recorded(fn):
         def wrapper(*args, **kwargs):
-            callers.append(threading.get_ident())
+            threads = blas[0]() if blas is not None else 0
+            with open(path, "a") as f:
+                f.write(f"{os.getpid()} {threads}\n")
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(SnrAccumulator, "finalize",
-                        recorded(SnrAccumulator.finalize))
-    monkeypatch.setattr(CpaAccumulator, "finalize",
-                        recorded(CpaAccumulator.finalize))
-    monkeypatch.setattr(evaluation, "classify_attack",
-                        recorded(evaluation.classify_attack))
+    for name in names:
+        monkeypatch.setattr(evaluation, name,
+                            recorded(getattr(evaluation, name)))
+
+    def calls():
+        lines = path.read_text().split() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return [(int(pid), int(n)) for pid, n in zip(lines[::2], lines[1::2])]
+    return calls
+
+
+def sweep_commands(workdir):
+    """snr, cpa, evaluate and hybrid argv (without --in and --threads) over
+    the 2-position, m = 12 dataset fixture, and the outputs they write."""
     rng = np.random.default_rng(8)
     classifier = workdir / "threads_clf.emmod"
     save_model(ProfilingModel(CLASSIFIER_256, rng.normal(size=(256, 12)),
@@ -1265,22 +1272,243 @@ def test_threads_flag_keeps_positions_in_calling_thread(capsys, workdir,
                regressor)
     csv = workdir / "threads_a.csv"
     other = workdir / "threads_b.csv"
-    commands = {
+    return {
         "snr": ["--target", "sbox-output", "--out-heatmap", csv],
         "cpa": ["--checkpoint", 50, "--out-disclosure", csv,
                 "--out-ranks", other],
         "evaluate": ["--model", classifier, "--out-heatmap", csv],
         "hybrid": ["--model", regressor, "--checkpoint", 50,
                    "--out-disclosure", csv, "--out-ranks", other],
-    }
+    }, (csv, other)
+
+
+def test_threads_flag_sweeps_positions_in_forked_processes(capsys, workdir,
+                                                           dataset,
+                                                           monkeypatch):
+    """With --threads 2, snr, cpa, evaluate and hybrid compute the two
+    positions of the dataset in two processes, the caller's and one forked
+    worker's, and write the bytes and log the events of --threads 1."""
+    if parallel.openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread count to set: sweeps stay in one process")
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    calls = record_pids(monkeypatch, workdir / "sweep_pids.txt",
+                        "first_round_labels", "_run_cpa_position")
+    commands, outs = sweep_commands(workdir)
     for command, argv in commands.items():
-        callers.clear()
-        code, events = run(capsys, command, "--in", dataset, *argv,
-                           "--threads", 8)
-        assert code == 0, events
-        assert callers and set(callers) == {threading.get_ident()}, command
-        assert [e["position"] for e in events
+        got = {}
+        for threads in (1, 2):
+            code, events = run(capsys, command, "--in", dataset, *argv,
+                               "--threads", threads)
+            assert code == 0, events
+            pids = {pid for pid, _ in calls()}
+            assert os.getpid() in pids and len(pids) == threads, command
+            got[threads] = (events, [out.read_bytes() for out in outs
+                                     if out in argv])
+        assert got[1] == got[2], command
+        assert [e["position"] for e in got[2][0]
                 if e["event"] == "position"] == [0, 1]
+
+
+def test_sweep_holds_every_process_at_one_blas_thread(capsys, workdir, dataset,
+                                                      monkeypatch):
+    """While cpa sweeps at --threads 2, the caller and its worker each run
+    OpenBLAS at one thread; the caller's count is restored afterwards, also
+    when a worker fails. At --threads 1 BLAS keeps its count."""
+    blas = parallel.openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread count to set")
+    get, set_count = blas
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    before = get()
+    set_count(2)  # so that a count left at 1 shows, on one CPU too
+    try:
+        calls = record_pids(monkeypatch, workdir / "blas_pids.txt",
+                            "_run_cpa_position")
+        argv = ["cpa", "--in", dataset, "--checkpoint", 50,
+                "--out-disclosure", workdir / "blas_d.csv",
+                "--out-ranks", workdir / "blas_r.csv"]
+        code, _ = run(capsys, *argv, "--threads", 1)
+        assert code == 0 and {n for _, n in calls()} == {2}
+        code, _ = run(capsys, *argv, "--threads", 2)
+        seen = calls()
+        assert code == 0 and len({pid for pid, _ in seen}) == 2
+        assert {n for _, n in seen} == {1}
+        assert get() == 2
+        parent = os.getpid()
+        cpa_position = evaluation._run_cpa_position
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker defect")
+            return cpa_position(*args)
+
+        monkeypatch.setattr(evaluation, "_run_cpa_position", failing)
+        code, events = run(capsys, *argv, "--threads", 2)
+        assert code == 4 and events[-1]["message"] == "worker defect"
+        assert get() == 2
+    finally:
+        set_count(before)
+
+
+def test_failing_sweep_worker_exit_4_and_no_child_left(capsys, workdir, dataset,
+                                                       monkeypatch):
+    """A position that fails in a forked worker ends the sweep as it does in
+    one process: one error event, naming the line that raised it, after
+    the caller's position 0; no worker is left behind."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    labels = evaluation.first_round_labels
+
+    def failing(target, arrays):
+        if int(arrays.positions[0]) == 1:
+            raise RuntimeError("position defect")
+        return labels(target, arrays)
+
+    monkeypatch.setattr(evaluation, "first_round_labels", failing)
+    runs = {}
+    for threads in (1, 2):
+        code, events = run(capsys, "snr", "--in", dataset, "--target",
+                           "sbox-output", "--out-heatmap",
+                           workdir / "failed_snr.csv", "--threads", threads)
+        assert code == 4
+        assert [e["event"] for e in events] == ["position", "error"]
+        assert events[-1]["where"].startswith("test_cli.py:")
+        assert events[-1]["where"].endswith(" in failing")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        runs[threads] = events
+    assert runs[1] == runs[2]
+
+
+MIXED_AT = (1, 2)  # positions 1 (worker 1's at W = 2) and 2 (the caller's)
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset(workdir):
+    """Three positions of 60 holdout traces; every trace at MIXED_AT
+    positions has a key of its own, position 0 one fixed key."""
+    rng = np.random.default_rng(17)
+    per, m = 60, 8
+    positions = np.repeat(np.arange(3), per).astype(np.int32)
+    keys = np.tile(np.frombuffer(KEY, dtype=np.uint8), (3 * per, 1))
+    mixed = np.isin(positions, MIXED_AT)
+    keys[mixed] = rng.integers(0, 256, (mixed.sum(), 16), dtype=np.uint8)
+    pts = rng.integers(0, 256, (3 * per, 16), dtype=np.uint8)
+    chunk = TraceArrays(rng.normal(size=(3 * per, m)).astype(np.float32), keys,
+                        pts, encrypt_blocks(pts, expand_keys_batch(keys)),
+                        positions, np.full(3 * per, SPLIT_HOLDOUT, np.uint8))
+    header = DatasetHeader(geometry=GridGeometry(3, 1, 1, 0.5, 0.5,
+                                                 (0.0, 0.0, 0.0)),
+                           m=m, trace_count=3 * per)
+    path = workdir / "mixed.emgd"
+    write_dataset(header, [chunk], path)
+    return path
+
+
+def test_mixed_keys_in_two_processes_exit_3_once(capsys, workdir, monkeypatch,
+                                                 mixed_dataset):
+    """Positions 1 and 2 mix keys, and at --threads 2 they are computed by
+    the worker and the caller: cpa still exits 3 with one error event,
+    after position 0's, as at --threads 1."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    runs = {}
+    for threads in (1, 2):
+        code, events = run(capsys, "cpa", "--in", mixed_dataset,
+                           "--target", "sbox-output", "--checkpoint", 30,
+                           "--out-disclosure", workdir / "mixed_d.csv",
+                           "--out-ranks", workdir / "mixed_r.csv",
+                           "--threads", threads)
+        assert code == 3
+        assert [e["event"] for e in events] == ["position", "error"]
+        assert events[0]["position"] == 0
+        assert events[1]["kind"] == "AnalysisError"
+        runs[threads] = events
+    assert runs[1] == runs[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def five_position_dataset(workdir):
+    """A fixed-key 5 x 1 grid whose source leaks under position 0."""
+    cfg = {
+        "geometry": {"nx": 5, "ny": 1, "nz": 1, "step_mm": 0.5,
+                     "z_step_mm": 0.5, "origin_mm": [0.0, 0.0, 0.2]},
+        "m": 16, "seed": 29, "fixed_key": KEY.hex(),
+        "traces_per_position": {"holdout": 160},
+        "device": {"noise_sigma": 0.05},
+        "sources": [{"position_mm": [0.0, 0.0, 0.0], "sample_indices": [3 + j],
+                     "target": "FirstRoundSboxOutput", "byte_index": j,
+                     "amplitude": 0.05} for j in range(12)],
+    }
+    config = workdir / "five.json"
+    config.write_text(json.dumps(cfg))
+    out = workdir / "five.emgd"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("target", ["sbox-output", "last-round-hd"])
+def test_cpa_threads_1_2_3_byte_identical(capsys, workdir, monkeypatch,
+                                          five_position_dataset, target):
+    """cpa writes the same maps and logs the same events at --threads 1, 2
+    and 3 (2 and 3 processes over 5 positions)."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 3)
+    runs = []
+    for threads in (1, 2, 3):
+        disc = workdir / f"five_{target}_{threads}_d.csv"
+        ranks = workdir / f"five_{target}_{threads}_r.csv"
+        code, events = run(capsys, "cpa", "--in", five_position_dataset,
+                           "--target", target, "--checkpoint", 40,
+                           "--out-disclosure", disc, "--out-ranks", ranks,
+                           "--threads", threads)
+        assert code == 0, events
+        events = [e for e in events if e["event"] != "wrote"]
+        runs.append((disc.read_bytes(), ranks.read_bytes(), events))
+    assert runs[0] == runs[1] == runs[2]
+    assert [e["position"] for e in runs[0][2]] == [0, 1, 2, 3, 4]
+
+
+def test_sweep_without_blas_thread_setter_stays_in_one_process(
+        capsys, workdir, dataset, monkeypatch):
+    """Where no loaded OpenBLAS exports a thread-count setter, --threads 2
+    sweeps in the calling process alone, rather than run two processes of
+    multi-threaded BLAS on the same cores."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_OPENBLAS_NAMES",
+                        (("no_such_get_num_threads", "no_such_set_num_threads"),))
+    assert parallel.openblas_threads() is None
+    calls = record_pids(monkeypatch, workdir / "noblas_pids.txt",
+                        "first_round_labels")
+    code, events = run(capsys, "snr", "--in", dataset, "--target",
+                       "sbox-output", "--out-heatmap", workdir / "noblas.csv",
+                       "--threads", 2)
+    assert code == 0, events
+    assert {pid for pid, _ in calls()} == {os.getpid()}
+
+
+def test_sweep_workers_never_exceed_usable_cpus(capsys, workdir, dataset,
+                                                monkeypatch):
+    """W is at most the usable CPUs and the positions, however large
+    --threads is; counted without forking."""
+    for cpus in (1, 3, simulator.usable_cpus()):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        assert evaluation._sweep_workers(10**9, range(1000)) == cpus
+        assert evaluation._sweep_workers(10**9, range(2)) == min(cpus, 2)
+    assert evaluation._sweep_workers(10**9, iter([(0, None)])) == 1
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    seen = []
+    forked_map = evaluation.forked_map
+
+    def counted(fn, items, workers):
+        seen.append(workers)
+        return forked_map(fn, items, workers)
+
+    monkeypatch.setattr(evaluation, "forked_map", counted)
+    code, events = run(capsys, "snr", "--in", dataset, "--target",
+                       "sbox-output", "--out-heatmap", workdir / "huge.csv",
+                       "--threads", 10**9)
+    assert code == 0, events
+    assert seen == [2 if parallel.openblas_threads() is not None else 1]
 
 
 def model_bytes(meta: dict, params: bytes, magic=b"EMMD", version=1) -> bytes:

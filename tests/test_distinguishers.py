@@ -609,6 +609,51 @@ def test_rank_of_examples():
     assert rank_of(rows, correct).tolist() == want
 
 
+def test_rank_of_float32_scores_equals_their_float64_copy():
+    """float32 scores, such as the classifier's probabilities, are ranked
+    in float32; widening is exact, so the ranks, ties included, are those
+    of the float64 copy."""
+    rng = np.random.default_rng(4)
+    rows = (rng.integers(0, 6, (60, 256)) / 7).astype(np.float32)  # many ties
+    rows[:, 100] = np.float32(1 / 3)  # rounds differently from 1/3 in float64
+    correct = rng.integers(0, 256, 60)
+    correct[:5] = 100
+    wide = rows.astype(np.float64)
+    assert rank_of(rows, correct).tolist() == rank_of(wide, correct).tolist()
+    for row, wide_row, c in zip(rows, wide, correct):
+        assert rank_of(row, c) == rank_of(wide_row, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scores_equal_finalize_scores_bit_for_bit(data):
+    """scores(rows) takes its correlations 64 rows at a time; every score is
+    bit for bit cpa_scores(finalize(rows).corr), with constant hypothesis
+    rows and constant sample columns, n = 2, m = 1 and row counts that are
+    not multiples of 64 among the draws."""
+    rows = data.draw(st.sampled_from([1, 63, 64, 65, 130, 256]), label="rows")
+    n = data.draw(st.integers(2, 30), label="n")
+    m = data.draw(st.integers(1, 7), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    H = rng.integers(0, 9, (rows, n)).astype(np.uint8)
+    H[rng.random(rows) < 0.2] = 4  # degenerate hypotheses
+    X = rng.normal(size=(n, m))
+    X[:, rng.random(m) < 0.3] = 1.5  # degenerate samples
+    acc = CpaAccumulator(m, rows).update_batch(H, X)
+    lo = data.draw(st.integers(0, rows - 1), label="lo")
+    for sl in (slice(None), slice(lo, None)):
+        assert acc.scores(sl).tobytes() == \
+            cpa_scores(acc.finalize(sl).corr).tobytes()
+    P = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+    P[:, 3] = 7  # a constant plaintext byte: its hypothesis rows are constant
+    cls = ClassCpaAccumulator(m, first_round_table(FIRST_ROUND_SBOX_OUTPUT))
+    cls.update_batch(P, X.astype(np.float32))
+    for j in (0, 3, 15):
+        sl = slice(256 * j, 256 * (j + 1))
+        assert cls.scores(sl).tobytes() == \
+            cpa_scores(cls.finalize(sl).corr).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=256, max_size=256))
 def test_mid_rank_sum_invariant(vals):
@@ -674,6 +719,11 @@ class FakeAccumulator:
         self.plan.finalized.append((byte, self.n))
         # cpa_scores takes |r|: the (nonnegative) rigged row is the score
         return SimpleNamespace(corr=self.plan.row(byte, self.n)[:, None])
+
+    def scores(self, rows):
+        """What _PearsonSums.scores returns: the scores of finalize(rows),
+        which logs the byte as finalized."""
+        return cpa_scores(self.finalize(rows).corr)
 
 
 def rigged_publics(n):
